@@ -26,7 +26,7 @@ import numpy as np
 from .design import lhs_design, maximin_lhs
 from .diagnostics import Z_95, ValidationReport, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
-from .errors import (ConfigError, DataError, GateError, NumericalError)
+from .errors import ConfigError, DataError, GateError, GpcalError, NumericalError
 from .fileio import read_numeric_csv
 from .kernels import DEFAULT_NUGGET
 from .mcmc import PosteriorChain, mcmc_sample
@@ -415,8 +415,15 @@ def run_workflow(config) -> WorkflowResult:
         t0 = time.perf_counter()
         try:
             out = fn()
+        except GpcalError as exc:
+            exc.args = (f"[stage: {stage}] {exc}",)
+            raise
         except Exception as exc:
-            raise type(exc)(f"[stage: {stage}] {exc}") from exc
+            # not rebuilt: other types need not take a lone message (a
+            # UnicodeDecodeError takes five arguments); Python >= 3.11
+            # prints notes under the traceback
+            exc.__notes__ = [*getattr(exc, "__notes__", ()), f"[stage: {stage}]"]
+            raise
         timings[stage] = time.perf_counter() - t0
         return out
 

@@ -24,6 +24,7 @@ from .diagnostics import Z_95, loocv_error, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
 from .errors import ConfigError, DataError, GpcalError
 from .fileio import atomic_write, read_numeric_csv, write_csv
+from .kernels import KERNEL_KINDS
 from .spaces import ParameterSpace
 
 
@@ -219,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "(inputs = all columns but the last, output = last)")
     p.add_argument("--training", required=True)
     p.add_argument("--kernel", default="gaussian",
-                   choices=["linear", "exponential", "power_exponential",
-                            "gaussian", "matern_3_2", "matern_5_2"])
+                   choices=KERNEL_KINDS)
     p.add_argument("--trend", default="constant", choices=["constant", "linear"])
     p.add_argument("--method", default="mle", choices=["mle", "cv"])
     p.add_argument("--cv-folds", type=int, default=10)

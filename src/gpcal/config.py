@@ -21,12 +21,10 @@ import yaml
 from .calibration import ExperimentData
 from .errors import ConfigError
 from .fileio import atomic_write
+from .kernels import KERNEL_KINDS
 from .priors import Prior1D, PriorSpec
 from .simulators import SimulatorBinding, simulator_from_config
 from .spaces import ParameterSpace
-
-_KERNELS = ("linear", "exponential", "power_exponential", "gaussian",
-            "matern_3_2", "matern_5_2")
 
 
 @dataclass
@@ -118,8 +116,8 @@ def load_config(path) -> WorkflowConfig:
 
     emu = _require(raw, "emulator", "<root>")
     kernel = emu.get("kernel", "matern_5_2")
-    if kernel not in _KERNELS:
-        raise ConfigError(f"unknown kernel {kernel!r}; options: {_KERNELS}")
+    if kernel not in KERNEL_KINDS:
+        raise ConfigError(f"unknown kernel {kernel!r}; options: {KERNEL_KINDS}")
     trend = emu.get("trend", "constant")
     if trend not in ("constant", "linear"):
         raise ConfigError(f"emulator trend must be constant or linear, got {trend!r}")

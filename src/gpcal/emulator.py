@@ -34,7 +34,7 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
 from .fileio import atomic_write
 from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      correlation_matrix, cross_corr_matrix)
+                      SiteDistances, correlation_matrix, cross_corr_matrix)
 from .spaces import DesignMatrix
 
 EMULATOR_FORMAT_VERSION = 1
@@ -210,7 +210,15 @@ def neg_log_likelihood(training: TrainingSet, trend: TrendSpec,
     units (the standardization offset m*log(y_scale) is added back so scaling
     the outputs by c shifts the value by m*log|c| without moving the argmin).
     """
-    R = correlation_matrix(training.X, spec, nugget, auto_escalate=False)
+    return _concentrated_nll(training, trend, spec, nugget, training.X)
+
+
+def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
+                      spec: KernelSpec, nugget, sites) -> float:
+    """:func:`neg_log_likelihood` with the training inputs given as ``sites``:
+    ``training.X`` or a :class:`SiteDistances` of it, which gives the same
+    value to the last bit."""
+    R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
     beta = gls_beta(training, trend, R)
     s2 = max(sigma2_hat(training, trend, beta, R), np.finfo(float).tiny)
     m = training.m
@@ -463,14 +471,18 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
         omega = np.exp(t[:d])
         return template.with_params(omega, t[d:] if free_p else None)
 
+    # distances and assembly scratch for every restart of this fit only
+    sites = SiteDistances(training.X)
+
     def objective(t):
         try:
-            val = neg_log_likelihood(training, trend, unpack(t), nugget)
+            val = _concentrated_nll(training, trend, unpack(t), nugget, sites)
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
             return _BIG
         return val if np.isfinite(val) else _BIG
 
     results = _multistart_minimize(objective, lb, ub, n_restarts, seed)
+    del sites  # freed before the final conditioning, to keep peak memory down
     best_val, best_t = min(results, key=lambda r: r[0])
     if best_val >= _BIG:
         raise FitError(f"all {n_restarts} MLE restarts failed to produce a "

@@ -12,6 +12,17 @@ the squared distance by 2*omega^2 while the power-exponential kind raises
 computed by :func:`weighted_distance` therefore matches the exponent of the
 power-exponential product only up to the documented reparameterization
 omega' = omega**p. Conversions are never applied silently.
+
+Assembly is in place and bit-identical. One routine (:func:`_product_corr`
+over :func:`_corr_1d`) builds every correlation matrix: it runs each kind's
+expression as the same numpy operations, in the same order, as the literal
+out-of-place expression, but writes into reusable buffers, so assembling a
+training matrix allocates one m x m array instead of dozens. A
+:class:`SiteDistances` keeps the distance matrices of the training sites and
+the scratch buffers for the life of one hyperparameter fit. Bit-identity is a
+contract, not a nicety: the multistart L-BFGS-B in the emulator fits follows
+the objective's last bits, so any change in rounding moves the fitted
+optimum.
 """
 
 from __future__ import annotations
@@ -103,24 +114,87 @@ def weighted_distance(x_i, x_j, spec: KernelSpec) -> float:
     return float(np.sum(np.abs(x_i - x_j) ** spec.p / spec.omega))
 
 
-def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float) -> np.ndarray:
-    """One-dimensional correlation R(h) for |h| >= 0."""
-    t = h / omega
-    if kind == "linear":
-        return np.maximum(0.0, 1.0 - t)
-    if kind == "exponential":
-        return np.exp(-t)
-    if kind == "power_exponential":
-        return np.exp(-t ** p)
-    if kind == "gaussian":
-        return np.exp(-(h * h) / (2.0 * omega * omega))
-    if kind == "matern_3_2":
-        s = math.sqrt(3.0) * t
-        return (1.0 + s) * np.exp(-s)
+def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float,
+             out: np.ndarray, work: list) -> np.ndarray:
+    """One-dimensional correlation R(h) for |h| >= 0, computed in ``out``
+    with ``work`` as scratch: ``_N_WORK[kind]`` arrays of h's shape.
+
+    Each kind runs its canonical expression, noted beside it, as the same
+    sequence of numpy operations the out-of-place expression performs, only
+    written into buffers: the result is bit-identical to evaluating the
+    expression.
+    """
+    if kind == "gaussian":                        # exp(-(h*h) / (2 omega^2))
+        np.multiply(h, h, out=out)
+        np.negative(out, out=out)
+        out /= 2.0 * omega * omega
+        return np.exp(out, out=out)
+    np.divide(h, omega, out=out)                  # t = h / omega
+    if kind == "linear":                          # max(0, 1 - t)
+        np.subtract(1.0, out, out=out)
+        return np.maximum(0.0, out, out=out)
+    if kind == "exponential":                     # exp(-t)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+    if kind == "power_exponential":               # exp(-t**p)
+        out **= p
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+    if kind == "matern_3_2":                      # (1 + s) exp(-s), s = sqrt(3) t
+        e = work[0]
+        out *= math.sqrt(3.0)
+        np.exp(np.negative(out, out=e), out=e)
+        out += 1.0
+        out *= e
+        return out
     if kind == "matern_5_2":
-        s = math.sqrt(5.0) * t
-        return (1.0 + s + 5.0 * (h * h) / (3.0 * omega * omega)) * np.exp(-s)
+        # (1 + s + 5 (h*h) / (3 omega^2)) exp(-s), s = sqrt(5) t
+        e, q = work[0], work[1]
+        out *= math.sqrt(5.0)
+        np.exp(np.negative(out, out=e), out=e)
+        out += 1.0
+        np.multiply(h, h, out=q)
+        q *= 5.0
+        q /= 3.0 * omega * omega
+        out += q
+        out *= e
+        return out
     raise ConfigError(f"unknown kernel kind {kind!r}")
+
+
+#: scratch arrays _corr_1d needs per kind, besides its output
+_N_WORK = {"matern_3_2": 1, "matern_5_2": 2}
+
+
+def _abs_differences(A: np.ndarray, B: np.ndarray) -> list:
+    """|a_k - b_k| for every pair of rows, one (|A|, |B|) matrix per dimension."""
+    return [np.abs(A[:, k:k + 1] - B[None, :, k]) for k in range(A.shape[1])]
+
+
+def _product_corr(out: np.ndarray, absdiff, spec: KernelSpec,
+                  scratch: list) -> np.ndarray:
+    """Write the tensor-product correlation prod_k R_k(absdiff[k]) into ``out``.
+
+    The one assembly shared by :func:`cross_corr_matrix` and
+    :func:`correlation_matrix`. It multiplies the factors in dimension order,
+    as ``ones *= R_1; ones *= R_2; ...`` would, but writes the first factor
+    straight into ``out`` (1.0 * x == x exactly) and builds each later one in
+    ``scratch[-1]``. ``scratch`` is a list of :func:`_n_scratch` arrays of
+    out's shape, the kind's work arrays first.
+    """
+    if not absdiff:
+        out.fill(1.0)
+    work = scratch[:_N_WORK.get(spec.kind, 0)]
+    for k, h in enumerate(absdiff):
+        factor = out if k == 0 else scratch[-1]
+        _corr_1d(spec.kind, h, spec.omega[k], spec.p[k], factor, work)
+        if k:
+            out *= factor
+    return out
+
+
+def _n_scratch(spec: KernelSpec) -> int:
+    return (spec.dim > 1) + _N_WORK.get(spec.kind, 0)
 
 
 def kernel_eval(spec: KernelSpec, x_i, x_j) -> float:
@@ -130,11 +204,13 @@ def kernel_eval(spec: KernelSpec, x_i, x_j) -> float:
     if x_i.size != spec.dim or x_j.size != spec.dim:
         raise DataError(
             f"dimension mismatch: points {x_i.size}/{x_j.size}, kernel {spec.dim}")
-    h = np.abs(x_i - x_j)
-    val = 1.0
-    for k in range(spec.dim):
-        val *= float(_corr_1d(spec.kind, h[k:k + 1], spec.omega[k], spec.p[k])[0])
-    return val
+    return float(cross_corr_matrix(x_i.reshape(1, -1), x_j.reshape(1, -1), spec)[0, 0])
+
+
+def _points(X) -> np.ndarray:
+    if isinstance(X, (DesignMatrix, SiteDistances)):
+        return X.points
+    return np.atleast_2d(np.asarray(X, float))
 
 
 def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -144,16 +220,40 @@ def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndar
     if A.shape[1] != spec.dim or B.shape[1] != spec.dim:
         raise DataError(
             f"dimension mismatch: points {A.shape[1]}/{B.shape[1]}, kernel {spec.dim}")
-    out = np.ones((A.shape[0], B.shape[0]))
-    for k in range(spec.dim):
-        h = np.abs(A[:, k:k + 1] - B[None, :, k])
-        out *= _corr_1d(spec.kind, h, spec.omega[k], spec.p[k])
-    return out
+    shape = (A.shape[0], B.shape[0])
+    return _product_corr(np.empty(shape), _abs_differences(A, B), spec,
+                         [np.empty(shape) for _ in range(_n_scratch(spec))])
+
+
+class SiteDistances:
+    """The per-dimension |x_i,k - x_j,k| matrices of one set of sites, with
+    reusable scratch space for assembling their correlation matrix.
+
+    Passing an instance to :func:`correlation_matrix` in place of the sites
+    skips recomputing the distances, which do not depend on the kernel's
+    parameters, and the scratch allocations; the result is bit-identical.
+    A hyperparameter fit makes one for its training inputs and drops it when
+    it returns. It holds (d + 3) m x m arrays at most, and its scratch makes
+    it unsafe to share between threads.
+    """
+
+    def __init__(self, X):
+        self.points = _points(X)
+        self.absdiff = _abs_differences(self.points, self.points)
+        self._scratch = []
+
+    def correlation(self, spec: KernelSpec) -> np.ndarray:
+        """The sites' correlation matrix, without nugget, in a fresh array."""
+        m = self.points.shape[0]
+        n = _n_scratch(spec)
+        while len(self._scratch) < n:
+            self._scratch.append(np.empty((m, m)))
+        return _product_corr(np.empty((m, m)), self.absdiff, spec, self._scratch[:n])
 
 
 def cross_correlation(X, x_star, spec: KernelSpec) -> np.ndarray:
     """Correlation vector r(x*) between one point and the m design sites."""
-    pts = X.points if isinstance(X, DesignMatrix) else np.atleast_2d(np.asarray(X, float))
+    pts = _points(X)
     if pts.shape[0] == 0:
         return np.empty(0)
     return cross_corr_matrix(pts, np.atleast_2d(np.asarray(x_star, float)), spec)[:, 0]
@@ -171,6 +271,10 @@ class CorrelationMatrix:
         self.nugget = nugget
         c, low = cho_factor(values, lower=True)
         self._cho = (c, low)
+        # The C-ordered copy looks redundant (solve_triangular ignores the
+        # upper triangle) but selects the transposed LAPACK triangular-solve
+        # path; solving with c itself changes half_solve's last bits, and
+        # with them the optimum that MLE fits reach.
         self._L = np.tril(c)
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
 
@@ -194,16 +298,26 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                        auto_escalate: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
-    ``nugget`` may be a scalar or a per-point vector (heteroscedastic noise).
+    ``X`` holds the design sites, or is a :class:`SiteDistances` of them to
+    reuse its distances and scratch. ``nugget`` may be a scalar or a
+    per-point vector (heteroscedastic noise).
     If the Cholesky factorization fails, the nugget is escalated by factors of
     10 from max(nugget, 1e-10) up to 1e-4 before giving up; duplicate design
     sites with a zero nugget are rejected outright because the matrix is then
     singular in exact arithmetic regardless of floating-point luck.
+
+    The matrix is assembled in one freshly allocated array (it becomes
+    ``values``) and equals, bit for bit, ``cross_corr_matrix(X, X, spec)``
+    with its diagonal set to 1 + nugget. |x_i - x_j| and |x_j - x_i| are the
+    same double, so the product kernel is exactly symmetric and needs no
+    symmetrizing copy.
     """
-    pts = X.points if isinstance(X, DesignMatrix) else np.atleast_2d(np.asarray(X, float))
+    pts = _points(X)
     m = pts.shape[0]
     if m < 1:
         raise DataError("correlation_matrix requires at least one design site")
+    if pts.shape[1] != spec.dim:
+        raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
     nug = np.asarray(nugget, dtype=float)
     if nug.ndim == 0:
         nug = np.full(m, float(nug))
@@ -212,12 +326,10 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
     if np.any(nug < 0):
         raise DataError("nugget must be nonnegative")
 
-    R = cross_corr_matrix(pts, pts, spec)
-    R = 0.5 * (R + R.T)
-    np.fill_diagonal(R, 1.0)
-
-    offdiag = R - np.eye(m)
-    if m > 1 and offdiag.max() >= 1.0:
+    R = (X if isinstance(X, SiteDistances) else SiteDistances(pts)).correlation(spec)
+    diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
+    diag[:] = 0.0                                # R.max(): off-diagonal only
+    if m > 1 and R.max() >= 1.0:
         if np.all(nug == 0):
             raise IllConditionedError(
                 "duplicate design sites make the correlation matrix singular; "
@@ -229,8 +341,9 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
 
     extra = 0.0
     while True:
+        diag[:] = 1.0 + (nug + extra)
         try:
-            return CorrelationMatrix(R + np.diag(nug + extra), nug + extra)
+            return CorrelationMatrix(R, nug + extra)
         except np.linalg.LinAlgError:
             pass
         if not auto_escalate:

@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import gpcal.emulator
 from gpcal import (DataError, ExtrapolationWarning, FittedEmulator, KernelSpec,
                    TrainingSet, TrendSpec, build_emulator, fit_cv, fit_mle,
                    gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
-from gpcal.emulator import _cv_heldout, make_folds
-from gpcal.kernels import CorrelationMatrix, correlation_matrix
+from gpcal.emulator import _concentrated_nll, _cv_heldout, make_folds
+from gpcal.kernels import CorrelationMatrix, SiteDistances, correlation_matrix
 from gpcal.spaces import ParameterSpace
 
 from conftest import dense_oracle_predict, oracle_corr_matrix, random_instance
@@ -142,6 +143,47 @@ def test_nll_output_scaling_shifts_value_not_argmin(rng):
     assert np.argmin(vals1) == np.argmin(vals2)
     shifts = vals2 - vals1
     assert np.allclose(shifts, 12 * math.log(c), rtol=0, atol=1e-9)
+
+
+def test_nll_with_fit_distances_is_bit_identical(rng):
+    # the multistart L-BFGS-B follows the last bit of the objective, so the
+    # fit's cached distances must not change a single one, including at the
+    # omega bound corners the optimizer visits
+    X = rng.uniform(0, 1, (60, 3))
+    tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
+    sites = SiteDistances(tr.X)
+    corners = ([1e-3] * 3, [1e3] * 3, [1e3, 1e-3, 1e-3], [1e-3, 1e3, 1e3],
+               [0.3, 0.7, 2.0])
+    for kind in ("matern_5_2", "gaussian", "power_exponential"):
+        for omega in corners:
+            spec = KernelSpec(kind, omega)
+            for trend in (TrendSpec("constant"), TrendSpec("linear")):
+                assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
+                        == neg_log_likelihood(tr, trend, spec))
+
+
+def test_fits_never_share_distances(rng, monkeypatch):
+    # as gpbias then gpcode in one process: same shape, different sites
+    seen = []
+    real = gpcal.emulator.correlation_matrix
+
+    def spy(X, *args, **kwargs):
+        seen.append(X)
+        return real(X, *args, **kwargs)
+
+    monkeypatch.setattr(gpcal.emulator, "correlation_matrix", spy)
+    trainings = [TrainingSet(x, np.sin(4.0 * x[:, 0]) + x[:, 1])
+                 for x in (rng.uniform(0, 1, (20, 2)) for _ in range(2))]
+    used = []
+    for tr in trainings:
+        del seen[:]
+        fit_mle(tr, TrendSpec("constant"), "matern_5_2", n_restarts=2, seed=3)
+        cached = [X for X in seen if isinstance(X, SiteDistances)]
+        assert cached and all(X is cached[0] for X in cached)
+        for h, x in zip(cached[0].absdiff, tr.X.T):
+            assert np.array_equal(h, np.abs(x[:, None] - x[None, :]))
+        used.append(cached[0])
+    assert used[0] is not used[1]
 
 
 # ----------------------------------------------------------- prediction

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix, cross_correlation,
                    kernel_eval, weighted_distance)
-from gpcal.kernels import KERNEL_KINDS, cross_corr_matrix
+from gpcal.kernels import KERNEL_KINDS, SiteDistances, cross_corr_matrix
 
 from conftest import oracle_kernel
 
@@ -218,3 +219,84 @@ def test_cross_corr_matrix_dim_mismatch():
     spec = KernelSpec("gaussian", [1.0])
     with pytest.raises(DataError):
         cross_corr_matrix(np.zeros((2, 2)), np.zeros((2, 2)), spec)
+
+
+# ------------------------------------------- bit-identical in-place assembly
+
+def out_of_place_corr(A, B, spec):
+    """The assembly as literal out-of-place numpy expressions: a fresh array
+    per operation, ones *= R_k per dimension."""
+    out = np.ones((A.shape[0], B.shape[0]))
+    for k in range(spec.dim):
+        h = np.abs(A[:, k:k + 1] - B[None, :, k])
+        omega, p = spec.omega[k], spec.p[k]
+        t = h / omega
+        if spec.kind == "linear":
+            r = np.maximum(0.0, 1.0 - t)
+        elif spec.kind == "exponential":
+            r = np.exp(-t)
+        elif spec.kind == "power_exponential":
+            r = np.exp(-t ** p)
+        elif spec.kind == "gaussian":
+            r = np.exp(-(h * h) / (2.0 * omega * omega))
+        elif spec.kind == "matern_3_2":
+            s = math.sqrt(3.0) * t
+            r = (1.0 + s) * np.exp(-s)
+        else:
+            s = math.sqrt(5.0) * t
+            r = (1.0 + s + 5.0 * (h * h) / (3.0 * omega * omega)) * np.exp(-s)
+        out *= r
+    return out
+
+
+def corner_specs(kind, d):
+    """Specs at the MLE bound corners omega in {1e-3, 1e3} and in between;
+    several roughness exponents for the power-exponential kind."""
+    for omega in ([1e-3] * d, [1e3] * d, [1e3] + [1e-3] * (d - 1),
+                  list(np.linspace(0.2, 1.4, d))):
+        for p in ([0.5] * d, [1.0] * d, [1.5] * d, [2.0] * d) \
+                if kind == "power_exponential" else [None]:
+            yield KernelSpec(kind, omega, p)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_assembly_bit_identical_to_out_of_place_expressions(kind, rng):
+    X = rng.uniform(0, 1, (40, 3))
+    Y = rng.uniform(0, 1, (6, 3))
+    for spec in corner_specs(kind, 3):
+        assert np.array_equal(cross_corr_matrix(X, Y, spec),
+                              out_of_place_corr(X, Y, spec))
+        seed_R = out_of_place_corr(X, X, spec)
+        # exact symmetry is why no 0.5 * (R + R.T) copy is needed
+        assert np.array_equal(seed_R, seed_R.T)
+        for nugget in (1e-8, rng.uniform(1e-8, 1e-6, 40)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericalWarning)
+                R = correlation_matrix(X, spec, nugget)
+            assert np.all(R.nugget >= nugget)        # escalated or not
+            want = cross_corr_matrix(X, X, spec) + np.diag(R.nugget)
+            assert np.array_equal(R.values, want)
+            c, _ = cho_factor(want, lower=True)
+            assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
+
+
+def test_site_distances_reuse_is_bit_identical(rng):
+    X = rng.uniform(0, 1, (30, 2))
+    sites = SiteDistances(X)
+    for h, x in zip(sites.absdiff, X.T):
+        assert np.array_equal(h, np.abs(x[:, None] - x[None, :]))
+    # scratch grows from one array (linear) to three (matern_5_2) and is
+    # then reused by kinds needing fewer
+    for spec in [*all_kind_specs(d=2, omega=0.6), *all_kind_specs(d=2, omega=0.6)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalWarning)
+            cached = correlation_matrix(sites, spec, 1e-8)
+            fresh = correlation_matrix(X, spec, 1e-8)
+        assert np.array_equal(cached.values, fresh.values)
+        assert cached.logdet == fresh.logdet
+        assert cached.values is not fresh.values
+
+
+def test_correlation_matrix_dim_mismatch():
+    with pytest.raises(DataError):
+        correlation_matrix(np.zeros((3, 2)), KernelSpec("gaussian", [1.0]))

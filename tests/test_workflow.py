@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import yaml
 
-from gpcal import GateError, run_workflow
+import gpcal.calibration
+from gpcal import DataError, GateError, run_workflow
+from gpcal.cli import main
 from gpcal.config import load_config
 from gpcal.fileio import write_csv
 
@@ -196,3 +198,29 @@ def test_monotone_information_across_iuq_sizes(tmp_path):
         if not ok:
             inversions += 1
     assert inversions <= 1, f"{inversions} inversions in 10 replicates"
+
+
+def test_stage_failure_keeps_gpcal_error_class_and_exit_code(tmp_path, monkeypatch,
+                                                             capsys):
+    def fail(*args, **kwargs):
+        raise DataError("simulator returned a malformed row")
+
+    monkeypatch.setattr(gpcal.calibration, "build_code_emulator", fail)
+    cfg = write_config(tmp_path, discrepancy=False)
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "error: [stage: gpcode] simulator returned a malformed row" in err
+
+
+def test_stage_failure_keeps_foreign_exception_type(tmp_path, monkeypatch):
+    # a UnicodeDecodeError cannot be rebuilt from a message alone
+    def fail(*args, **kwargs):
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    monkeypatch.setattr(gpcal.calibration, "split_experiments", fail)
+    config = load_config(write_config(tmp_path, discrepancy=False))
+    with pytest.raises(UnicodeDecodeError) as info:
+        run_workflow(config)
+    assert info.value.reason == "invalid start byte"
+    assert "[stage: split]" in info.value.__notes__
