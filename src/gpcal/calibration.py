@@ -339,10 +339,7 @@ class _EmulatorEvaluator:
         self.emulator = emulator
         self.name = "gpcode-fallback"
 
-    def run_at(self, x, theta):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        theta = np.asarray(theta, dtype=float).reshape(1, -1)
-        inputs = np.hstack([x, np.repeat(theta, x.shape[0], axis=0)])
+    def run(self, inputs):
         mean, _ = self.emulator.predict_batch(inputs, warn_extrapolation=False)
         return mean
 
@@ -365,9 +362,11 @@ def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
     idx = np.unique(np.linspace(0, kept.shape[0] - 1,
                                 min(n_draws, kept.shape[0])).astype(int))
     thetas = kept[idx]
-    sims = np.empty((thetas.shape[0], val_set.n))
-    for i, theta in enumerate(thetas):
-        sims[i] = sim.run_at(val_set.x, theta)
+    # every draw's (x, theta) rows in one simulator call: the simulators are
+    # row-wise, so this equals one run_at per draw, with one process spawn
+    inputs = np.hstack([np.tile(val_set.x, (thetas.shape[0], 1)),
+                        np.repeat(thetas, val_set.n, axis=0)])
+    sims = sim.run(inputs).reshape(thetas.shape[0], val_set.n)
     rng = np.random.default_rng(seed)
     noise_sd = np.sqrt(val_set.noise_variances())
     draws = sims + rng.standard_normal(sims.shape) * noise_sd

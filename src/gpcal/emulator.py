@@ -34,7 +34,8 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
 from .fileio import atomic_write
 from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      SiteDistances, correlation_matrix, cross_corr_matrix)
+                      SiteDistances, _factor, _nugget_vector,
+                      correlation_matrix, cross_corr_matrix)
 from .spaces import DesignMatrix
 
 EMULATOR_FORMAT_VERSION = 1
@@ -502,21 +503,25 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
 
 
 def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, beta_fixed=None):
+                nugget, fold_labels: np.ndarray, beta_fixed=None, sites=None):
     """Held-out predictions for each fold with fixed (omega, p).
 
     If ``beta_fixed`` is None the trend coefficients are re-estimated by GLS
     on each fold's retained points (a genuine reduced fit); otherwise the
     given coefficients are reused and only the conditioning set changes.
 
+    The m x m correlation of all training sites is assembled once; each
+    fold's training matrix and held-out cross block are index slices of it,
+    bit-identical to assembling them from the fold's sites. ``sites`` is a
+    :class:`SiteDistances` of ``training.X`` to reuse across calls.
+
     Returns standardized held-out means ``mu_cv`` and unit-process-variance
     predictive factors ``v_cv`` (these include the held-out points' own
     nugget, i.e. they are variances for predicting the noisy observation).
     """
     m = training.m
-    nug = np.asarray(nugget, dtype=float)
-    if nug.ndim == 0:
-        nug = np.full(m, float(nug))
+    nug = _nugget_vector(nugget, m)
+    R = (SiteDistances(training.X) if sites is None else sites).correlation(spec)
     mu_cv = np.empty(m)
     v_cv = np.empty(m)
     for k in np.unique(fold_labels):
@@ -527,7 +532,8 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
             raise DataError("cross-validation fold is empty")
         Xtr, Xte = training.X[tr_idx], training.X[te_idx]
         ytr = training.y[tr_idx]
-        Rk = correlation_matrix(Xtr, spec, nug[tr_idx], auto_escalate=False)
+        Rk = _factor(R[np.ix_(tr_idx, tr_idx)], nug[tr_idx], spec,
+                     auto_escalate=False)
         if trend.kind == "known_constant":
             beta_k = np.empty(0)
             trend_tr = np.full(tr_idx.size, training.mu_std(trend.mu))
@@ -547,7 +553,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
             trend_tr = Ftr @ beta_k
             trend_te = trend.build_matrix(Xte) @ beta_k
         resid = ytr - trend_tr
-        rte = cross_corr_matrix(Xtr, Xte, spec)                  # (m_tr, m_te)
+        rte = R[np.ix_(tr_idx, te_idx)]                          # (m_tr, m_te)
         mu_cv[te_idx] = trend_te + rte.T @ Rk.solve(resid)
         Z = Rk.half_solve(rte)
         v = (1.0 + nug[te_idx]) - np.einsum("ij,ij->j", Z, Z)
@@ -593,9 +599,13 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     def unpack(t):
         return template.with_params(np.exp(t[:d]), t[d:] if free_p else None)
 
+    # distances and assembly scratch for every restart of this fit only
+    sites = SiteDistances(training.X)
+
     def objective(t):
         try:
-            mu_cv, _ = _cv_heldout(training, trend, unpack(t), nugget, fold_labels)
+            mu_cv, _ = _cv_heldout(training, trend, unpack(t), nugget,
+                                   fold_labels, sites=sites)
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
             return _BIG
         val = float(np.sum((training.y - mu_cv) ** 2))
@@ -609,7 +619,9 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     tied = [t for v, t in results if v <= best_val + tol]
     best_t = min(tied, key=lambda t: float(np.linalg.norm(np.exp(t[:d]))))
     spec = unpack(best_t)
-    mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels)
+    mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels,
+                              sites=sites)
+    del sites  # freed before the final conditioning, to keep peak memory down
     resid = training.y - mu_cv
     sigma2_cv = float(np.mean(resid ** 2 / v_cv))
     return build_emulator(training, trend, spec, nugget=nugget,

@@ -19,10 +19,13 @@ expression as the same numpy operations, in the same order, as the literal
 out-of-place expression, but writes into reusable buffers, so assembling a
 training matrix allocates one m x m array instead of dozens. A
 :class:`SiteDistances` keeps the distance matrices of the training sites and
-the scratch buffers for the life of one hyperparameter fit. Bit-identity is a
-contract, not a nicety: the multistart L-BFGS-B in the emulator fits follows
-the objective's last bits, so any change in rounding moves the fitted
-optimum.
+the scratch buffers for the life of one hyperparameter fit, MLE or CV. A CV
+objective assembles the full training matrix once and slices every fold's
+training and held-out blocks from it: a kernel entry depends only on its two
+sites, so the slices equal the fold's own assembly bit for bit. Bit-identity
+is a contract, not a nicety: the multistart L-BFGS-B in the emulator fits
+follows the objective's last bits, so any change in rounding moves the
+fitted optimum.
 """
 
 from __future__ import annotations
@@ -232,9 +235,11 @@ class SiteDistances:
     Passing an instance to :func:`correlation_matrix` in place of the sites
     skips recomputing the distances, which do not depend on the kernel's
     parameters, and the scratch allocations; the result is bit-identical.
-    A hyperparameter fit makes one for its training inputs and drops it when
-    it returns. It holds (d + 3) m x m arrays at most, and its scratch makes
-    it unsafe to share between threads.
+    A hyperparameter fit (``fit_mle`` or ``fit_cv``) makes one for its
+    training inputs and drops it when it returns; a CV fit slices each
+    fold's blocks from the one matrix :meth:`correlation` gives per
+    objective call. It holds (d + 3) m x m arrays at most, and its scratch
+    makes it unsafe to share between threads.
     """
 
     def __init__(self, X):
@@ -274,8 +279,9 @@ class CorrelationMatrix:
         # The C-ordered copy looks redundant (solve_triangular ignores the
         # upper triangle) but selects the transposed LAPACK triangular-solve
         # path; solving with c itself changes half_solve's last bits, and
-        # with them the optimum that MLE fits reach.
-        self._L = np.tril(c)
+        # with them the optimum that MLE fits reach. Only the layout matters:
+        # zeroing the upper triangle (np.tril) changes no bit.
+        self._L = np.ascontiguousarray(c)
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
 
     @property
@@ -318,6 +324,13 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
         raise DataError("correlation_matrix requires at least one design site")
     if pts.shape[1] != spec.dim:
         raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
+    nug = _nugget_vector(nugget, m)
+    R = (X if isinstance(X, SiteDistances) else SiteDistances(pts)).correlation(spec)
+    return _factor(R, nug, spec, auto_escalate)
+
+
+def _nugget_vector(nugget, m: int) -> np.ndarray:
+    """A scalar or per-point nugget as a checked vector of m entries."""
     nug = np.asarray(nugget, dtype=float)
     if nug.ndim == 0:
         nug = np.full(m, float(nug))
@@ -325,8 +338,21 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
         raise DataError(f"nugget vector has {nug.size} entries for {m} sites")
     if np.any(nug < 0):
         raise DataError("nugget must be nonnegative")
+    return nug
 
-    R = (X if isinstance(X, SiteDistances) else SiteDistances(pts)).correlation(spec)
+
+def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
+            auto_escalate: bool) -> CorrelationMatrix:
+    """Factorize a C-ordered m x m kernel matrix ``R`` of m sites, in place.
+
+    The factor step of :func:`correlation_matrix`, which the CV fits also
+    call on blocks sliced from one assembled matrix. ``R``'s diagonal is
+    overwritten with 1 + nugget, so it need not hold 1; ``nug`` is a checked
+    vector (:func:`_nugget_vector`). Rejects duplicate sites under a zero
+    nugget, warns on the indefinite-prone linear product kernel, and escalates
+    the nugget if asked (see :func:`correlation_matrix`).
+    """
+    m = R.shape[0]
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
     diag[:] = 0.0                                # R.max(): off-diagonal only
     if m > 1 and R.max() >= 1.0:

@@ -306,6 +306,42 @@ def test_validate_posterior_collapsed_chain_exact():
     assert report.coverage_95 == 1.0
 
 
+def test_validate_posterior_runs_simulator_once():
+    # all draws go through one batched run call, which must give what one
+    # run_at per draw gave
+    class Counting:
+        def __init__(self, sim):
+            self.sim, self.calls = sim, 0
+
+        def run(self, inputs):
+            self.calls += 1
+            return self.sim.run(inputs)
+
+    sim = BuiltinSimulator("linear")
+    x = np.linspace(0, 10, 6).reshape(-1, 1)
+    val = ExperimentData(x, sim.run_at(x, np.array([2.0, 1.0])), np.zeros(6),
+                         domain_tag="VAL")
+    counting = Counting(sim)
+    report = validate_posterior(counting, _collapsed_chain([2.0, 1.0]), val, seed=1)
+    assert counting.calls == 1
+    assert report.rmse == 0.0 and report.coverage_95 == 1.0
+
+    rng = np.random.default_rng(4)
+    chain = _collapsed_chain([2.0, 1.0], n=80)
+    chain.samples = chain.samples + rng.normal(0, 0.1, chain.samples.shape)
+    noisy = linear_experiments(5, seed=3, sigma=0.2, tag="VAL")
+    counting = Counting(sim)
+    report = validate_posterior(counting, chain, noisy, n_draws=25, seed=2)
+    assert counting.calls == 1
+    kept = chain.post_burn
+    idx = np.unique(np.linspace(0, kept.shape[0] - 1, 25).astype(int))
+    sims = np.array([sim.run_at(noisy.x, th) for th in kept[idx]])
+    draws = sims + (np.random.default_rng(2).standard_normal(sims.shape)
+                    * np.sqrt(noisy.noise_variances()))
+    assert [r[0] for r in report.residuals] == list(sims.mean(axis=0))
+    assert [r[1] for r in report.residuals] == list(draws.std(axis=0))
+
+
 def test_validate_posterior_empty_chain_rejected():
     sim = BuiltinSimulator("linear")
     val = linear_experiments(4, seed=0, tag="VAL")

@@ -100,6 +100,25 @@ def test_loocv_refit_trend_variant_differs_but_close(rng):
     assert refit > 0 and fixed > 0
 
 
+def test_cross_validated_predictions_refit_mle():
+    # every fold refits the hyperparameters by MLE; on a smooth 1-D set the
+    # held-out accuracy must be close to holding the full fit's fixed
+    space = ParameterSpace(["x"], [0.0], [1.0])
+    x = lhs_design(12, space, seed=4).to_physical()
+    y = np.sin(4 * x[:, 0]) + 0.5 * x[:, 0]
+    em = fit_mle(TrainingSet(x, y), TrendSpec("constant"), "gaussian",
+                 n_restarts=3, seed=1)
+    mu, var = cross_validated_predictions(em, refit="mle")
+    assert mu.shape == var.shape == (12,)
+    assert np.all(np.isfinite(mu)) and np.all(var > 0)
+    q2_mle = q2_loocv(em, refit="mle")
+    q2_none = q2_loocv(em, refit="none")
+    assert q2_mle == pytest.approx(1.0 - np.sum((y - mu) ** 2)
+                                   / np.sum((y - y.mean()) ** 2), rel=1e-12)
+    assert q2_none > 0.999                # the full fit is not degenerate
+    assert abs(q2_mle - q2_none) <= 1e-4  # measured: 5e-8
+
+
 # --------------------------------------------------------------------- Q2
 
 def test_q2_test_perfect_predictions():

@@ -5,12 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_triangular
+
 import gpcal.emulator
-from gpcal import (DataError, ExtrapolationWarning, FittedEmulator, KernelSpec,
+from gpcal import (DataError, ExtrapolationWarning, FittedEmulator,
+                   IllConditionedError, KernelSpec, NumericalWarning,
                    TrainingSet, TrendSpec, build_emulator, fit_cv, fit_mle,
                    gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
 from gpcal.emulator import _concentrated_nll, _cv_heldout, make_folds
-from gpcal.kernels import CorrelationMatrix, SiteDistances, correlation_matrix
+from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
+                           correlation_matrix, cross_corr_matrix)
 from gpcal.spaces import ParameterSpace
 
 from conftest import dense_oracle_predict, oracle_corr_matrix, random_instance
@@ -406,6 +410,130 @@ def test_fit_cv_heldout_matches_literal_two_refit_oracle(rng):
     objective = float(np.sum((tr.y - mu_cv) ** 2))
     oracle_objective = float(np.sum((tr.y - want) ** 2))
     assert objective == pytest.approx(oracle_objective, abs=1e-10)
+
+
+def per_fold_heldout(training, trend, spec, nugget, labels, beta_fixed=None):
+    """The CV held-out predictions with every fold assembled from its own
+    sites: correlation_matrix(Xtr) and cross_corr_matrix(Xtr, Xte). Each
+    fold's matrices are blocks of the full training correlation, so
+    _cv_heldout, which slices them from it, must agree bit for bit."""
+    m = training.m
+    nug = np.broadcast_to(np.asarray(nugget, float), (m,))
+    mu_cv, v_cv = np.empty(m), np.empty(m)
+    for k in np.unique(labels):
+        te = labels == k
+        Xtr, Xte, ytr = training.X[~te], training.X[te], training.y[~te]
+        Rk = correlation_matrix(Xtr, spec, nug[~te], auto_escalate=False)
+        if trend.kind == "known_constant":
+            trend_tr = np.full(Xtr.shape[0], training.mu_std(trend.mu))
+            trend_te = np.full(Xte.shape[0], training.mu_std(trend.mu))
+            Ftr = None
+        else:
+            Ftr = trend.build_matrix(Xtr)
+            beta_k = beta_fixed
+            if beta_fixed is None:
+                G = Rk.half_solve(Ftr)
+                Q, Rq = np.linalg.qr(G)
+                beta_k = solve_triangular(Rq, Q.T @ Rk.half_solve(ytr), lower=False)
+            trend_tr = Ftr @ beta_k
+            trend_te = trend.build_matrix(Xte) @ beta_k
+        rte = cross_corr_matrix(Xtr, Xte, spec)
+        mu_cv[te] = trend_te + rte.T @ Rk.solve(ytr - trend_tr)
+        Z = Rk.half_solve(rte)
+        v = (1.0 + nug[te]) - np.einsum("ij,ij->j", Z, Z)
+        if Ftr is not None and beta_fixed is None:
+            W = solve_triangular(Rq.T, G.T @ Z - trend.build_matrix(Xte).T,
+                                 lower=True)
+            v = v + np.einsum("ij,ij->j", W, W)
+        v_cv[te] = v
+    return mu_cv, np.maximum(v_cv, np.finfo(float).tiny)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_cv_heldout_slices_are_bit_identical_to_per_fold_assembly(kind, rng):
+    # the CV objective steers the multistart L-BFGS-B by its last bits, so
+    # slicing the folds from one assembly must not change any of them
+    m, d = 24, 3
+    X = rng.uniform(0, 1, (m, d))
+    tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
+    p = [0.7, 1.3, 2.0] if kind == "power_exponential" else None
+    nuggets = (1e-8, rng.uniform(1e-8, 1e-6, m))
+    compared = 0
+    for omega in ([1e-3] * d, [0.2, 0.5, 1.4], [1e3, 1e-3, 0.3]):
+        spec = KernelSpec(kind, omega, p)
+        for trend in (TrendSpec("constant"), TrendSpec("linear"),
+                      TrendSpec("known_constant", mu=0.2)):
+            betas = [None] if trend.kind == "known_constant" else \
+                [None, 0.1 + 0.2 * np.arange(trend.n_basis(d))]
+            for beta in betas:
+                for nugget in nuggets:
+                    for k_folds in (10, m):
+                        labels = make_folds(m, k_folds, seed=5)
+                        try:
+                            want = per_fold_heldout(tr, trend, spec, nugget,
+                                                    labels, beta)
+                        except IllConditionedError:
+                            with pytest.raises(IllConditionedError):
+                                _cv_heldout(tr, trend, spec, nugget, labels,
+                                            beta_fixed=beta)
+                            continue
+                        got = _cv_heldout(tr, trend, spec, nugget, labels,
+                                          beta_fixed=beta)
+                        assert np.array_equal(got[0], want[0])
+                        assert np.array_equal(got[1], want[1])
+                        compared += 1
+    assert compared >= 30      # the oracle ran; not every case failed to factor
+
+
+def test_cv_fold_with_duplicate_sites_raises_per_fold():
+    x = np.array([[0.1, 0.2], [0.1, 0.2], [0.5, 0.9], [0.8, 0.3],
+                  [0.3, 0.6], [0.9, 0.8]])
+    tr = TrainingSet(x, np.array([1.0, 1.0, 0.2, -0.4, 0.7, 0.1]))
+    spec = KernelSpec("matern_5_2", [0.4, 0.4])
+    # fold 1 retains both copies of the duplicate
+    with pytest.raises(IllConditionedError, match="duplicate"):
+        _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
+                    np.array([0, 0, 1, 1, 2, 2]))
+    # with the copies in different folds of two, no fold retains both: the
+    # check is made on each fold's block, not on the full matrix
+    mu_cv, v_cv = _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
+                              np.array([0, 1, 0, 1, 0, 1]))
+    assert np.all(np.isfinite(mu_cv)) and np.all(v_cv > 0)
+
+
+def test_cv_fold_linear_kernel_warns_without_nugget(rng):
+    X = rng.uniform(0, 1, (12, 2))
+    tr = TrainingSet(X, X[:, 0] - X[:, 1])
+    with pytest.warns(NumericalWarning, match="linear"):
+        try:
+            _cv_heldout(tr, TrendSpec("constant"), KernelSpec("linear", [0.5, 0.5]),
+                        0.0, make_folds(12, 3, seed=0))
+        except IllConditionedError:
+            pass                 # the warning comes before the factorization
+
+
+def test_cv_fits_never_share_distances(rng, monkeypatch):
+    seen = []
+    real = gpcal.emulator._cv_heldout
+
+    def spy(*args, sites=None, **kwargs):
+        seen.append(sites)
+        return real(*args, sites=sites, **kwargs)
+
+    monkeypatch.setattr(gpcal.emulator, "_cv_heldout", spy)
+    used = []
+    for _ in range(2):
+        x = rng.uniform(0, 1, (20, 2))
+        tr = TrainingSet(x, np.sin(4.0 * x[:, 0]) + x[:, 1])
+        del seen[:]
+        fit_cv(tr, TrendSpec("constant"), "matern_5_2", k_folds=5,
+               n_restarts=2, seed=3)
+        assert seen and all(s is seen[0] for s in seen)
+        assert isinstance(seen[0], SiteDistances)
+        for h, col in zip(seen[0].absdiff, tr.X.T):
+            assert np.array_equal(h, np.abs(col[:, None] - col[None, :]))
+        used.append(seen[0])
+    assert used[0] is not used[1]
 
 
 def test_fit_cv_exact_trend_degenerate_objective(rng):

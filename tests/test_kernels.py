@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, solve_triangular
 
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix, cross_correlation,
@@ -300,3 +300,15 @@ def test_site_distances_reuse_is_bit_identical(rng):
 def test_correlation_matrix_dim_mismatch():
     with pytest.raises(DataError):
         correlation_matrix(np.zeros((3, 2)), KernelSpec("gaussian", [1.0]))
+
+
+@pytest.mark.parametrize("m", [1, 7, 108])
+def test_half_solve_matches_tril_solve_bit_for_bit(m, rng):
+    # the cached factor is a C-ordered copy of cho_factor's output with the
+    # upper triangle left in: that selects the same LAPACK path as solving
+    # with np.tril of it, so no bit of half_solve may move
+    X = rng.uniform(0, 1, (m, 3))
+    R = correlation_matrix(X, KernelSpec("matern_5_2", [0.3, 0.6, 1.1]), 1e-8)
+    L = np.tril(R._cho[0])
+    for b in (rng.normal(size=m), rng.normal(size=(m, 4)), np.eye(m)):
+        assert np.array_equal(R.half_solve(b), solve_triangular(L, b, lower=True))
