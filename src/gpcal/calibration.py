@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import lhs_design, maximin_lhs
-from .diagnostics import Z_95, ValidationReport, q2_loocv
+from .diagnostics import ValidationReport, _z_value, interval_covered, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
 from .errors import ConfigError, DataError, GateError, GpcalError, NumericalError
 from .fileio import read_numeric_csv
@@ -195,6 +195,11 @@ def build_discrepancy_emulator(sim: SimulatorBinding, val_set: ExperimentData,
     return DiscrepancyModel(emulator, residuals, emulator.hyper.nugget)
 
 
+#: code-emulator training layouts and the unit-cube designs they draw from
+_CODE_DESIGNS = ("cross", "joint")
+_DESIGN_METHODS = ("lhs", "maximin")
+
+
 def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
                         n_train: int, design: str = "cross",
                         design_method: str = "lhs", seed: int = 0,
@@ -222,6 +227,12 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
     if n_train < d_x + d_t + 2:
         raise ConfigError(f"n_train must be at least dim(x)+dim(theta)+2 = "
                           f"{d_x + d_t + 2}, got {n_train}")
+    if design not in _CODE_DESIGNS:
+        raise ConfigError(f"unknown code-emulator design {design!r}; "
+                          f"options: {_CODE_DESIGNS}")
+    if design_method not in _DESIGN_METHODS:
+        raise ConfigError(f"unknown design method {design_method!r}; "
+                          f"options: {_DESIGN_METHODS}")
     trend = trend or TrendSpec("constant")
     theta_space = ParameterSpace([f"t{j}" for j in range(d_t)],
                                  np.zeros(d_t), np.ones(d_t))
@@ -229,9 +240,7 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
     def unit_design(n, space, sd):
         if design_method == "maximin":
             return maximin_lhs(n, space, n_restarts=10, seed=sd)
-        if design_method == "lhs":
-            return lhs_design(n, space, seed=sd)
-        raise ConfigError(f"unknown design method {design_method!r}")
+        return lhs_design(n, space, seed=sd)
 
     if design == "cross":
         n_theta = max(2, math.ceil(n_train / n_x))
@@ -239,7 +248,7 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
         X = np.repeat(x_iuq, n_theta, axis=0)
         T = np.tile(theta_train, (n_x, 1))
         inputs = np.hstack([X, T])
-    elif design == "joint":
+    else:
         joint_space = ParameterSpace([f"u{j}" for j in range(d_x + d_t)],
                                      np.zeros(d_x + d_t), np.ones(d_x + d_t))
         u = unit_design(n_train, joint_space, seed).points
@@ -248,9 +257,6 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
         X = lo + u[:, :d_x] * np.where(hi > lo, hi - lo, 0.0)
         T = prior.ppf(u[:, d_x:])
         inputs = np.hstack([X, T])
-    else:
-        raise ConfigError(f"unknown code-emulator design {design!r}; "
-                          "options: cross, joint")
 
     outputs = sim.run(inputs)
     training = TrainingSet(inputs, outputs)
@@ -356,6 +362,7 @@ def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
     posterior is validated on the raw simulator, precisely to avoid
     extrapolating the discrepancy.
     """
+    z = _z_value(level)
     kept = chain.post_burn
     if kept.shape[0] == 0:
         raise DataError("posterior chain has no post-burn-in samples")
@@ -372,11 +379,6 @@ def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
     draws = sims + rng.standard_normal(sims.shape) * noise_sd
     pred_mean = sims.mean(axis=0)
     pred_sd = draws.std(axis=0)
-    z = Z_95 if level == 0.95 else None
-    if z is None:
-        from scipy.stats import norm
-        z = float(norm.ppf(0.5 * (1 + level)))
-    from .diagnostics import interval_covered
     covered = interval_covered(val_set.y, pred_mean, z * pred_sd)
     report = ValidationReport(n_points=val_set.n)
     report.rmse = float(np.sqrt(np.mean((pred_mean - val_set.y) ** 2)))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .calibration import ExperimentData
+from .calibration import _CODE_DESIGNS, _DESIGN_METHODS, ExperimentData
 from .errors import ConfigError
 from .fileio import atomic_write
 from .kernels import KERNEL_KINDS
@@ -125,7 +125,13 @@ def load_config(path) -> WorkflowConfig:
     if estimation not in ("mle", "cv"):
         raise ConfigError(f"estimation must be mle or cv, got {estimation!r}")
     code_design = emu.get("design", "cross")
+    if code_design not in _CODE_DESIGNS:
+        raise ConfigError(f"unknown emulator.design {code_design!r}; "
+                          f"options: {_CODE_DESIGNS}")
     design_method = emu.get("design_method", "lhs")
+    if design_method not in _DESIGN_METHODS:
+        raise ConfigError(f"unknown emulator.design_method {design_method!r}; "
+                          f"options: {_DESIGN_METHODS}")
     n_train = _positive(_require(emu, "n_train", "emulator"), "emulator.n_train")
     n_restarts = _positive(emu.get("n_restarts", 4), "emulator.n_restarts")
     cv_folds = _positive(emu.get("cv_folds", 10), "emulator.cv_folds")

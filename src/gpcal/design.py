@@ -99,24 +99,6 @@ def sobol_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatrix
     return DesignMatrix(pts, space, meta={"method": "sobol", "skip": skip})
 
 
-def _primes(count: int) -> list:
-    primes, cand = [], 2
-    while len(primes) < count:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    return primes
-
-
-def _radical_inverse(index: int, base: int) -> float:
-    inv, f = 0.0, 1.0 / base
-    while index > 0:
-        index, digit = divmod(index, base)
-        inv += digit * f
-        f /= base
-    return inv
-
-
 def halton_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatrix:
     """First n Halton points, dimension k using the radical inverse in the
     k-th prime base, starting at index 1 + skip (index 0 is the origin and is
@@ -125,13 +107,10 @@ def halton_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatri
         raise ConfigError(f"halton_sequence requires n >= 0, got {n}")
     if skip < 0:
         raise ConfigError(f"skip must be >= 0, got {skip}")
-    bases = _primes(space.dim)
-    pts = np.empty((n, space.dim))
-    for i in range(n):
-        idx = 1 + skip + i
-        for k, b in enumerate(bases):
-            pts[i, k] = _radical_inverse(idx, b)
-    return DesignMatrix(pts, space, meta={"method": "halton", "skip": skip})
+    engine = qmc.Halton(d=space.dim, scramble=False)
+    engine.fast_forward(1 + skip)
+    return DesignMatrix(engine.random(n), space,
+                        meta={"method": "halton", "skip": skip})
 
 
 def adaptive_enrich(emulator, candidates: DesignMatrix, k: int) -> DesignMatrix:

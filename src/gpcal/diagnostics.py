@@ -57,8 +57,8 @@ def cross_validated_predictions(emulator: FittedEmulator, fold_labels=None,
 
     loo = np.unique(fold_labels).size == m
     if refit == "none" and loo:
-        Rinv_diag = np.diag(emulator._R.inverse())
-        e_cv = emulator._resid_solve / Rinv_diag
+        Rinv_diag = np.diag(emulator._gls.R.inverse())
+        e_cv = emulator._gls.alpha / Rinv_diag
         mu_std = tr.y - e_cv
         v = emulator.hyper.sigma2 / Rinv_diag
     elif refit in ("none", "trend"):

@@ -170,27 +170,68 @@ class TrainingSet:
         return (mu_phys - self.y_mean) / self.y_scale
 
 
-def _trend_values(training: TrainingSet, trend: TrendSpec, beta, Xs) -> np.ndarray:
-    """Standardized trend mean at scaled points."""
-    if trend.kind == "known_constant":
-        return np.full(Xs.shape[0], training.mu_std(trend.mu))
-    return trend.build_matrix(Xs) @ beta
+class _GLS:
+    """Generalized least squares of ``y`` on the trend basis ``F`` under one
+    factored correlation ``R``, and the BLUP algebra conditioned on it.
+
+    Unless ``beta`` is given it is estimated from the whitened basis
+    G = L^-1 F by QR, and G and its triangular factor are kept for the
+    trend-uncertainty term of the prediction. A basis with no columns
+    (Simple Kriging) has the constant ``mu`` as its trend. ``alpha`` =
+    R^-1 (y - trend) is solved only with ``solve`` set; the likelihood
+    does not need it.
+    """
+
+    def __init__(self, R: CorrelationMatrix, F, y, beta=None, mu=0.0,
+                 solve=False):
+        self.R = R
+        self.mu = mu
+        self.G = self.Rq = None
+        if beta is None and F.shape[1]:
+            G = R.half_solve(F)
+            Q, Rq = np.linalg.qr(G)
+            diag = np.abs(np.diag(Rq))
+            if diag.min() <= 1e-12 * max(diag.max(), 1.0):
+                raise DataError("trend basis is rank-deficient on this design "
+                                "(e.g. constant input column with a linear trend)")
+            beta = solve_triangular(Rq, Q.T @ R.half_solve(y), lower=False)
+            self.G, self.Rq = G, Rq
+        self.beta = np.empty(0) if beta is None else beta
+        self.resid = y - self.trend(F)
+        self.alpha = R.solve(self.resid) if solve else None
+
+    def trend(self, F) -> np.ndarray:
+        """Trend mean at the sites whose basis rows are ``F``."""
+        return np.full(F.shape[0], self.mu) if F.shape[1] == 0 else F @ self.beta
+
+    def sigma2(self) -> float:
+        """Profiled process variance (1/m) resid' R^-1 resid."""
+        z = self.R.half_solve(self.resid)
+        return float(z @ z) / self.resid.size
+
+    def predict(self, r, Fs):
+        """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
+        the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
+        Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when beta is fixed or
+        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2."""
+        mean = self.trend(Fs) + r.T @ self.alpha
+        Z = self.R.half_solve(r)
+        if self.G is None:
+            return mean, Z, None
+        return mean, Z, solve_triangular(self.Rq.T, self.G.T @ Z - Fs.T, lower=True)
+
+
+def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix,
+                 beta=None, solve=False) -> _GLS:
+    """:class:`_GLS` of the standardized training outputs on the trend."""
+    return _GLS(R, trend.build_matrix(training.X), training.y, beta,
+                training.mu_std(trend.mu), solve=solve)
 
 
 def gls_beta(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix) -> np.ndarray:
     """Generalized-least-squares trend coefficients
     beta = (F' R^-1 F)^-1 F' R^-1 y, via triangular solves and QR."""
-    F = trend.build_matrix(training.X)
-    if F.shape[1] == 0:
-        return np.empty(0)
-    G = R.half_solve(F)
-    z = R.half_solve(training.y)
-    Q, Rq = np.linalg.qr(G)
-    diag = np.abs(np.diag(Rq))
-    if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-        raise DataError("trend basis is rank-deficient on this design "
-                        "(e.g. constant input column with a linear trend)")
-    return solve_triangular(Rq, Q.T @ z, lower=False)
+    return _conditioned(training, trend, R).beta
 
 
 def sigma2_hat(training: TrainingSet, trend: TrendSpec, beta,
@@ -199,9 +240,7 @@ def sigma2_hat(training: TrainingSet, trend: TrendSpec, beta,
 
     Divides by m, not m - n. Zero residuals give 0, which callers flag as
     degenerate."""
-    resid = training.y - _trend_values(training, trend, beta, training.X)
-    z = R.half_solve(resid)
-    return float(z @ z) / training.m
+    return _conditioned(training, trend, R, beta).sigma2()
 
 
 def neg_log_likelihood(training: TrainingSet, trend: TrendSpec,
@@ -220,8 +259,7 @@ def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
     ``training.X`` or a :class:`SiteDistances` of it, which gives the same
     value to the last bit."""
     R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
-    beta = gls_beta(training, trend, R)
-    s2 = max(sigma2_hat(training, trend, beta, R), np.finfo(float).tiny)
+    s2 = max(_conditioned(training, trend, R).sigma2(), np.finfo(float).tiny)
     m = training.m
     return (0.5 * m * math.log(2.0 * math.pi * s2) + 0.5 * R.logdet + 0.5 * m
             + m * math.log(training.y_scale))
@@ -245,29 +283,20 @@ class FittedEmulator:
         if self.degenerate:
             self.hyper = Hyperparameters(np.empty(0), 0.0, kernel.omega.copy(),
                                          kernel.p.copy(), np.zeros(training.m))
-            self._R = None
+            self._gls = None
             return
         n = trend.n_basis(training.dim)
         if n >= 1 and training.m < n + 1:
             raise DataError(f"need at least {n + 1} training points for a "
                             f"{trend.kind} trend, got {training.m}")
         R = correlation_matrix(training.X, kernel, nugget, auto_escalate=auto_escalate)
-        beta = gls_beta(training, trend, R)
-        s2 = sigma2_hat(training, trend, beta, R)
+        self._gls = _conditioned(training, trend, R, solve=True)
+        s2 = self._gls.sigma2()
         self.variance_degenerate = s2 <= 1e-15
         if sigma2_override is not None:
             s2 = float(sigma2_override)
-        self.hyper = Hyperparameters(beta, s2, kernel.omega.copy(),
+        self.hyper = Hyperparameters(self._gls.beta, s2, kernel.omega.copy(),
                                      kernel.p.copy(), R.nugget)
-        self._R = R
-        self._F = trend.build_matrix(training.X)
-        resid = training.y - _trend_values(training, trend, beta, training.X)
-        self._resid_solve = R.solve(resid)
-        if n:
-            self._G = R.half_solve(self._F)
-            self._Q, self._Rq = np.linalg.qr(self._G)
-        else:
-            self._G = self._Q = self._Rq = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -291,9 +320,6 @@ class FittedEmulator:
         return bool(np.all(x >= lo - 1e-12) and np.all(x <= hi + 1e-12))
 
     # -- prediction ---------------------------------------------------------
-
-    def _trend_at(self, Xs: np.ndarray) -> np.ndarray:
-        return _trend_values(self.training, self.trend, self.hyper.beta, Xs)
 
     def _clamp_mse(self, mse_std: np.ndarray) -> np.ndarray:
         tol = 1e-12 * max(self.hyper.sigma2, 1.0)
@@ -337,18 +363,10 @@ class FittedEmulator:
 
         tr = self.training
         Xs = tr.scale_x(X)
-        q = Xs.shape[0]
         rmat = cross_corr_matrix(tr.X, Xs, self.kernel)          # (m, q)
-        mean_std = self._trend_at(Xs) + rmat.T @ self._resid_solve
-        Z = self._R.half_solve(rmat)                             # (m, q)
+        mean_std, Z, W = self._gls.predict(rmat, self.trend.build_matrix(Xs))
         var_red = np.einsum("ij,ij->j", Z, Z)
-        if self._G is not None:
-            U = self._G.T @ Z - self.trend.build_matrix(Xs).T    # (n, q)
-            W = solve_triangular(self._Rq.T, U, lower=True)
-            trend_term = np.einsum("ij,ij->j", W, W)
-        else:
-            W = None
-            trend_term = 0.0
+        trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W)
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
         means = mean_std * tr.y_scale + tr.y_mean
@@ -423,9 +441,38 @@ def build_emulator(training: TrainingSet, trend: TrendSpec, kernel: KernelSpec,
                           auto_escalate=auto_escalate)
 
 
-def _multistart_minimize(objective, lb, ub, n_restarts, seed):
-    """L-BFGS-B from LHS-distributed starting points in [lb, ub]; returns the
-    best (value, argmin) with ties broken first-found."""
+def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
+                omega_bounds, n_restarts: int, seed: int, what: str):
+    """Minimize ``loss(spec)`` over log(omega), and p when ``free_p`` is set
+    for the power-exponential kind, by L-BFGS-B from ``n_restarts``
+    LHS-distributed starts in the bound box.
+
+    A candidate whose loss raises a numerical error or is not finite scores
+    ``_BIG``. Returns every restart's ``(value, spec)`` in start order;
+    raises :class:`FitError` if none is finite.
+    """
+    template = KernelSpec(kernel, np.ones(d), p)
+    if free_p and kernel != "power_exponential":
+        raise ConfigError("free_p applies only to the power_exponential kind")
+    lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
+    if not 0 < lo < hi:
+        raise ConfigError(f"invalid omega bounds ({lo}, {hi})")
+    lb = np.full(d, math.log(lo))
+    ub = np.full(d, math.log(hi))
+    if free_p:
+        lb = np.concatenate([lb, np.full(d, p_bounds[0])])
+        ub = np.concatenate([ub, np.full(d, p_bounds[1])])
+
+    def unpack(t):
+        return template.with_params(np.exp(t[:d]), t[d:] if free_p else None)
+
+    def objective(t):
+        try:
+            val = loss(unpack(t))
+        except (IllConditionedError, DataError, np.linalg.LinAlgError):
+            return _BIG
+        return val if np.isfinite(val) else _BIG
+
     rng = np.random.default_rng(seed)
     u = _lhs_points(n_restarts, lb.size, rng, midpoint=False)
     starts = lb + u * (ub - lb)
@@ -434,9 +481,12 @@ def _multistart_minimize(objective, lb, ub, n_restarts, seed):
         try:
             res = minimize(objective, t0, method="L-BFGS-B",
                            bounds=list(zip(lb, ub)))
-            results.append((float(res.fun), res.x))
+            results.append((float(res.fun), unpack(res.x)))
         except (np.linalg.LinAlgError, FloatingPointError):
-            results.append((_BIG, t0))
+            results.append((_BIG, unpack(t0)))
+    if min(v for v, _ in results) >= _BIG:
+        raise FitError(f"all {n_restarts} {what} restarts failed to produce a "
+                       "finite objective; check the data and kernel choice")
     return results
 
 
@@ -455,40 +505,15 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     if training.degenerate:
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))
-    d = training.dim
-    template = KernelSpec(kernel, np.ones(d), p)
-    if free_p and kernel != "power_exponential":
-        raise ConfigError("free_p applies only to the power_exponential kind")
-    lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
-    if not 0 < lo < hi:
-        raise ConfigError(f"invalid omega bounds ({lo}, {hi})")
-    lb = np.full(d, math.log(lo))
-    ub = np.full(d, math.log(hi))
-    if free_p:
-        lb = np.concatenate([lb, np.full(d, p_bounds[0])])
-        ub = np.concatenate([ub, np.full(d, p_bounds[1])])
-
-    def unpack(t):
-        omega = np.exp(t[:d])
-        return template.with_params(omega, t[d:] if free_p else None)
-
     # distances and assembly scratch for every restart of this fit only
     sites = SiteDistances(training.X)
-
-    def objective(t):
-        try:
-            val = _concentrated_nll(training, trend, unpack(t), nugget, sites)
-        except (IllConditionedError, DataError, np.linalg.LinAlgError):
-            return _BIG
-        return val if np.isfinite(val) else _BIG
-
-    results = _multistart_minimize(objective, lb, ub, n_restarts, seed)
+    results = _multistart(
+        lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
+        training.dim, kernel, p, free_p, p_bounds, omega_bounds, n_restarts,
+        seed, "MLE")
     del sites  # freed before the final conditioning, to keep peak memory down
-    best_val, best_t = min(results, key=lambda r: r[0])
-    if best_val >= _BIG:
-        raise FitError(f"all {n_restarts} MLE restarts failed to produce a "
-                       "finite likelihood; check the data and kernel choice")
-    return build_emulator(training, trend, unpack(best_t), nugget=nugget)
+    best = min(results, key=lambda r: r[0])[1]
+    return build_emulator(training, trend, best, nugget=nugget)
 
 
 def make_folds(m: int, k: int, seed: int) -> np.ndarray:
@@ -521,6 +546,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     """
     m = training.m
     nug = _nugget_vector(nugget, m)
+    mu = training.mu_std(trend.mu)
     R = (SiteDistances(training.X) if sites is None else sites).correlation(spec)
     mu_cv = np.empty(m)
     v_cv = np.empty(m)
@@ -530,36 +556,14 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
         te_idx = np.nonzero(te)[0]
         if tr_idx.size == 0 or te_idx.size == 0:
             raise DataError("cross-validation fold is empty")
-        Xtr, Xte = training.X[tr_idx], training.X[te_idx]
-        ytr = training.y[tr_idx]
         Rk = _factor(R[np.ix_(tr_idx, tr_idx)], nug[tr_idx], spec,
                      auto_escalate=False)
-        if trend.kind == "known_constant":
-            beta_k = np.empty(0)
-            trend_tr = np.full(tr_idx.size, training.mu_std(trend.mu))
-            trend_te = np.full(te_idx.size, training.mu_std(trend.mu))
-            Ftr = None
-        else:
-            Ftr = trend.build_matrix(Xtr)
-            if beta_fixed is None:
-                G = Rk.half_solve(Ftr)
-                Q, Rq = np.linalg.qr(G)
-                diag = np.abs(np.diag(Rq))
-                if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-                    raise DataError("trend basis is rank-deficient on a CV fold")
-                beta_k = solve_triangular(Rq, Q.T @ Rk.half_solve(ytr), lower=False)
-            else:
-                beta_k = beta_fixed
-            trend_tr = Ftr @ beta_k
-            trend_te = trend.build_matrix(Xte) @ beta_k
-        resid = ytr - trend_tr
-        rte = R[np.ix_(tr_idx, te_idx)]                          # (m_tr, m_te)
-        mu_cv[te_idx] = trend_te + rte.T @ Rk.solve(resid)
-        Z = Rk.half_solve(rte)
+        gls = _GLS(Rk, trend.build_matrix(training.X[tr_idx]),
+                   training.y[tr_idx], beta_fixed, mu, solve=True)
+        mu_cv[te_idx], Z, W = gls.predict(R[np.ix_(tr_idx, te_idx)],
+                                          trend.build_matrix(training.X[te_idx]))
         v = (1.0 + nug[te_idx]) - np.einsum("ij,ij->j", Z, Z)
-        if Ftr is not None and beta_fixed is None:
-            U = G.T @ Z - trend.build_matrix(Xte).T
-            W = solve_triangular(Rq.T, U, lower=True)
+        if W is not None:
             v = v + np.einsum("ij,ij->j", W, W)
         v_cv[te_idx] = v
     return mu_cv, np.maximum(v_cv, np.finfo(float).tiny)
@@ -584,41 +588,21 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     if training.degenerate:
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))
-    d = training.dim
     fold_labels = make_folds(training.m, k_folds, seed)
-    template = KernelSpec(kernel, np.ones(d), p)
-    if free_p and kernel != "power_exponential":
-        raise ConfigError("free_p applies only to the power_exponential kind")
-    lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
-    lb = np.full(d, math.log(lo))
-    ub = np.full(d, math.log(hi))
-    if free_p:
-        lb = np.concatenate([lb, np.full(d, p_bounds[0])])
-        ub = np.concatenate([ub, np.full(d, p_bounds[1])])
-
-    def unpack(t):
-        return template.with_params(np.exp(t[:d]), t[d:] if free_p else None)
-
     # distances and assembly scratch for every restart of this fit only
     sites = SiteDistances(training.X)
 
-    def objective(t):
-        try:
-            mu_cv, _ = _cv_heldout(training, trend, unpack(t), nugget,
-                                   fold_labels, sites=sites)
-        except (IllConditionedError, DataError, np.linalg.LinAlgError):
-            return _BIG
-        val = float(np.sum((training.y - mu_cv) ** 2))
-        return val if np.isfinite(val) else _BIG
+    def loss(spec):
+        mu_cv, _ = _cv_heldout(training, trend, spec, nugget, fold_labels,
+                               sites=sites)
+        return float(np.sum((training.y - mu_cv) ** 2))
 
-    results = _multistart_minimize(objective, lb, ub, n_restarts, seed)
+    results = _multistart(loss, training.dim, kernel, p, free_p, p_bounds,
+                          omega_bounds, n_restarts, seed, "CV")
     best_val = min(v for v, _ in results)
-    if best_val >= _BIG:
-        raise FitError(f"all {n_restarts} CV restarts failed")
     tol = 1e-12 * max(1.0, abs(best_val))
-    tied = [t for v, t in results if v <= best_val + tol]
-    best_t = min(tied, key=lambda t: float(np.linalg.norm(np.exp(t[:d]))))
-    spec = unpack(best_t)
+    tied = [spec for v, spec in results if v <= best_val + tol]
+    spec = min(tied, key=lambda spec: float(np.linalg.norm(spec.omega)))
     mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels,
                               sites=sites)
     del sites  # freed before the final conditioning, to keep peak memory down

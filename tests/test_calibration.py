@@ -351,6 +351,15 @@ def test_validate_posterior_empty_chain_rejected():
         validate_posterior(sim, chain, val)
 
 
+@pytest.mark.parametrize("level", [1.5, -0.2, 0.0])
+def test_validate_posterior_rejects_invalid_level(level):
+    # an out-of-range level once gave a NaN z and reported coverage 0.0
+    sim = BuiltinSimulator("linear")
+    val = linear_experiments(4, seed=0, tag="VAL")
+    with pytest.raises(ConfigError, match="confidence level"):
+        validate_posterior(sim, _collapsed_chain([2.0, 1.0]), val, level=level)
+
+
 def test_validate_posterior_never_touches_discrepancy():
     sim = BuiltinSimulator("linear")
     val = linear_experiments(6, seed=2, tag="VAL")

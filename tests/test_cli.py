@@ -215,6 +215,18 @@ def test_config_validation_errors(tmp_path):
         load_config(tmp_path / "nonexistent.yaml")
 
 
+@pytest.mark.parametrize("key, value", [("design", "crosss"),
+                                        ("design_method", "sobol")])
+def test_config_rejects_unknown_code_design(tmp_path, key, value):
+    # caught when the config loads, not after split and GPbias have run
+    raw = yaml.safe_load(write_config(tmp_path).read_text())
+    raw["emulator"][key] = value
+    path = tmp_path / "bad_design.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=f"emulator.{key} {value!r}"):
+        load_config(path)
+
+
 def test_demo_config_loads():
     config = load_config("demo/linear_demo.yaml")
     assert config.theta_names == ("slope", "offset")

@@ -8,10 +8,11 @@ import pytest
 from scipy.linalg import solve_triangular
 
 import gpcal.emulator
-from gpcal import (DataError, ExtrapolationWarning, FittedEmulator,
-                   IllConditionedError, KernelSpec, NumericalWarning,
-                   TrainingSet, TrendSpec, build_emulator, fit_cv, fit_mle,
-                   gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
+from gpcal import (ConfigError, DataError, ExtrapolationWarning,
+                   FittedEmulator, IllConditionedError, KernelSpec,
+                   NumericalWarning, TrainingSet, TrendSpec, build_emulator,
+                   fit_cv, fit_mle, gls_beta, lhs_design, neg_log_likelihood,
+                   sigma2_hat)
 from gpcal.emulator import _concentrated_nll, _cv_heldout, make_folds
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            correlation_matrix, cross_corr_matrix)
@@ -356,6 +357,80 @@ def test_ordinary_kriging_equals_universal_with_constant_basis(rng):
     assert np.allclose(v1, v2, rtol=1e-12, atol=1e-15)
 
 
+def literal_conditioning(training, trend, kernel, nugget, x_star):
+    """beta, sigma2 and the predict_batch mean/MSE/covariance of a conditioned
+    GP, written out expression for expression as they stood before the GLS
+    algebra had one home: the multistart follows the last bit of the
+    objective, so the shared code must reproduce every one of them."""
+    R = correlation_matrix(training.X, kernel, nugget)
+
+    def trend_values(beta, Xs):
+        if trend.kind == "known_constant":
+            return np.full(Xs.shape[0], training.mu_std(trend.mu))
+        return trend.build_matrix(Xs) @ beta
+
+    F = trend.build_matrix(training.X)
+    if F.shape[1] == 0:
+        beta = np.empty(0)
+    else:
+        G = R.half_solve(F)
+        z = R.half_solve(training.y)
+        Q, Rq = np.linalg.qr(G)
+        beta = solve_triangular(Rq, Q.T @ z, lower=False)
+    z = R.half_solve(training.y - trend_values(beta, training.X))
+    s2 = float(z @ z) / training.m
+    resid_solve = R.solve(training.y - trend_values(beta, training.X))
+    Xs = training.scale_x(x_star)
+    rmat = cross_corr_matrix(training.X, Xs, kernel)
+    mean_std = trend_values(beta, Xs) + rmat.T @ resid_solve
+    Z = R.half_solve(rmat)
+    var_red = np.einsum("ij,ij->j", Z, Z)
+    W, trend_term = None, 0.0
+    if F.shape[1]:
+        G = R.half_solve(F)
+        Q, Rq = np.linalg.qr(G)
+        U = G.T @ Z - trend.build_matrix(Xs).T
+        W = solve_triangular(Rq.T, U, lower=True)
+        trend_term = np.einsum("ij,ij->j", W, W)
+    mse_std = np.maximum(s2 * (1.0 - var_red + trend_term), 0.0)
+    cov_std = s2 * (cross_corr_matrix(Xs, Xs, kernel) - Z.T @ Z)
+    if W is not None:
+        cov_std += s2 * (W.T @ W)
+    cov_std = 0.5 * (cov_std + cov_std.T)
+    np.fill_diagonal(cov_std, mse_std)
+    ys = training.y_scale
+    return (R, beta, s2, mean_std * ys + training.y_mean, mse_std * ys ** 2,
+            cov_std * ys ** 2)
+
+
+@pytest.mark.parametrize("trend", [
+    TrendSpec("known_constant", mu=0.3), TrendSpec("constant"),
+    TrendSpec("linear"),
+    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
+                               lambda X: X[:, 0] * X[:, 1],
+                               lambda X: np.sin(3.0 * X[:, 1])))],
+    ids=["known_constant", "constant", "linear", "custom"])
+def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
+    x = rng.uniform(0, 2, (18, 2))
+    tr = TrainingSet(x, np.sin(2.0 * x[:, 0]) + x[:, 0] * x[:, 1] + 4.0)
+    x_star = rng.uniform(0, 2, (7, 2))
+    for kernel, nugget in ((KernelSpec("matern_5_2", [0.4, 0.9]), 1e-10),
+                           (KernelSpec("gaussian", [0.3, 0.2]),
+                            rng.uniform(1e-8, 1e-6, 18))):
+        R, beta, s2, mean, mse, cov = literal_conditioning(tr, trend, kernel,
+                                                           nugget, x_star)
+        assert np.array_equal(gls_beta(tr, trend, R), beta)
+        assert sigma2_hat(tr, trend, beta, R) == s2
+        em = build_emulator(tr, trend, kernel, nugget=nugget)
+        assert np.array_equal(em.hyper.beta, beta)
+        assert em.hyper.sigma2 == s2
+        got = em.predict_batch(x_star, with_covariance=True,
+                               warn_extrapolation=False)
+        assert np.array_equal(got[0], mean)
+        assert np.array_equal(got[1], mse)
+        assert np.array_equal(got[2], cov)
+
+
 # -------------------------------------------------------------- fitting
 
 def test_fit_mle_constant_outputs_short_circuit():
@@ -585,6 +660,15 @@ def test_fit_cv_fold_count_validation(rng):
         fit_cv(tr, TrendSpec("constant"), k_folds=6)
     with pytest.raises(DataError):
         fit_cv(tr, TrendSpec("constant"), k_folds=1)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
+@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (10.0, 1.0)])
+def test_fits_reject_invalid_omega_bounds(fit, bounds, rng):
+    x = rng.uniform(0, 1, (10, 1))
+    tr = TrainingSet(x, np.sin(5.0 * x[:, 0]))
+    with pytest.raises(ConfigError, match="omega bounds"):
+        fit(tr, TrendSpec("constant"), omega_bounds=bounds, n_restarts=1)
 
 
 def test_training_set_needs_enough_points():
