@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .design import lhs_design, maximin_lhs
 from .diagnostics import ValidationReport, _z_value, interval_covered, q2_loocv
@@ -275,14 +276,14 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
 
 def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):
     """(log|Sigma|, d' Sigma^-1 d) with escalating jitter; raises on breakdown."""
-    from scipy.linalg import cho_factor, cho_solve
     scale = float(np.mean(np.diag(sigma)))
     if not np.isfinite(scale) or scale <= 0:
         raise NumericalError("likelihood covariance has a nonpositive diagonal")
     jitter = 0.0
     while True:
         try:
-            c = cho_factor(sigma + jitter * np.eye(sigma.shape[0]), lower=True)
+            c = cho_factor(sigma if jitter == 0.0 else
+                           sigma + jitter * np.eye(sigma.shape[0]), lower=True)
             logdet = 2.0 * float(np.sum(np.log(np.diag(c[0]))))
             quad = float(d @ cho_solve(c, d))
             return logdet, quad
@@ -301,8 +302,11 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     log p(theta | data) = log p(theta) - 1/2 log|Sigma| - 1/2 d' Sigma^-1 d
     with d = y_obs - mu_code(x, theta) - delta(x) and
     Sigma = Sigma_exp + Sigma_bias + Sigma_code(theta). The discrepancy mean
-    and covariance are theta-independent and evaluated once; the emulator
-    covariance is recomputed at every proposal.
+    and covariance are theta-independent and evaluated once. A
+    :class:`FittedEmulator` GPcode is conditioned on the fixed IUQ settings
+    once here, so a proposal evaluates only its theta factors (see
+    ``FittedEmulator._fixed_rows_predictor``); any other object with
+    ``predict_batch`` is called on the stacked (x, theta) rows.
     """
     x_iuq = iuq.x
     y_obs = iuq.y
@@ -313,15 +317,21 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
         delta_mean = np.zeros(iuq.n)
         sigma_bias = np.zeros((iuq.n, iuq.n))
     base_cov = sigma_exp + sigma_bias
+    if isinstance(gp_code, FittedEmulator):
+        code_at = gp_code._fixed_rows_predictor(x_iuq)
+    else:
+        def code_at(theta):
+            inputs = np.hstack([x_iuq, np.repeat(theta.reshape(1, -1), iuq.n, axis=0)])
+            mean, _, cov = gp_code.predict_batch(
+                inputs, with_covariance=True, warn_extrapolation=False)
+            return mean, cov
 
     def log_post(theta) -> float:
         theta = np.asarray(theta, dtype=float).reshape(-1)
         lp = prior.log_prior(theta)
         if not math.isfinite(lp):
             return -math.inf
-        inputs = np.hstack([x_iuq, np.repeat(theta.reshape(1, -1), iuq.n, axis=0)])
-        mu_code, _, sigma_code = gp_code.predict_batch(
-            inputs, with_covariance=True, warn_extrapolation=False)
+        mu_code, sigma_code = code_at(theta)
         d = y_obs - mu_code - delta_mean
         logdet, quad = _chol_logdet_solve(base_cov + sigma_code, d)
         return lp - 0.5 * logdet - 0.5 * quad
@@ -461,9 +471,8 @@ def run_workflow(config) -> WorkflowResult:
             f"< threshold {config.q2_gate}; increase n_train or revisit the "
             "kernel/trend choice")
 
-    log_post = make_log_posterior(gp_code, gp_bias, iuq, prior)
-
     def run_chains():
+        log_post = make_log_posterior(gp_code, gp_bias, iuq, prior)
         chains = []
         for i in range(config.mcmc_chains):
             chains.append(mcmc_sample(

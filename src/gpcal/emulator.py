@@ -33,8 +33,9 @@ from .design import _lhs_points
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
 from .fileio import atomic_write
-from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      SiteDistances, _factor, _nugget_vector,
+from .kernels import (_N_WORK, DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
+                      SiteDistances, _abs_differences, _corr_1d, _factor,
+                      _n_scratch, _nugget_vector, _product_corr,
                       correlation_matrix, cross_corr_matrix)
 from .spaces import DesignMatrix
 
@@ -161,10 +162,6 @@ class TrainingSet:
 
     def scale_x(self, x_phys) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x_phys, dtype=float)) - self.x_min) / self.x_span
-
-    @classmethod
-    def from_design(cls, design: DesignMatrix, y, **kw) -> "TrainingSet":
-        return cls(design.to_physical(), y, **kw)
 
     def mu_std(self, mu_phys: float) -> float:
         return (mu_phys - self.y_mean) / self.y_scale
@@ -361,25 +358,85 @@ class FittedEmulator:
                 return means, mses, np.zeros((X.shape[0], X.shape[0]))
             return means, mses
 
+        Xs = self.training.scale_x(X)
+        rmat = cross_corr_matrix(self.training.X, Xs, self.kernel)   # (m, q)
+        Rss = cross_corr_matrix(Xs, Xs, self.kernel) if with_covariance else None
+        return self._blup(rmat, self.trend.build_matrix(Xs), Rss)
+
+    def _blup(self, rmat, Fs, Rss=None):
+        """Physical-unit means and MSEs, plus the covariance when ``Rss`` =
+        R(x*, x*) is given, at q sites with cross-correlations ``rmat`` (m, q)
+        and trend basis rows ``Fs``: the algebra shared by
+        :meth:`predict_batch` and :meth:`_fixed_rows_predictor`."""
         tr = self.training
-        Xs = tr.scale_x(X)
-        rmat = cross_corr_matrix(tr.X, Xs, self.kernel)          # (m, q)
-        mean_std, Z, W = self._gls.predict(rmat, self.trend.build_matrix(Xs))
+        mean_std, Z, W = self._gls.predict(rmat, Fs)
         var_red = np.einsum("ij,ij->j", Z, Z)
         trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W)
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
         means = mean_std * tr.y_scale + tr.y_mean
         mses = mse_std * tr.y_scale ** 2
-        if not with_covariance:
+        if Rss is None:
             return means, mses
-        Rss = cross_corr_matrix(Xs, Xs, self.kernel)
         cov_std = s2 * (Rss - Z.T @ Z)
         if W is not None:
             cov_std += s2 * (W.T @ W)
         cov_std = 0.5 * (cov_std + cov_std.T)
         np.fill_diagonal(cov_std, mse_std)
         return means, mses, cov_std * tr.y_scale ** 2
+
+    def _fixed_rows_predictor(self, x_fixed):
+        """``theta -> (mean, cov)`` at the q points ``[x_fixed, theta]``: the
+        same arrays as ``predict_batch`` on the stacked rows with covariance,
+        without the extrapolation warning, bit for bit, for every finite
+        theta of the remaining ``dim - x_fixed.shape[1]`` input columns.
+
+        What does not depend on theta is computed here once: the scaled x
+        columns, the product of their kernel factors in r (m, q), and
+        R(x*, x*), whose theta factors all have distance exactly 0. Each call
+        scales theta, evaluates each theta kernel factor once on the m-vector
+        |X_k - theta_k| (every column of the stacked rows' factor is that
+        vector) and multiplies it into a fresh copy of the x product in
+        dimension order, as the stacked assembly does. The callable keeps no
+        scratch between calls, so it is as thread-safe as the emulator.
+        """
+        x = np.atleast_2d(np.asarray(x_fixed, dtype=float))
+        (q, dx), d = x.shape, self.dim
+        if dx > d:
+            raise DataError(f"fixed rows have dimension {dx}, emulator has {d}")
+        tr = self.training
+        if self.degenerate:
+            return lambda theta: (np.full(q, tr.y_phys[0]), np.zeros((q, q)))
+
+        kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
+        m, dt = tr.m, d - dx
+        rows = np.zeros((q, d))                   # theta columns: any constant
+        rows[:, :dx] = (x - tr.x_min[:dx]) / tr.x_span[:dx]
+        rx = _product_corr(np.empty((m, q)),
+                           _abs_differences(tr.X[:, :dx], rows[:, :dx]), self.kernel,
+                           [np.empty((m, q)) for _ in range(_n_scratch(self.kernel))])
+        Rss = cross_corr_matrix(rows, rows, self.kernel)
+        rx.setflags(write=False)
+        Rss.setflags(write=False)
+        t_min, t_span = tr.x_min[dx:], tr.x_span[dx:]
+        X_t = [np.ascontiguousarray(tr.X[:, k]) for k in range(dx, d)]
+        n_work = _N_WORK.get(kind, 0)
+
+        def predict(theta):
+            theta = np.asarray(theta, dtype=float).reshape(-1)
+            if theta.size != dt:
+                raise DataError(f"theta has {theta.size} entries, expected {dt}")
+            ts = (theta - t_min) / t_span
+            r = rx.copy()
+            for k in range(dt):
+                r *= _corr_1d(kind, np.abs(X_t[k] - ts[k]), omega[dx + k],
+                              p[dx + k], np.empty(m),
+                              [np.empty(m) for _ in range(n_work)])[:, None]
+            Xs = rows.copy()
+            Xs[:, dx:] = ts
+            means, _, cov = self._blup(r, self.trend.build_matrix(Xs), Rss)
+            return means, cov
+        return predict
 
     # -- serialization ------------------------------------------------------
 

@@ -9,15 +9,13 @@ bit-reproducible given the seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import FitError, NumericalError
-from .fileio import atomic_write, write_csv
+from .fileio import write_csv
 from .priors import PriorSpec
 
 
@@ -38,10 +36,6 @@ class PosteriorChain:
     def post_burn(self) -> np.ndarray:
         return self.samples[self.n_burn::self.thin]
 
-    @property
-    def post_burn_log_post(self) -> np.ndarray:
-        return self.log_post[self.n_burn::self.thin]
-
     def summary(self) -> dict:
         kept = self.post_burn
         qs = np.percentile(kept, [2.5, 25, 50, 75, 97.5], axis=0)
@@ -61,9 +55,6 @@ class PosteriorChain:
     def save_csv(self, path) -> None:
         """Post-burn-in, thinned samples; one parameter vector per row."""
         write_csv(path, self.param_names, self.post_burn)
-
-    def save_summary(self, path) -> None:
-        atomic_write(Path(path), json.dumps(self.summary(), indent=2) + "\n")
 
 
 def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, format_float, read_numeric_csv
+from .fileio import atomic_write, format_float
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +151,3 @@ class DesignMatrix:
         }
         atomic_write(path.with_suffix(path.suffix + ".meta.json"),
                      json.dumps(sidecar, indent=2) + "\n")
-
-    @classmethod
-    def from_physical(cls, x_phys, space: ParameterSpace, meta=None) -> "DesignMatrix":
-        return cls(space.scale(np.atleast_2d(np.asarray(x_phys, float))), space,
-                   meta=dict(meta or {}))
-
-
-def read_design_csv(path, space: ParameterSpace | None = None) -> tuple[np.ndarray, list]:
-    """Read a physical-unit design CSV; returns (matrix, column names)."""
-    values, names = read_numeric_csv(path)
-    if space is not None and list(names) != list(space.names):
-        raise DataError(
-            f"column names {names} do not match space names {list(space.names)}")
-    return values, names

@@ -287,6 +287,60 @@ def test_log_posterior_with_discrepancy_uses_bias_mean_and_cov():
     assert lp_bias([2.0, 1.0]) > lp_plain([2.0, 1.0])
 
 
+def literal_log_posterior(theta, gp_code, discrepancy, iuq, prior):
+    """Reference log posterior: GPcode predicts the stacked (x, theta) rows
+    at every call, and the likelihood algebra is written out in full."""
+    from scipy.linalg import cho_factor, cho_solve
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    lp = prior.log_prior(theta)
+    if not math.isfinite(lp):
+        return -math.inf
+    if discrepancy is not None:
+        delta_mean, sigma_bias = discrepancy.predict(iuq.x)
+    else:
+        delta_mean = np.zeros(iuq.n)
+        sigma_bias = np.zeros((iuq.n, iuq.n))
+    base_cov = iuq.covariance() + sigma_bias
+    inputs = np.hstack([iuq.x, np.repeat(theta.reshape(1, -1), iuq.n, axis=0)])
+    mu_code, _, sigma_code = gp_code.predict_batch(
+        inputs, with_covariance=True, warn_extrapolation=False)
+    d = iuq.y - mu_code - delta_mean
+    sigma = base_cov + sigma_code
+    c = cho_factor(sigma + 0.0 * np.eye(sigma.shape[0]), lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+    quad = float(d @ cho_solve(c, d))
+    return lp - 0.5 * logdet - 0.5 * quad
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+@pytest.mark.parametrize("full_noise", [False, True], ids=["diag", "full"])
+def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias,
+                                                             full_noise):
+    sim = BuiltinSimulator("linear")
+    prior = linear_prior()
+    iuq = linear_experiments(6, seed=4, sigma=0.05, bias=True,
+                             x_range=(0.5, 5.5))
+    if full_noise:
+        idx = np.arange(iuq.n)
+        cov = 0.05 ** 2 * 0.4 ** np.abs(idx[:, None] - idx[None, :])
+        iuq = ExperimentData(iuq.x, iuq.y, cov)
+    model = None
+    if with_bias:
+        val = linear_experiments(8, seed=9, sigma=1e-3, bias=True,
+                                 x_range=(0.0, 2.0 * math.pi))
+        model = build_discrepancy_emulator(sim, val, theta0=[2.0, 1.0], seed=3)
+    gp_code, _ = build_code_emulator(sim, iuq.x, prior, n_train=36, seed=2,
+                                     n_restarts=2)
+    lp = make_log_posterior(gp_code, model, iuq, prior)
+    rng = np.random.default_rng(17)
+    thetas = np.vstack([[2.0, 1.0], rng.uniform([0.0, -1.0], [4.0, 3.0], (8, 2)),
+                        [[4.5, 1.0], [2.0, -1.5]]])
+    for theta in thetas:
+        want = literal_log_posterior(theta, gp_code, model, iuq, prior)
+        assert lp(theta) == want
+    assert lp([4.5, 1.0]) == -math.inf
+
+
 # ----------------------------------------------------- validate_posterior
 
 def _collapsed_chain(theta, n=50):

@@ -431,6 +431,84 @@ def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
         assert np.array_equal(got[2], cov)
 
 
+# ------------------------------------------------- fixed-row predictor
+
+def _stacked(em, x, theta):
+    rows = np.hstack([x, np.tile(theta, (x.shape[0], 1))])
+    mean, _, cov = em.predict_batch(rows, with_covariance=True,
+                                    warn_extrapolation=False)
+    return mean, cov
+
+
+_KERNELS = [(kind, None) for kind in KERNEL_KINDS if kind != "power_exponential"]
+_KERNELS += [("power_exponential", 0.5), ("power_exponential", 2.0)]
+
+
+@pytest.mark.parametrize("kind,p", _KERNELS,
+                         ids=[f"{k}-{p}" if p else k for k, p in _KERNELS])
+@pytest.mark.parametrize("trend", [
+    TrendSpec("known_constant", mu=0.3), TrendSpec("constant"),
+    TrendSpec("linear"),
+    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
+                               lambda X: X[:, 0] * X[:, -1]))],
+    ids=["known_constant", "constant", "linear", "custom"])
+def test_fixed_rows_predictor_is_bit_identical_to_predict_batch(kind, p, trend,
+                                                                rng):
+    for dx, dt in ((1, 1), (1, 3), (2, 1), (2, 3)):
+        d = dx + dt
+        x = rng.uniform(-1.0, 3.0, (30, d))
+        y = np.sin(x).sum(axis=1) + x[:, 0] * x[:, -1]
+        kernel = KernelSpec(kind, rng.uniform(0.3, 2.0, d),
+                            None if p is None else np.full(d, p))
+        em = build_emulator(TrainingSet(x, y), trend, kernel, nugget=1e-8)
+        x_fixed = rng.uniform(-1.0, 3.0, (6, dx))
+        predict = em._fixed_rows_predictor(x_fixed)
+        # inside the training box, then outside it on both sides
+        for theta in (rng.uniform(-1.0, 3.0, dt), rng.uniform(-3.0, -1.5, dt),
+                      rng.uniform(3.5, 5.0, dt)):
+            mean, cov = predict(theta)
+            want_mean, want_cov = _stacked(em, x_fixed, theta)
+            assert np.array_equal(mean, want_mean)
+            assert np.array_equal(cov, want_cov)
+
+
+def test_fixed_rows_predictor_degenerate_emulator():
+    x = np.linspace(0.0, 1.0, 6).reshape(-1, 2)
+    em = build_emulator(TrainingSet(x, np.full(3, 4.5)), TrendSpec("constant"),
+                        KernelSpec("gaussian", [0.3, 0.3]))
+    assert em.degenerate
+    x_fixed = np.array([[0.1], [0.7]])
+    predict = em._fixed_rows_predictor(x_fixed)
+    for theta in ([0.2], [3.0]):
+        mean, cov = predict(theta)
+        want_mean, want_cov = _stacked(em, x_fixed, theta)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(cov, want_cov)
+
+
+def _xt_emulator(rng):
+    x = rng.uniform(0.0, 1.0, (12, 2))
+    return build_emulator(TrainingSet(x, np.sin(3.0 * x[:, 0]) + x[:, 1]),
+                          TrendSpec("linear"), KernelSpec("matern_5_2", [0.5, 0.7]))
+
+
+def test_fixed_rows_predictor_keeps_no_state_between_calls(rng):
+    em = _xt_emulator(rng)
+    predict = em._fixed_rows_predictor(rng.uniform(0.1, 0.9, (4, 1)))
+    first = predict([0.3])
+    predict([0.8])[1][:] = 0.0                   # callers may mutate outputs
+    again = predict([0.3])
+    assert np.array_equal(first[0], again[0])
+    assert np.array_equal(first[1], again[1])
+
+
+def test_fixed_rows_predictor_rejects_wrong_theta_size(rng):
+    predict = _xt_emulator(rng)._fixed_rows_predictor(rng.uniform(0, 1, (3, 1)))
+    for theta in ([0.1, 0.2], [0.1, 0.2, 0.3]):
+        with pytest.raises(DataError):
+            predict(theta)
+
+
 # -------------------------------------------------------------- fitting
 
 def test_fit_mle_constant_outputs_short_circuit():

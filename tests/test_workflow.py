@@ -3,7 +3,8 @@ import pytest
 import yaml
 
 import gpcal.calibration
-from gpcal import DataError, GateError, run_workflow
+import gpcal.emulator
+from gpcal import DataError, GateError, NumericalError, run_workflow
 from gpcal.cli import main
 from gpcal.config import load_config
 from gpcal.fileio import write_csv
@@ -211,6 +212,20 @@ def test_stage_failure_keeps_gpcal_error_class_and_exit_code(tmp_path, monkeypat
                  "--out", str(tmp_path / "run")]) == 2
     err = capsys.readouterr().err
     assert "error: [stage: gpcode] simulator returned a malformed row" in err
+
+
+def test_log_posterior_build_failure_is_an_mcmc_stage_failure(tmp_path,
+                                                              monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise NumericalError("emulator covariance breakdown")
+
+    monkeypatch.setattr(gpcal.emulator.FittedEmulator, "_fixed_rows_predictor",
+                        fail)
+    cfg = write_config(tmp_path, samples=200, burn=50, discrepancy=False)
+    assert main(["calibrate", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert "error: [stage: mcmc] emulator covariance breakdown" in err
 
 
 def test_stage_failure_keeps_foreign_exception_type(tmp_path, monkeypatch):
