@@ -24,8 +24,7 @@ from .emulator import (FittedEmulator, Hyperparameters, TrainingSet, TrendSpec,
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      GateError, GpcalError, IllConditionedError,
                      NumericalError, NumericalWarning, SimulatorError)
-from .kernels import (KernelSpec, correlation_matrix, cross_correlation,
-                      kernel_eval, weighted_distance)
+from .kernels import KernelSpec, correlation_matrix
 from .mcmc import PosteriorChain, mcmc_sample
 from .priors import Prior1D, PriorSpec
 from .simulators import (BuiltinSimulator, SimulatorBinding,

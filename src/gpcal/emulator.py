@@ -34,8 +34,8 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
 from .fileio import atomic_write
 from .kernels import (_N_WORK, DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      SiteDistances, _abs_differences, _corr_1d, _factor,
-                      _n_scratch, _nugget_vector, _product_corr,
+                      SiteDistances, _abs_differences, _assemble, _corr_1d,
+                      _factor, _n_scratch, _nugget_vector, _product_corr,
                       correlation_matrix, cross_corr_matrix)
 from .spaces import DesignMatrix
 
@@ -206,12 +206,16 @@ class _GLS:
         z = self.R.half_solve(self.resid)
         return float(z @ z) / self.resid.size
 
+    def mean(self, r, Fs) -> np.ndarray:
+        """The BLUP mean alone, as :meth:`predict` computes it."""
+        return self.trend(Fs) + r.T @ self.alpha
+
     def predict(self, r, Fs):
         """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
         the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
         Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when beta is fixed or
         there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2."""
-        mean = self.trend(Fs) + r.T @ self.alpha
+        mean = self.mean(r, Fs)
         Z = self.R.half_solve(r)
         if self.G is None:
             return mean, Z, None
@@ -584,29 +588,22 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, beta_fixed=None, sites=None):
-    """Held-out predictions for each fold with fixed (omega, p).
-
-    If ``beta_fixed`` is None the trend coefficients are re-estimated by GLS
-    on each fold's retained points (a genuine reduced fit); otherwise the
-    given coefficients are reused and only the conditioning set changes.
+def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
+              nugget, fold_labels: np.ndarray, beta_fixed, sites):
+    """Condition on each fold's retained points; yield, per fold, the
+    held-out indices, the fold's :class:`_GLS`, the held-out cross block
+    (retained x held-out), the held-out basis rows and the held-out nuggets.
 
     The m x m correlation of all training sites is assembled once; each
     fold's training matrix and held-out cross block are index slices of it,
     bit-identical to assembling them from the fold's sites. ``sites`` is a
-    :class:`SiteDistances` of ``training.X`` to reuse across calls.
-
-    Returns standardized held-out means ``mu_cv`` and unit-process-variance
-    predictive factors ``v_cv`` (these include the held-out points' own
-    nugget, i.e. they are variances for predicting the noisy observation).
+    :class:`SiteDistances` of ``training.X`` to reuse across calls, or None.
     """
     m = training.m
     nug = _nugget_vector(nugget, m)
     mu = training.mu_std(trend.mu)
-    R = (SiteDistances(training.X) if sites is None else sites).correlation(spec)
-    mu_cv = np.empty(m)
-    v_cv = np.empty(m)
+    R = (_assemble(training.X, training.X, spec) if sites is None
+         else sites.correlation(spec))
     for k in np.unique(fold_labels):
         te = fold_labels == k
         tr_idx = np.nonzero(~te)[0]
@@ -617,13 +614,45 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
                      auto_escalate=False)
         gls = _GLS(Rk, trend.build_matrix(training.X[tr_idx]),
                    training.y[tr_idx], beta_fixed, mu, solve=True)
-        mu_cv[te_idx], Z, W = gls.predict(R[np.ix_(tr_idx, te_idx)],
-                                          trend.build_matrix(training.X[te_idx]))
-        v = (1.0 + nug[te_idx]) - np.einsum("ij,ij->j", Z, Z)
+        yield (te_idx, gls, R[np.ix_(tr_idx, te_idx)],
+               trend.build_matrix(training.X[te_idx]), nug[te_idx])
+
+
+def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
+                nugget, fold_labels: np.ndarray, beta_fixed=None, sites=None):
+    """Held-out predictions for each fold with fixed (omega, p).
+
+    If ``beta_fixed`` is None the trend coefficients are re-estimated by GLS
+    on each fold's retained points (a genuine reduced fit); otherwise the
+    given coefficients are reused and only the conditioning set changes.
+    The folds come from :func:`_cv_folds`; ``sites`` is as there.
+
+    Returns standardized held-out means ``mu_cv`` and unit-process-variance
+    predictive factors ``v_cv`` (these include the held-out points' own
+    nugget, i.e. they are variances for predicting the noisy observation).
+    """
+    mu_cv = np.empty(training.m)
+    v_cv = np.empty(training.m)
+    for te_idx, gls, r, Fte, nug_te in _cv_folds(
+            training, trend, spec, nugget, fold_labels, beta_fixed, sites):
+        mu_cv[te_idx], Z, W = gls.predict(r, Fte)
+        v = (1.0 + nug_te) - np.einsum("ij,ij->j", Z, Z)
         if W is not None:
             v = v + np.einsum("ij,ij->j", W, W)
         v_cv[te_idx] = v
     return mu_cv, np.maximum(v_cv, np.finfo(float).tiny)
+
+
+def _cv_means(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
+              nugget, fold_labels: np.ndarray, beta_fixed=None,
+              sites=None) -> np.ndarray:
+    """:func:`_cv_heldout`'s ``mu_cv`` alone, bit for bit, without the
+    held-out variances: all the CV objective needs."""
+    mu_cv = np.empty(training.m)
+    for te_idx, gls, r, Fte, _ in _cv_folds(
+            training, trend, spec, nugget, fold_labels, beta_fixed, sites):
+        mu_cv[te_idx] = gls.mean(r, Fte)
+    return mu_cv
 
 
 def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
@@ -650,8 +679,8 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     sites = SiteDistances(training.X)
 
     def loss(spec):
-        mu_cv, _ = _cv_heldout(training, trend, spec, nugget, fold_labels,
-                               sites=sites)
+        mu_cv = _cv_means(training, trend, spec, nugget, fold_labels,
+                          sites=sites)
         return float(np.sum((training.y - mu_cv) ** 2))
 
     results = _multistart(loss, training.dim, kernel, p, free_p, p_bounds,

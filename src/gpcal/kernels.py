@@ -8,24 +8,25 @@ to [0, 1]; length-scales are expressed in those scaled units.
 Parameterization note: every kernel kind follows its own canonical
 one-dimensional expression literally. In particular the Gaussian kind divides
 the squared distance by 2*omega^2 while the power-exponential kind raises
-(h/omega) to the p-th power; the sum-form weighted distance (|h|^p / omega)
-computed by :func:`weighted_distance` therefore matches the exponent of the
-power-exponential product only up to the documented reparameterization
-omega' = omega**p. Conversions are never applied silently.
+(h/omega) to the p-th power, so a Gaussian length-scale equals a p = 2
+power-exponential one only up to a factor sqrt(2). Conversions are never
+applied silently.
 
-Assembly is in place and bit-identical. One routine (:func:`_product_corr`
-over :func:`_corr_1d`) builds every correlation matrix: it runs each kind's
-expression as the same numpy operations, in the same order, as the literal
-out-of-place expression, but writes into reusable buffers, so assembling a
-training matrix allocates one m x m array instead of dozens. A
-:class:`SiteDistances` keeps the distance matrices of the training sites and
-the scratch buffers for the life of one hyperparameter fit, MLE or CV. A CV
-objective assembles the full training matrix once and slices every fold's
-training and held-out blocks from it: a kernel entry depends only on its two
-sites, so the slices equal the fold's own assembly bit for bit. Bit-identity
-is a contract, not a nicety: the multistart L-BFGS-B in the emulator fits
-follows the objective's last bits, so any change in rounding moves the
-fitted optimum.
+Assembly is bit-identical to the literal out-of-place expressions. Each
+kind's expression runs as the same numpy operations, in the same order
+(:func:`_corr_1d`), and the factors are multiplied in dimension order. A
+one-shot matrix (:func:`cross_corr_matrix`, or :func:`correlation_matrix`
+given the sites) is assembled entry by entry, in place
+(:func:`_product_corr`). A hyperparameter fit, MLE or CV, instead keeps a
+:class:`SiteDistances` of its training sites: it evaluates each kernel factor
+once per distinct distance and gathers the values into the matrix, and it
+owns the buffers the MLE objective's Cholesky factor is computed in, so an
+objective call allocates one m x m array. A CV objective assembles the full
+training matrix once and slices every fold's training and held-out blocks
+from it: a kernel entry depends only on its two sites, so the slices equal
+the fold's own assembly bit for bit. Bit-identity is a contract, not a
+nicety: the multistart L-BFGS-B in the emulator fits follows the objective's
+last bits, so any change in rounding moves the fitted optimum.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, DataError, IllConditionedError, NumericalWarning
 from .spaces import DesignMatrix
@@ -103,20 +105,6 @@ class KernelSpec:
         return cls.from_dict(json.loads(s))
 
 
-def weighted_distance(x_i, x_j, spec: KernelSpec) -> float:
-    """Sum-form weighted distance: sum_k |x_i,k - x_j,k|^p_k / omega_k.
-
-    Uses the kernel's effective exponents (2 for gaussian, 1 for linear,
-    exponential and Matern kinds, the spec's p for power-exponential).
-    """
-    x_i = np.atleast_1d(np.asarray(x_i, float))
-    x_j = np.atleast_1d(np.asarray(x_j, float))
-    if x_i.shape != x_j.shape or x_i.size != spec.dim:
-        raise DataError(
-            f"dimension mismatch: points {x_i.size}/{x_j.size}, kernel {spec.dim}")
-    return float(np.sum(np.abs(x_i - x_j) ** spec.p / spec.omega))
-
-
 def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float,
              out: np.ndarray, work: list) -> np.ndarray:
     """One-dimensional correlation R(h) for |h| >= 0, computed in ``out``
@@ -178,12 +166,12 @@ def _product_corr(out: np.ndarray, absdiff, spec: KernelSpec,
                   scratch: list) -> np.ndarray:
     """Write the tensor-product correlation prod_k R_k(absdiff[k]) into ``out``.
 
-    The one assembly shared by :func:`cross_corr_matrix` and
-    :func:`correlation_matrix`. It multiplies the factors in dimension order,
-    as ``ones *= R_1; ones *= R_2; ...`` would, but writes the first factor
-    straight into ``out`` (1.0 * x == x exactly) and builds each later one in
-    ``scratch[-1]``. ``scratch`` is a list of :func:`_n_scratch` arrays of
-    out's shape, the kind's work arrays first.
+    The entry-by-entry assembly behind :func:`cross_corr_matrix` and a
+    one-shot :func:`correlation_matrix`. It multiplies the factors in
+    dimension order, as ``ones *= R_1; ones *= R_2; ...`` would, but writes
+    the first factor straight into ``out`` (1.0 * x == x exactly) and builds
+    each later one in ``scratch[-1]``. ``scratch`` is a list of
+    :func:`_n_scratch` arrays of out's shape, the kind's work arrays first.
     """
     if not absdiff:
         out.fill(1.0)
@@ -200,20 +188,17 @@ def _n_scratch(spec: KernelSpec) -> int:
     return (spec.dim > 1) + _N_WORK.get(spec.kind, 0)
 
 
-def kernel_eval(spec: KernelSpec, x_i, x_j) -> float:
-    """Correlation of two points: product over dimensions of the 1-D kernel."""
-    x_i = np.atleast_1d(np.asarray(x_i, float))
-    x_j = np.atleast_1d(np.asarray(x_j, float))
-    if x_i.size != spec.dim or x_j.size != spec.dim:
-        raise DataError(
-            f"dimension mismatch: points {x_i.size}/{x_j.size}, kernel {spec.dim}")
-    return float(cross_corr_matrix(x_i.reshape(1, -1), x_j.reshape(1, -1), spec)[0, 0])
-
-
 def _points(X) -> np.ndarray:
     if isinstance(X, (DesignMatrix, SiteDistances)):
         return X.points
     return np.atleast_2d(np.asarray(X, float))
+
+
+def _assemble(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The |A| x |B| correlation matrix in a fresh array, entry by entry."""
+    shape = (A.shape[0], B.shape[0])
+    return _product_corr(np.empty(shape), _abs_differences(A, B), spec,
+                         [np.empty(shape) for _ in range(_n_scratch(spec))])
 
 
 def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -223,65 +208,85 @@ def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndar
     if A.shape[1] != spec.dim or B.shape[1] != spec.dim:
         raise DataError(
             f"dimension mismatch: points {A.shape[1]}/{B.shape[1]}, kernel {spec.dim}")
-    shape = (A.shape[0], B.shape[0])
-    return _product_corr(np.empty(shape), _abs_differences(A, B), spec,
-                         [np.empty(shape) for _ in range(_n_scratch(spec))])
+    return _assemble(A, B, spec)
 
 
 class SiteDistances:
-    """The per-dimension |x_i,k - x_j,k| matrices of one set of sites, with
-    reusable scratch space for assembling their correlation matrix.
+    """The distances between one set of m sites, as distinct values, and the
+    buffers a hyperparameter fit reuses to assemble and factor their
+    correlation matrix.
 
-    Passing an instance to :func:`correlation_matrix` in place of the sites
-    skips recomputing the distances, which do not depend on the kernel's
-    parameters, and the scratch allocations; the result is bit-identical.
-    A hyperparameter fit (``fit_mle`` or ``fit_cv``) makes one for its
-    training inputs and drops it when it returns; a CV fit slices each
-    fold's blocks from the one matrix :meth:`correlation` gives per
-    objective call. It holds (d + 3) m x m arrays at most, and its scratch
-    makes it unsafe to share between threads.
+    For each dimension k it keeps the distinct values ``u_k`` of
+    |x_i,k - x_j,k| and an m x m index ``inv_k`` with |x_i,k - x_j,k| =
+    u_k[inv_k[i, j]]. It also owns an F-ordered and a C-ordered m x m buffer
+    that :func:`correlation_matrix` factors into when given the instance in
+    place of the sites. A fit (``fit_mle`` or ``fit_cv``) makes one for its
+    training inputs and drops it when it returns. Its buffers make it unsafe
+    to share between threads, and a factor that borrows them is valid only
+    until the next factorization from the same instance.
     """
 
     def __init__(self, X):
         self.points = _points(X)
-        self.absdiff = _abs_differences(self.points, self.points)
-        self._scratch = []
+        m, d = self.points.shape
+        self._distinct, self._inverse = [], []
+        for k in range(d):
+            col = self.points[:, k]
+            u, inv = np.unique(np.abs(col[:, None] - col[None, :]),
+                               return_inverse=True)
+            self._distinct.append(u)
+            self._inverse.append(inv.reshape(m, m))
+        # untouched until first used, so a CV fit never maps the factor pair
+        self._gather = np.empty((m, m)) if d > 1 else None
+        self._factor_buffers = (np.empty((m, m), order="F"), np.empty((m, m)))
+
+    @property
+    def absdiff(self) -> list:
+        """The per-dimension |x_i,k - x_j,k| matrices, rebuilt on each access."""
+        return [u[inv] for u, inv in zip(self._distinct, self._inverse)]
 
     def correlation(self, spec: KernelSpec) -> np.ndarray:
-        """The sites' correlation matrix, without nugget, in a fresh array."""
+        """The sites' correlation matrix, without nugget, in a fresh array:
+        each kernel factor is evaluated once per distinct distance, gathered,
+        and multiplied in dimension order as :func:`_product_corr` does."""
         m = self.points.shape[0]
-        n = _n_scratch(spec)
-        while len(self._scratch) < n:
-            self._scratch.append(np.empty((m, m)))
-        return _product_corr(np.empty((m, m)), self.absdiff, spec, self._scratch[:n])
-
-
-def cross_correlation(X, x_star, spec: KernelSpec) -> np.ndarray:
-    """Correlation vector r(x*) between one point and the m design sites."""
-    pts = _points(X)
-    if pts.shape[0] == 0:
-        return np.empty(0)
-    return cross_corr_matrix(pts, np.atleast_2d(np.asarray(x_star, float)), spec)[:, 0]
+        out = np.empty((m, m))
+        if not self._inverse:
+            out.fill(1.0)
+        n_work = _N_WORK.get(spec.kind, 0)
+        for k, (u, inv) in enumerate(zip(self._distinct, self._inverse)):
+            f = _corr_1d(spec.kind, u, spec.omega[k], spec.p[k], np.empty(u.size),
+                         [np.empty(u.size) for _ in range(n_work)])
+            # mode="clip" takes no bounds-checking copy; inv is in range
+            if k == 0:
+                np.take(f, inv, out=out, mode="clip")
+            else:
+                out *= np.take(f, inv, out=self._gather, mode="clip")
+        return out
 
 
 class CorrelationMatrix:
     """Nugget-augmented correlation matrix with a cached Cholesky factor.
 
-    Immutable after construction; the factor is computed once in the
-    constructor so instances can be shared across threads.
+    ``values`` must be exactly symmetric. The factor is computed once in the
+    constructor. By default it lives in fresh arrays and the instance is
+    immutable and shareable across threads. Given ``buffers``, an
+    (F-ordered, C-ordered) pair of m x m arrays owned by a
+    :class:`SiteDistances`, the factor is computed into them instead: the
+    same bits without fresh m x m allocations, but the instance is valid only
+    until the buffers' next use, so it must not outlive one objective
+    evaluation of a fit.
     """
 
-    def __init__(self, values: np.ndarray, nugget):
+    def __init__(self, values: np.ndarray, nugget, *, buffers=None):
         self.values = values
         self.nugget = nugget
-        c, low = cho_factor(values, lower=True)
-        self._cho = (c, low)
-        # The C-ordered copy looks redundant (solve_triangular ignores the
-        # upper triangle) but selects the transposed LAPACK triangular-solve
-        # path; solving with c itself changes half_solve's last bits, and
-        # with them the optimum that MLE fits reach. Only the layout matters:
-        # zeroing the upper triangle (np.tril) changes no bit.
-        self._L = np.ascontiguousarray(c)
+        m = values.shape[0]
+        work, L = (buffers if buffers is not None else
+                   (np.empty((m, m), order="F"), np.empty((m, m))))
+        c, L = _factor_into(values, work, L)
+        self._cho = (c, True)
+        self._L = L
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
 
     @property
@@ -300,13 +305,38 @@ class CorrelationMatrix:
         return cho_solve(self._cho, np.eye(self.m))
 
 
+def _factor_into(values: np.ndarray, work: np.ndarray, L: np.ndarray):
+    """``cho_factor(values, lower=True)`` and a C-ordered copy of it, computed
+    in the F-ordered ``work`` and the C-ordered ``L``: the same LAPACK call on
+    the same F-ordered input, so the same bits, and the same errors.
+
+    ``values`` must be exactly symmetric: it is copied in through the
+    transposed view ``work.T``, a contiguous copy. The C-ordered copy looks
+    redundant (solve_triangular ignores the upper triangle) but selects the
+    transposed LAPACK triangular-solve path; solving with the F-ordered
+    factor itself changes half_solve's last bits, and with them the optimum
+    that MLE fits reach. Only the layout matters: zeroing the upper triangle
+    (np.tril) changes no bit.
+    """
+    if not np.isfinite(values).all():            # cho_factor's check_finite
+        raise ValueError("array must not contain infs or NaNs")
+    np.copyto(work.T, values)
+    c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
+    if info:                                     # only > 0 for valid buffers
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    np.copyto(L, c)
+    return c, L
+
+
 def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                        auto_escalate: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
     ``X`` holds the design sites, or is a :class:`SiteDistances` of them to
-    reuse its distances and scratch. ``nugget`` may be a scalar or a
-    per-point vector (heteroscedastic noise).
+    reuse its distances and buffers: the factor is then computed in the
+    instance's buffers and is valid only until the next call with it.
+    ``nugget`` may be a scalar or a per-point vector (heteroscedastic noise).
     If the Cholesky factorization fails, the nugget is escalated by factors of
     10 from max(nugget, 1e-10) up to 1e-4 before giving up; duplicate design
     sites with a zero nugget are rejected outright because the matrix is then
@@ -325,8 +355,10 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
     if pts.shape[1] != spec.dim:
         raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
     nug = _nugget_vector(nugget, m)
-    R = (X if isinstance(X, SiteDistances) else SiteDistances(pts)).correlation(spec)
-    return _factor(R, nug, spec, auto_escalate)
+    if isinstance(X, SiteDistances):
+        return _factor(X.correlation(spec), nug, spec, auto_escalate,
+                       X._factor_buffers)
+    return _factor(_assemble(pts, pts, spec), nug, spec, auto_escalate)
 
 
 def _nugget_vector(nugget, m: int) -> np.ndarray:
@@ -342,7 +374,7 @@ def _nugget_vector(nugget, m: int) -> np.ndarray:
 
 
 def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
-            auto_escalate: bool) -> CorrelationMatrix:
+            auto_escalate: bool, buffers=None) -> CorrelationMatrix:
     """Factorize a C-ordered m x m kernel matrix ``R`` of m sites, in place.
 
     The factor step of :func:`correlation_matrix`, which the CV fits also
@@ -350,7 +382,9 @@ def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
     overwritten with 1 + nugget, so it need not hold 1; ``nug`` is a checked
     vector (:func:`_nugget_vector`). Rejects duplicate sites under a zero
     nugget, warns on the indefinite-prone linear product kernel, and escalates
-    the nugget if asked (see :func:`correlation_matrix`).
+    the nugget if asked (see :func:`correlation_matrix`). ``buffers`` are
+    passed on to :class:`CorrelationMatrix`; every escalation step recopies
+    ``R`` into them.
     """
     m = R.shape[0]
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
@@ -369,7 +403,7 @@ def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
     while True:
         diag[:] = 1.0 + (nug + extra)
         try:
-            return CorrelationMatrix(R, nug + extra)
+            return CorrelationMatrix(R, nug + extra, buffers=buffers)
         except np.linalg.LinAlgError:
             pass
         if not auto_escalate:

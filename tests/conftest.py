@@ -3,12 +3,52 @@
 The dense predictor oracle reimplements the BLUP mean and both MSE forms
 (partitioned-matrix and expanded) with explicit matrix inverses and its own
 kernel formulas, independent of the library's solve-based code paths.
+``kernel_eval``, ``weighted_distance`` and ``cross_correlation`` are the
+point-wise forms of the library's kernel assembly that the kernel tests
+probe it with.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from gpcal.errors import DataError
+from gpcal.kernels import cross_corr_matrix
+
+
+def weighted_distance(x_i, x_j, spec):
+    """Sum-form weighted distance: sum_k |x_i,k - x_j,k|^p_k / omega_k.
+
+    Uses the kernel's effective exponents (2 for gaussian, 1 for linear,
+    exponential and Matern kinds, the spec's p for power-exponential). It
+    matches the exponent of the power-exponential product only up to the
+    reparameterization omega' = omega**p.
+    """
+    x_i = np.atleast_1d(np.asarray(x_i, float))
+    x_j = np.atleast_1d(np.asarray(x_j, float))
+    if x_i.shape != x_j.shape or x_i.size != spec.dim:
+        raise DataError(
+            f"dimension mismatch: points {x_i.size}/{x_j.size}, kernel {spec.dim}")
+    return float(np.sum(np.abs(x_i - x_j) ** spec.p / spec.omega))
+
+
+def kernel_eval(spec, x_i, x_j):
+    """Correlation of two points through the library's assembly."""
+    x_i = np.atleast_1d(np.asarray(x_i, float))
+    x_j = np.atleast_1d(np.asarray(x_j, float))
+    if x_i.size != spec.dim or x_j.size != spec.dim:
+        raise DataError(
+            f"dimension mismatch: points {x_i.size}/{x_j.size}, kernel {spec.dim}")
+    return float(cross_corr_matrix(x_i.reshape(1, -1), x_j.reshape(1, -1), spec)[0, 0])
+
+
+def cross_correlation(X, x_star, spec):
+    """Correlation vector r(x*) between one point and the design sites X."""
+    pts = np.atleast_2d(np.asarray(X, float))
+    if pts.shape[0] == 0:
+        return np.empty(0)
+    return cross_corr_matrix(pts, np.atleast_2d(np.asarray(x_star, float)), spec)[:, 0]
 
 
 def oracle_corr_1d(kind, h, omega, p):

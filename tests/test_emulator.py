@@ -13,7 +13,7 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning,
                    NumericalWarning, TrainingSet, TrendSpec, build_emulator,
                    fit_cv, fit_mle, gls_beta, lhs_design, neg_log_likelihood,
                    sigma2_hat)
-from gpcal.emulator import _concentrated_nll, _cv_heldout, make_folds
+from gpcal.emulator import _concentrated_nll, _cv_heldout, _cv_means, make_folds
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            correlation_matrix, cross_corr_matrix)
 from gpcal.spaces import ParameterSpace
@@ -165,6 +165,30 @@ def test_nll_with_fit_distances_is_bit_identical(rng):
             for trend in (TrendSpec("constant"), TrendSpec("linear")):
                 assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
                         == neg_log_likelihood(tr, trend, spec))
+
+
+def test_fit_mle_result_shares_no_fit_buffer(rng, monkeypatch):
+    # factors computed in a fit's buffers are overwritten by the next
+    # objective call, so nothing the fitted emulator keeps may point into them
+    made = []
+
+    class Recorded(SiteDistances):
+        def __init__(self, X):
+            super().__init__(X)
+            made.append(self)
+
+    monkeypatch.setattr(gpcal.emulator, "SiteDistances", Recorded)
+    X = rng.uniform(0, 1, (30, 3))
+    em = fit_mle(TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1]),
+                 TrendSpec("linear"), "matern_5_2", n_restarts=2, seed=1)
+    (sites,) = made
+    buffers = [*sites._factor_buffers, sites._gather, *sites._inverse,
+               *sites._distinct]
+    gls = em._gls
+    kept = [gls.R.values, *gls.R._cho[:1], gls.R._L, gls.R.nugget, gls.G,
+            gls.Rq, gls.beta, gls.resid, gls.alpha, *vars(em.hyper).values()]
+    for a in kept:
+        assert a is not None and not any(np.shares_memory(a, b) for b in buffers)
 
 
 def test_fits_never_share_distances(rng, monkeypatch):
@@ -665,15 +689,42 @@ def test_cv_fold_linear_kernel_warns_without_nugget(rng):
             pass                 # the warning comes before the factorization
 
 
+def test_cv_means_equal_heldout_means(rng):
+    # the CV objective skips the held-out variances; its means must be the
+    # ones _cv_heldout returns, bit for bit
+    m, d = 24, 3
+    X = rng.uniform(0, 1, (m, d))
+    tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
+    sites = SiteDistances(tr.X)
+    for spec in (KernelSpec("matern_5_2", [0.2, 0.5, 1.4]),
+                 KernelSpec("gaussian", [0.4, 0.9, 0.3]),
+                 KernelSpec("power_exponential", [1e-3, 1e3, 0.3], [0.5, 1.0, 2.0])):
+        for trend in (TrendSpec("constant"), TrendSpec("linear"),
+                      TrendSpec("known_constant", mu=0.2)):
+            betas = [None] if trend.kind == "known_constant" else \
+                [None, 0.1 + 0.2 * np.arange(trend.n_basis(d))]
+            for beta in betas:
+                for k_folds in (10, m):
+                    labels = make_folds(m, k_folds, seed=5)
+                    want = _cv_heldout(tr, trend, spec, 1e-8, labels, beta)[0]
+                    assert np.array_equal(
+                        _cv_means(tr, trend, spec, 1e-8, labels, beta), want)
+                    assert np.array_equal(
+                        _cv_means(tr, trend, spec, 1e-8, labels, beta,
+                                  sites=sites), want)
+
+
 def test_cv_fits_never_share_distances(rng, monkeypatch):
+    # every objective call and the final held-out pass reach the folds
+    # through _cv_folds, whose last argument is the fit's SiteDistances
     seen = []
-    real = gpcal.emulator._cv_heldout
+    real = gpcal.emulator._cv_folds
 
-    def spy(*args, sites=None, **kwargs):
-        seen.append(sites)
-        return real(*args, sites=sites, **kwargs)
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
 
-    monkeypatch.setattr(gpcal.emulator, "_cv_heldout", spy)
+    monkeypatch.setattr(gpcal.emulator, "_cv_folds", spy)
     used = []
     for _ in range(2):
         x = rng.uniform(0, 1, (20, 2))
@@ -681,7 +732,7 @@ def test_cv_fits_never_share_distances(rng, monkeypatch):
         del seen[:]
         fit_cv(tr, TrendSpec("constant"), "matern_5_2", k_folds=5,
                n_restarts=2, seed=3)
-        assert seen and all(s is seen[0] for s in seen)
+        assert len(seen) > 1 and all(s is seen[0] for s in seen)
         assert isinstance(seen[0], SiteDistances)
         for h, col in zip(seen[0].absdiff, tr.X.T):
             assert np.array_equal(h, np.abs(col[:, None] - col[None, :]))

@@ -3,14 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
-                   NumericalWarning, correlation_matrix, cross_correlation,
-                   kernel_eval, weighted_distance)
-from gpcal.kernels import KERNEL_KINDS, SiteDistances, cross_corr_matrix
+                   NumericalWarning, correlation_matrix)
+from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
+                           _abs_differences, _n_scratch, _product_corr,
+                           cross_corr_matrix)
 
-from conftest import oracle_kernel
+from conftest import (cross_correlation, kernel_eval, oracle_kernel,
+                      weighted_distance)
 
 
 def all_kind_specs(d=1, omega=1.0):
@@ -312,3 +314,113 @@ def test_half_solve_matches_tril_solve_bit_for_bit(m, rng):
     L = np.tril(R._cho[0])
     for b in (rng.normal(size=m), rng.normal(size=(m, 4)), np.eye(m)):
         assert np.array_equal(R.half_solve(b), solve_triangular(L, b, lower=True))
+
+
+# ------------------------------------- distinct-distance assembly and buffers
+
+def entrywise_corr(X, spec):
+    """The literal entry-by-entry assembly of X's correlation matrix."""
+    m = X.shape[0]
+    return _product_corr(np.empty((m, m)), _abs_differences(X, X), spec,
+                         [np.empty((m, m)) for _ in range(_n_scratch(spec))])
+
+
+def site_sets(rng):
+    """A cross design (few distinct x values, each repeated per theta), a
+    joint LHS-like set, a set with duplicate sites, one site, one dimension."""
+    x_grid = np.linspace(0.0, 1.0, 5)
+    theta = rng.uniform(0, 1, (8, 2))
+    cross = np.column_stack([np.repeat(x_grid, 8), np.tile(theta, (5, 1))])
+    joint = (rng.permuted(np.tile(np.arange(30), (3, 1)), axis=1).T
+             + rng.uniform(0, 1, (30, 3))) / 30
+    dup = rng.uniform(0, 1, (12, 3))
+    dup[5] = dup[2]
+    dup[9] = dup[2]
+    return {"cross": cross, "joint": joint, "duplicates": dup,
+            "m=1": rng.uniform(0, 1, (1, 3)), "d=1": rng.uniform(0, 1, (25, 1))}
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_distinct_distance_assembly_bit_identical_to_entrywise(kind, rng):
+    for name, X in site_sets(rng).items():
+        sites = SiteDistances(X)
+        for spec in corner_specs(kind, X.shape[1]):
+            assert np.array_equal(sites.correlation(spec), entrywise_corr(X, spec)), \
+                (name, spec.omega, spec.p)
+
+
+def test_site_distances_store_distinct_distances(rng):
+    X = site_sets(rng)["cross"]
+    sites = SiteDistances(X)
+    # the x column takes 5 values, so its distances take 5
+    assert [u.size for u in sites._distinct][0] == 5
+    for u, inv, h in zip(sites._distinct, sites._inverse, _abs_differences(X, X)):
+        assert np.array_equal(u, np.unique(h))
+        assert inv.shape == h.shape and np.array_equal(u[inv], h)
+
+
+def buffered_and_plain(X, spec, nugget, **kwargs):
+    return (correlation_matrix(SiteDistances(X), spec, nugget, **kwargs),
+            correlation_matrix(X, spec, nugget, **kwargs))
+
+
+@pytest.mark.parametrize("kind", ["matern_5_2", "gaussian", "power_exponential"])
+def test_buffered_factor_bit_identical_to_cho_factor(kind, rng):
+    X = rng.uniform(0, 1, (60, 3))
+    p = [0.5, 1.0, 2.0] if kind == "power_exponential" else None
+    for omega in ([0.3, 0.6, 1.1], [1e-3, 1e-3, 1e-3], [2.0, 0.05, 0.7]):
+        for R in buffered_and_plain(X, KernelSpec(kind, omega, p), 1e-8):
+            # scipy's own factorization of the same values is the oracle
+            c, _ = cho_factor(R.values, lower=True)
+            assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
+            assert np.array_equal(R._cho[0], c)
+            assert R._L.flags.c_contiguous and R._cho[0].flags.f_contiguous
+            for b in (rng.normal(size=60), rng.normal(size=(60, 3))):
+                assert np.array_equal(
+                    R.half_solve(b),
+                    solve_triangular(np.ascontiguousarray(c), b, lower=True))
+                assert np.array_equal(R.solve(b), cho_solve((c, True), b))
+
+
+def test_buffered_factor_lives_in_the_site_buffers(rng):
+    sites = SiteDistances(rng.uniform(0, 1, (20, 2)))
+    work, L = sites._factor_buffers
+    R = correlation_matrix(sites, KernelSpec("matern_3_2", [0.4, 0.8]), 1e-8)
+    assert np.shares_memory(R._cho[0], work) and np.shares_memory(R._L, L)
+
+
+def test_buffered_escalation_matches_plain():
+    X = np.linspace(0.0, 0.01, 20).reshape(-1, 1)
+    spec = KernelSpec("gaussian", [1.0])
+    with pytest.warns(NumericalWarning) as rec_buffered:
+        buffered = correlation_matrix(SiteDistances(X), spec, nugget=0.0)
+    with pytest.warns(NumericalWarning) as rec_plain:
+        plain = correlation_matrix(X, spec, nugget=0.0)
+    assert [str(w.message) for w in rec_buffered] == [str(w.message) for w in rec_plain]
+    assert 0.0 < buffered.nugget.max() <= 1e-4
+    assert np.array_equal(buffered.nugget, plain.nugget)
+    assert np.array_equal(buffered.values, plain.values)
+    assert np.array_equal(buffered._cho[0], plain._cho[0])
+    assert np.array_equal(buffered._L, plain._L)
+    assert buffered.logdet == plain.logdet
+    with pytest.raises(IllConditionedError):
+        correlation_matrix(SiteDistances(X), spec, nugget=0.0, auto_escalate=False)
+
+
+def test_buffered_factor_rejects_non_finite_like_cho_factor(rng):
+    X = rng.uniform(0, 1, (6, 2))
+    spec = KernelSpec("matern_5_2", [0.5, 0.5])
+    values = cross_corr_matrix(X, X, spec)
+    values[1, 4] = values[4, 1] = np.nan
+    buffers = SiteDistances(X)._factor_buffers
+    with pytest.raises(ValueError) as scipy_error:
+        cho_factor(values, lower=True)
+    for kwargs in ({}, {"buffers": buffers}):
+        with pytest.raises(ValueError) as ours:
+            CorrelationMatrix(values, 0.0, **kwargs)
+        assert type(ours.value) is type(scipy_error.value)
+        assert str(ours.value) == str(scipy_error.value)
+    # an infinite nugget reaches the factorization through either path
+    for X_or_sites in (X, SiteDistances(X)):
+        with pytest.raises(ValueError):
+            correlation_matrix(X_or_sites, spec, np.inf)
