@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 
 from .calibration import (DiscrepancyModel, ExperimentData, WorkflowResult,
                           build_code_emulator, build_discrepancy_emulator,
-                          log_posterior, make_log_posterior, run_workflow,
-                          split_experiments, validate_posterior)
+                          make_log_posterior, run_workflow, split_experiments,
+                          validate_posterior)
 from .design import (adaptive_enrich, halton_sequence, lhs_design, maximin_lhs,
                      sobol_sequence)
 from .diagnostics import (ValidationReport, coverage_report, loocv_error,

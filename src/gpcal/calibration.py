@@ -339,14 +339,6 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     return log_post
 
 
-def log_posterior(theta, gp_code: FittedEmulator,
-                  discrepancy: DiscrepancyModel | None, iuq: ExperimentData,
-                  prior: PriorSpec) -> float:
-    """One-shot form of :func:`make_log_posterior` (use the factory inside
-    sampling loops; it precomputes the theta-independent pieces)."""
-    return make_log_posterior(gp_code, discrepancy, iuq, prior)(theta)
-
-
 class _EmulatorEvaluator:
     """Adapter letting validation fall back to GPcode means when the real
     simulator is over budget. Extrapolates in x; use knowingly."""

@@ -65,11 +65,18 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
-def _positive(value, name):
+def _convert(value, to, name):
+    """``to(value)`` for ``to`` int or float, or a ConfigError naming the
+    field."""
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}") from None
+        return to(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if to is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _positive(value, name):
+    value = _convert(value, int, name)
     if value < 1:
         raise ConfigError(f"{name} must be positive, got {value}")
     return value
@@ -137,26 +144,25 @@ def load_config(path) -> WorkflowConfig:
     cv_folds = _positive(emu.get("cv_folds", 10), "emulator.cv_folds")
     if "seed" not in emu:
         raise ConfigError("emulator.seed must be explicit (no implicit entropy)")
-    emulator_seed = int(emu["seed"])
+    emulator_seed = _convert(emu["seed"], int, "emulator.seed")
 
     mc = _require(raw, "mcmc", "<root>")
     mcmc_samples = _positive(_require(mc, "samples", "mcmc"), "mcmc.samples")
-    mcmc_burn = int(mc["burn"]) if "burn" in mc else None
-    if mcmc_burn is not None and mcmc_burn < 1:
-        raise ConfigError(f"mcmc.burn must be positive, got {mcmc_burn}")
+    mcmc_burn = _positive(mc["burn"], "mcmc.burn") if "burn" in mc else None
     mcmc_thin = _positive(mc.get("thin", 1), "mcmc.thin")
     if "seed" not in mc:
         raise ConfigError("mcmc.seed must be explicit (no implicit entropy)")
-    mcmc_seed = int(mc["seed"])
+    mcmc_seed = _convert(mc["seed"], int, "mcmc.seed")
     mcmc_chains = _positive(mc.get("chains", 1), "mcmc.chains")
 
     thresholds = raw.get("thresholds", {})
-    q2_gate = float(thresholds.get("q2_gate", 0.7))
+    q2_gate = _convert(thresholds.get("q2_gate", 0.7), float, "thresholds.q2_gate")
     discrepancy_enabled = bool(raw.get("discrepancy", {}).get("enabled", True))
     val_cfg = raw.get("validation", {})
     validation_draws = _positive(val_cfg.get("draws", 200), "validation.draws")
     max_evals = val_cfg.get("max_sim_evals")
-    validation_max_sim_evals = int(max_evals) if max_evals is not None else None
+    validation_max_sim_evals = (None if max_evals is None else
+                                _convert(max_evals, int, "validation.max_sim_evals"))
 
     semantic = {
         "design_space": design_space.to_dict(),

@@ -33,10 +33,9 @@ from .design import _lhs_points
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
 from .fileio import atomic_write
-from .kernels import (_N_WORK, DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      SiteDistances, _abs_differences, _assemble, _corr_1d,
-                      _factor, _n_scratch, _nugget_vector, _product_corr,
-                      correlation_matrix, cross_corr_matrix)
+from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
+                      SiteDistances, _corr_1d, _factor, _nugget_vector,
+                      _product_corr, correlation_matrix, cross_corr_matrix)
 from .spaces import DesignMatrix
 
 EMULATOR_FORMAT_VERSION = 1
@@ -413,18 +412,15 @@ class FittedEmulator:
             return lambda theta: (np.full(q, tr.y_phys[0]), np.zeros((q, q)))
 
         kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
-        m, dt = tr.m, d - dx
+        dt = d - dx
         rows = np.zeros((q, d))                   # theta columns: any constant
         rows[:, :dx] = (x - tr.x_min[:dx]) / tr.x_span[:dx]
-        rx = _product_corr(np.empty((m, q)),
-                           _abs_differences(tr.X[:, :dx], rows[:, :dx]), self.kernel,
-                           [np.empty((m, q)) for _ in range(_n_scratch(self.kernel))])
+        rx = _product_corr(tr.X[:, :dx], rows[:, :dx], self.kernel)
         Rss = cross_corr_matrix(rows, rows, self.kernel)
         rx.setflags(write=False)
         Rss.setflags(write=False)
         t_min, t_span = tr.x_min[dx:], tr.x_span[dx:]
         X_t = [np.ascontiguousarray(tr.X[:, k]) for k in range(dx, d)]
-        n_work = _N_WORK.get(kind, 0)
 
         def predict(theta):
             theta = np.asarray(theta, dtype=float).reshape(-1)
@@ -434,8 +430,7 @@ class FittedEmulator:
             r = rx.copy()
             for k in range(dt):
                 r *= _corr_1d(kind, np.abs(X_t[k] - ts[k]), omega[dx + k],
-                              p[dx + k], np.empty(m),
-                              [np.empty(m) for _ in range(n_work)])[:, None]
+                              p[dx + k])[:, None]
             Xs = rows.copy()
             Xs[:, dx:] = ts
             means, _, cov = self._blup(r, self.trend.build_matrix(Xs), Rss)
@@ -566,7 +561,7 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     if training.degenerate:
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))
-    # distances and assembly scratch for every restart of this fit only
+    # distances and buffers for every restart of this fit only
     sites = SiteDistances(training.X)
     results = _multistart(
         lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
@@ -602,7 +597,7 @@ def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     m = training.m
     nug = _nugget_vector(nugget, m)
     mu = training.mu_std(trend.mu)
-    R = (_assemble(training.X, training.X, spec) if sites is None
+    R = (_product_corr(training.X, training.X, spec) if sites is None
          else sites.correlation(spec))
     for k in np.unique(fold_labels):
         te = fold_labels == k
@@ -675,7 +670,7 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))
     fold_labels = make_folds(training.m, k_folds, seed)
-    # distances and assembly scratch for every restart of this fit only
+    # distances and buffers for every restart of this fit only
     sites = SiteDistances(training.X)
 
     def loss(spec):

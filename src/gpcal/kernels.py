@@ -12,26 +12,25 @@ the squared distance by 2*omega^2 while the power-exponential kind raises
 power-exponential one only up to a factor sqrt(2). Conversions are never
 applied silently.
 
-Assembly is bit-identical to the literal out-of-place expressions. Each
-kind's expression runs as the same numpy operations, in the same order
-(:func:`_corr_1d`), and the factors are multiplied in dimension order. A
-one-shot matrix (:func:`cross_corr_matrix`, or :func:`correlation_matrix`
-given the sites) is assembled entry by entry, in place
-(:func:`_product_corr`). A hyperparameter fit, MLE or CV, instead keeps a
-:class:`SiteDistances` of its training sites: it evaluates each kernel factor
-once per distinct distance and gathers the values into the matrix, and it
-owns the buffers the MLE objective's Cholesky factor is computed in, so an
-objective call allocates one m x m array. A CV objective assembles the full
-training matrix once and slices every fold's training and held-out blocks
-from it: a kernel entry depends only on its two sites, so the slices equal
-the fold's own assembly bit for bit. Bit-identity is a contract, not a
-nicety: the multistart L-BFGS-B in the emulator fits follows the objective's
-last bits, so any change in rounding moves the fitted optimum.
+Every assembly is bit-identical to the literal expressions: each kind's
+factor is its canonical expression (:func:`_corr_1d`), and the factors are
+multiplied in dimension order into ones. A one-shot matrix
+(:func:`cross_corr_matrix`, or :func:`correlation_matrix` given the sites)
+evaluates them entry by entry (:func:`_product_corr`). A hyperparameter fit,
+MLE or CV, instead keeps a :class:`SiteDistances` of its training sites: it
+evaluates each kernel factor once per distinct distance and gathers the
+values into the matrix, and it owns the buffers the MLE objective's Cholesky
+factor is computed in, so an objective call allocates one m x m array. A CV
+objective assembles the full training matrix once and slices every fold's
+training and held-out blocks from it: a kernel entry depends only on its two
+sites, so the slices equal the fold's own assembly bit for bit. Bit-identity
+is a contract, not a nicety: the multistart L-BFGS-B in the emulator fits
+follows the objective's last bits, so any change in rounding moves the
+fitted optimum.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,7 +39,6 @@ from scipy.linalg import cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 from .errors import ConfigError, DataError, IllConditionedError, NumericalWarning
-from .spaces import DesignMatrix
 
 KERNEL_KINDS = ("linear", "exponential", "power_exponential", "gaussian",
                 "matern_3_2", "matern_5_2")
@@ -93,112 +91,51 @@ class KernelSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "omega": self.omega.tolist(), "p": self.p.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, d) -> "KernelSpec":
         return cls(d["kind"], d["omega"], d.get("p"))
 
-    @classmethod
-    def from_json(cls, s: str) -> "KernelSpec":
-        return cls.from_dict(json.loads(s))
 
-
-def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float,
-             out: np.ndarray, work: list) -> np.ndarray:
-    """One-dimensional correlation R(h) for |h| >= 0, computed in ``out``
-    with ``work`` as scratch: ``_N_WORK[kind]`` arrays of h's shape.
-
-    Each kind runs its canonical expression, noted beside it, as the same
-    sequence of numpy operations the out-of-place expression performs, only
-    written into buffers: the result is bit-identical to evaluating the
-    expression.
-    """
-    if kind == "gaussian":                        # exp(-(h*h) / (2 omega^2))
-        np.multiply(h, h, out=out)
-        np.negative(out, out=out)
-        out /= 2.0 * omega * omega
-        return np.exp(out, out=out)
-    np.divide(h, omega, out=out)                  # t = h / omega
-    if kind == "linear":                          # max(0, 1 - t)
-        np.subtract(1.0, out, out=out)
-        return np.maximum(0.0, out, out=out)
-    if kind == "exponential":                     # exp(-t)
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
-    if kind == "power_exponential":               # exp(-t**p)
-        out **= p
-        np.negative(out, out=out)
-        return np.exp(out, out=out)
-    if kind == "matern_3_2":                      # (1 + s) exp(-s), s = sqrt(3) t
-        e = work[0]
-        out *= math.sqrt(3.0)
-        np.exp(np.negative(out, out=e), out=e)
-        out += 1.0
-        out *= e
-        return out
+def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float) -> np.ndarray:
+    """One-dimensional correlation R(h) for |h| >= 0, as a fresh array: each
+    kind's canonical expression, written out literally."""
+    if kind == "gaussian":
+        return np.exp(-(h * h) / (2.0 * omega * omega))
+    t = h / omega
+    if kind == "linear":
+        return np.maximum(0.0, 1.0 - t)
+    if kind == "exponential":
+        return np.exp(-t)
+    if kind == "power_exponential":
+        return np.exp(-t ** p)
+    if kind == "matern_3_2":
+        s = math.sqrt(3.0) * t
+        return (1.0 + s) * np.exp(-s)
     if kind == "matern_5_2":
-        # (1 + s + 5 (h*h) / (3 omega^2)) exp(-s), s = sqrt(5) t
-        e, q = work[0], work[1]
-        out *= math.sqrt(5.0)
-        np.exp(np.negative(out, out=e), out=e)
-        out += 1.0
-        np.multiply(h, h, out=q)
-        q *= 5.0
-        q /= 3.0 * omega * omega
-        out += q
-        out *= e
-        return out
+        s = math.sqrt(5.0) * t
+        return (1.0 + s + 5.0 * (h * h) / (3.0 * omega * omega)) * np.exp(-s)
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 
-#: scratch arrays _corr_1d needs per kind, besides its output
-_N_WORK = {"matern_3_2": 1, "matern_5_2": 2}
+def _product_corr(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """The |A| x |B| tensor-product correlation prod_k R_k(|a_k - b_k|), entry
+    by entry: ones, times each dimension's factor in dimension order (the
+    first product is the first factor itself, since 1.0 * x == x exactly).
 
-
-def _abs_differences(A: np.ndarray, B: np.ndarray) -> list:
-    """|a_k - b_k| for every pair of rows, one (|A|, |B|) matrix per dimension."""
-    return [np.abs(A[:, k:k + 1] - B[None, :, k]) for k in range(A.shape[1])]
-
-
-def _product_corr(out: np.ndarray, absdiff, spec: KernelSpec,
-                  scratch: list) -> np.ndarray:
-    """Write the tensor-product correlation prod_k R_k(absdiff[k]) into ``out``.
-
-    The entry-by-entry assembly behind :func:`cross_corr_matrix` and a
-    one-shot :func:`correlation_matrix`. It multiplies the factors in
-    dimension order, as ``ones *= R_1; ones *= R_2; ...`` would, but writes
-    the first factor straight into ``out`` (1.0 * x == x exactly) and builds
-    each later one in ``scratch[-1]``. ``scratch`` is a list of
-    :func:`_n_scratch` arrays of out's shape, the kind's work arrays first.
+    Column k of A and B uses ``spec``'s k-th length-scale and roughness, so
+    ``spec`` may have more dimensions than the points; no check is made.
     """
-    if not absdiff:
-        out.fill(1.0)
-    work = scratch[:_N_WORK.get(spec.kind, 0)]
-    for k, h in enumerate(absdiff):
-        factor = out if k == 0 else scratch[-1]
-        _corr_1d(spec.kind, h, spec.omega[k], spec.p[k], factor, work)
-        if k:
-            out *= factor
+    out = np.ones((A.shape[0], B.shape[0]))
+    for k in range(A.shape[1]):
+        out *= _corr_1d(spec.kind, np.abs(A[:, k:k + 1] - B[None, :, k]),
+                        spec.omega[k], spec.p[k])
     return out
 
 
-def _n_scratch(spec: KernelSpec) -> int:
-    return (spec.dim > 1) + _N_WORK.get(spec.kind, 0)
-
-
 def _points(X) -> np.ndarray:
-    if isinstance(X, (DesignMatrix, SiteDistances)):
+    if isinstance(X, SiteDistances):
         return X.points
     return np.atleast_2d(np.asarray(X, float))
-
-
-def _assemble(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """The |A| x |B| correlation matrix in a fresh array, entry by entry."""
-    shape = (A.shape[0], B.shape[0])
-    return _product_corr(np.empty(shape), _abs_differences(A, B), spec,
-                         [np.empty(shape) for _ in range(_n_scratch(spec))])
 
 
 def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -208,7 +145,7 @@ def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndar
     if A.shape[1] != spec.dim or B.shape[1] != spec.dim:
         raise DataError(
             f"dimension mismatch: points {A.shape[1]}/{B.shape[1]}, kernel {spec.dim}")
-    return _assemble(A, B, spec)
+    return _product_corr(A, B, spec)
 
 
 class SiteDistances:
@@ -218,12 +155,14 @@ class SiteDistances:
 
     For each dimension k it keeps the distinct values ``u_k`` of
     |x_i,k - x_j,k| and an m x m index ``inv_k`` with |x_i,k - x_j,k| =
-    u_k[inv_k[i, j]]. It also owns an F-ordered and a C-ordered m x m buffer
-    that :func:`correlation_matrix` factors into when given the instance in
-    place of the sites. A fit (``fit_mle`` or ``fit_cv``) makes one for its
-    training inputs and drops it when it returns. Its buffers make it unsafe
-    to share between threads, and a factor that borrows them is valid only
-    until the next factorization from the same instance.
+    u_k[inv_k[i, j]], so :meth:`correlation` evaluates each kernel factor on
+    ``u_k`` alone. It owns an m x m buffer the factors are gathered into, and
+    an F-ordered and a C-ordered m x m buffer that :func:`correlation_matrix`
+    factors into when given the instance in place of the sites. A fit
+    (``fit_mle`` or ``fit_cv``) makes one for its training inputs and drops it
+    when it returns. Its buffers make it unsafe to share between threads, and
+    a factor that borrows them is valid only until the next factorization
+    from the same instance.
     """
 
     def __init__(self, X):
@@ -240,11 +179,6 @@ class SiteDistances:
         self._gather = np.empty((m, m)) if d > 1 else None
         self._factor_buffers = (np.empty((m, m), order="F"), np.empty((m, m)))
 
-    @property
-    def absdiff(self) -> list:
-        """The per-dimension |x_i,k - x_j,k| matrices, rebuilt on each access."""
-        return [u[inv] for u, inv in zip(self._distinct, self._inverse)]
-
     def correlation(self, spec: KernelSpec) -> np.ndarray:
         """The sites' correlation matrix, without nugget, in a fresh array:
         each kernel factor is evaluated once per distinct distance, gathered,
@@ -253,10 +187,8 @@ class SiteDistances:
         out = np.empty((m, m))
         if not self._inverse:
             out.fill(1.0)
-        n_work = _N_WORK.get(spec.kind, 0)
         for k, (u, inv) in enumerate(zip(self._distinct, self._inverse)):
-            f = _corr_1d(spec.kind, u, spec.omega[k], spec.p[k], np.empty(u.size),
-                         [np.empty(u.size) for _ in range(n_work)])
+            f = _corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
             # mode="clip" takes no bounds-checking copy; inv is in range
             if k == 0:
                 np.take(f, inv, out=out, mode="clip")
@@ -358,7 +290,7 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
     if isinstance(X, SiteDistances):
         return _factor(X.correlation(spec), nug, spec, auto_escalate,
                        X._factor_buffers)
-    return _factor(_assemble(pts, pts, spec), nug, spec, auto_escalate)
+    return _factor(_product_corr(pts, pts, spec), nug, spec, auto_escalate)
 
 
 def _nugget_vector(nugget, m: int) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Adaptive random-walk Metropolis sampling.
 
 The proposal is Gaussian. During burn-in its global scale is tuned toward an
-acceptance rate in [0.2, 0.4] and (optionally) its shape is replaced by the
-empirical covariance of the chain so far; all adaptation freezes at the end
-of burn-in so the post-burn-in kernel targets the exact posterior. Chains are
+acceptance rate in [0.2, 0.4] and its shape is replaced by the empirical
+covariance of the chain so far; all adaptation freezes at the end of burn-in
+so the post-burn-in kernel targets the exact posterior. Chains are
 bit-reproducible given the seed.
 """
 
@@ -17,6 +17,12 @@ import numpy as np
 from .errors import FitError, NumericalError
 from .fileio import write_csv
 from .priors import PriorSpec
+
+#: proposals between two burn-in adaptations
+ADAPT_EVERY = 50
+#: the acceptance rate the burn-in scale updates aim at: the middle of
+#: [0.2, 0.4]
+TARGET_ACCEPT = 0.5 * (0.2 + 0.4)
 
 
 @dataclass
@@ -58,20 +64,19 @@ class PosteriorChain:
 
 
 def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
-                n_burn: int | None = None, seed: int = 0, initial=None,
-                thin: int = 1, adapt_every: int = 50, adapt_cov: bool = True,
-                target_band=(0.2, 0.4), param_names=None) -> PosteriorChain:
+                n_burn: int | None = None, seed: int = 0, thin: int = 1,
+                param_names=None) -> PosteriorChain:
     """Sample ``n_samples`` post-burn-in draws (after thinning) from an
     unnormalized log posterior with adaptive random-walk Metropolis.
 
-    The initial proposal covariance is diag((prior std / 10)^2); the starting
-    point is the prior nominal unless ``initial`` is given. During burn-in
-    the proposal scale follows a multiplicative update targeting the middle
-    of ``target_band`` (so posteriors much narrower than the prior are
-    reachable within a modest burn-in), and the proposal shape is refreshed
-    from the chain's empirical covariance. Burn-in defaults to 20% of the
-    requested samples. Raises when the post-adaptation acceptance rate
-    collapses below 1%.
+    The chain starts at the prior nominal, and the initial proposal
+    covariance is diag((prior std / 10)^2). Every ``ADAPT_EVERY`` burn-in
+    proposals the proposal scale follows a multiplicative update toward the
+    acceptance rate ``TARGET_ACCEPT`` (so posteriors much narrower than the
+    prior are reachable within a modest burn-in), and once the chain holds
+    max(200, 20 d) states the proposal shape is refreshed from its empirical
+    covariance. Burn-in defaults to 20% of the requested samples. Raises when
+    the post-adaptation acceptance rate collapses below 1%.
     """
     if n_samples < 1:
         raise FitError(f"n_samples must be >= 1, got {n_samples}")
@@ -85,8 +90,7 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
         f"theta{j + 1}" for j in range(d))
 
     rng = np.random.default_rng(seed)
-    x = np.asarray(initial if initial is not None else prior.nominal,
-                   dtype=float).copy()
+    x = np.asarray(prior.nominal, dtype=float).copy()
     lp = float(log_posterior(x))
     if not math.isfinite(lp):
         raise NumericalError("log posterior is not finite at the initial point")
@@ -101,7 +105,6 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
     accepted = np.zeros(total, dtype=bool)
     window_acc = 0
 
-    low, high = target_band
     for t in range(total):
         z = rng.standard_normal(d)
         u = rng.uniform()
@@ -114,12 +117,11 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
         samples[t] = x
         log_post[t] = lp
 
-        if t + 1 < n_burn and (t + 1) % adapt_every == 0:
-            rate = window_acc / adapt_every
+        if t + 1 < n_burn and (t + 1) % ADAPT_EVERY == 0:
+            rate = window_acc / ADAPT_EVERY
             window_acc = 0
-            target = 0.5 * (low + high)
-            scale *= math.exp(2.0 * (rate - target))
-            if adapt_cov and t + 1 >= min_history:
+            scale *= math.exp(2.0 * (rate - TARGET_ACCEPT))
+            if t + 1 >= min_history:
                 emp = np.cov(samples[:t + 1].T).reshape(d, d)
                 emp = (2.38 ** 2 / d) * emp + 1e-12 * np.eye(d)
                 try:

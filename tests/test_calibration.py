@@ -8,8 +8,7 @@ import pytest
 from gpcal import (BuiltinSimulator, ConfigError, DataError, ExperimentData,
                    Prior1D, PriorSpec, SimulatorError, SubprocessSimulator,
                    build_code_emulator, build_discrepancy_emulator,
-                   log_posterior, make_log_posterior, split_experiments,
-                   validate_posterior)
+                   make_log_posterior, split_experiments, validate_posterior)
 from gpcal.mcmc import PosteriorChain
 
 
@@ -262,15 +261,6 @@ def test_log_posterior_covariance_scaling_identity():
     shift = -0.5 * q * math.log(4.0)
     for th in ([2.0, 1.0], [1.7, 0.4], [2.3, 1.9]):
         assert lp2(th) - lp1(th) == pytest.approx(shift, abs=1e-12)
-
-
-def test_log_posterior_one_shot_wrapper():
-    stub = ExactStub(BuiltinSimulator("linear"))
-    iuq = linear_experiments(3, seed=1)
-    prior = linear_prior()
-    got = log_posterior([2.0, 1.0], stub, None, iuq, prior)
-    want = make_log_posterior(stub, None, iuq, prior)([2.0, 1.0])
-    assert got == want
 
 
 def test_log_posterior_with_discrepancy_uses_bias_mean_and_cov():

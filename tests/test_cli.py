@@ -227,6 +227,25 @@ def test_config_rejects_unknown_code_design(tmp_path, key, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("emulator", "seed"), ("mcmc", "seed"), ("mcmc", "burn"),
+    ("thresholds", "q2_gate"), ("validation", "max_sim_evals")])
+@pytest.mark.parametrize("value", ["thirteen", [13]])
+def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys,
+                                                        section, key, value):
+    # exit code 1 and one error line, not a traceback from int() or float()
+    raw = yaml.safe_load(write_config(tmp_path).read_text())
+    raw.setdefault(section, {})[key] = value
+    path = tmp_path / "bad_value.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code = main(["calibrate", "--config", str(path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{section}.{key}" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_demo_config_loads():
     config = load_config("demo/linear_demo.yaml")
     assert config.theta_names == ("slope", "offset")

@@ -209,8 +209,8 @@ def test_fits_never_share_distances(rng, monkeypatch):
         fit_mle(tr, TrendSpec("constant"), "matern_5_2", n_restarts=2, seed=3)
         cached = [X for X in seen if isinstance(X, SiteDistances)]
         assert cached and all(X is cached[0] for X in cached)
-        for h, x in zip(cached[0].absdiff, tr.X.T):
-            assert np.array_equal(h, np.abs(x[:, None] - x[None, :]))
+        for u, inv, x in zip(cached[0]._distinct, cached[0]._inverse, tr.X.T):
+            assert np.array_equal(u[inv], np.abs(x[:, None] - x[None, :]))
         used.append(cached[0])
     assert used[0] is not used[1]
 
@@ -734,8 +734,8 @@ def test_cv_fits_never_share_distances(rng, monkeypatch):
                n_restarts=2, seed=3)
         assert len(seen) > 1 and all(s is seen[0] for s in seen)
         assert isinstance(seen[0], SiteDistances)
-        for h, col in zip(seen[0].absdiff, tr.X.T):
-            assert np.array_equal(h, np.abs(col[:, None] - col[None, :]))
+        for u, inv, col in zip(seen[0]._distinct, seen[0]._inverse, tr.X.T):
+            assert np.array_equal(u[inv], np.abs(col[:, None] - col[None, :]))
         used.append(seen[0])
     assert used[0] is not used[1]
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -8,7 +9,6 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           _abs_differences, _n_scratch, _product_corr,
                            cross_corr_matrix)
 
 from conftest import (cross_correlation, kernel_eval, oracle_kernel,
@@ -36,7 +36,7 @@ def test_spec_validation():
 
 def test_spec_json_roundtrip():
     spec = KernelSpec("power_exponential", [0.5, 2.0], [1.0, 1.8])
-    back = KernelSpec.from_json(spec.to_json())
+    back = KernelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert back.kind == spec.kind
     assert np.array_equal(back.omega, spec.omega)
     assert np.array_equal(back.p, spec.p)
@@ -223,7 +223,7 @@ def test_cross_corr_matrix_dim_mismatch():
         cross_corr_matrix(np.zeros((2, 2)), np.zeros((2, 2)), spec)
 
 
-# ------------------------------------------- bit-identical in-place assembly
+# ------------------------------------ assembly bit-identical to the expressions
 
 def out_of_place_corr(A, B, spec):
     """The assembly as literal out-of-place numpy expressions: a fresh array
@@ -285,10 +285,8 @@ def test_assembly_bit_identical_to_out_of_place_expressions(kind, rng):
 def test_site_distances_reuse_is_bit_identical(rng):
     X = rng.uniform(0, 1, (30, 2))
     sites = SiteDistances(X)
-    for h, x in zip(sites.absdiff, X.T):
-        assert np.array_equal(h, np.abs(x[:, None] - x[None, :]))
-    # scratch grows from one array (linear) to three (matern_5_2) and is
-    # then reused by kinds needing fewer
+    for u, inv, x in zip(sites._distinct, sites._inverse, X.T):
+        assert np.array_equal(u[inv], np.abs(x[:, None] - x[None, :]))
     for spec in [*all_kind_specs(d=2, omega=0.6), *all_kind_specs(d=2, omega=0.6)]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericalWarning)
@@ -320,9 +318,7 @@ def test_half_solve_matches_tril_solve_bit_for_bit(m, rng):
 
 def entrywise_corr(X, spec):
     """The literal entry-by-entry assembly of X's correlation matrix."""
-    m = X.shape[0]
-    return _product_corr(np.empty((m, m)), _abs_differences(X, X), spec,
-                         [np.empty((m, m)) for _ in range(_n_scratch(spec))])
+    return cross_corr_matrix(X, X, spec)
 
 
 def site_sets(rng):
@@ -354,7 +350,8 @@ def test_site_distances_store_distinct_distances(rng):
     sites = SiteDistances(X)
     # the x column takes 5 values, so its distances take 5
     assert [u.size for u in sites._distinct][0] == 5
-    for u, inv, h in zip(sites._distinct, sites._inverse, _abs_differences(X, X)):
+    for u, inv, x in zip(sites._distinct, sites._inverse, X.T):
+        h = np.abs(x[:, None] - x[None, :])
         assert np.array_equal(u, np.unique(h))
         assert inv.shape == h.shape and np.array_equal(u[inv], h)
 
