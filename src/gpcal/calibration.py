@@ -66,10 +66,6 @@ class ExperimentData:
     def n(self) -> int:
         return self.y.size
 
-    @property
-    def dim_x(self) -> int:
-        return self.x.shape[1]
-
     def covariance(self) -> np.ndarray:
         return np.diag(self.sigma2) if self.sigma2.ndim == 1 else self.sigma2.copy()
 
@@ -196,9 +192,12 @@ def build_discrepancy_emulator(sim: SimulatorBinding, val_set: ExperimentData,
     return DiscrepancyModel(emulator, residuals, emulator.hyper.nugget)
 
 
-#: code-emulator training layouts and the unit-cube designs they draw from
+#: code-emulator training layouts, the unit-cube designs they draw from,
+#: the hyperparameter estimation methods and the trends
 _CODE_DESIGNS = ("cross", "joint")
 _DESIGN_METHODS = ("lhs", "maximin")
+_ESTIMATIONS = ("mle", "cv")
+_TRENDS = ("constant", "linear")
 
 
 def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
@@ -228,12 +227,11 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
     if n_train < d_x + d_t + 2:
         raise ConfigError(f"n_train must be at least dim(x)+dim(theta)+2 = "
                           f"{d_x + d_t + 2}, got {n_train}")
-    if design not in _CODE_DESIGNS:
-        raise ConfigError(f"unknown code-emulator design {design!r}; "
-                          f"options: {_CODE_DESIGNS}")
-    if design_method not in _DESIGN_METHODS:
-        raise ConfigError(f"unknown design method {design_method!r}; "
-                          f"options: {_DESIGN_METHODS}")
+    for what, value, options in (("code-emulator design", design, _CODE_DESIGNS),
+                                 ("design method", design_method, _DESIGN_METHODS),
+                                 ("estimation method", estimation, _ESTIMATIONS)):
+        if value not in options:
+            raise ConfigError(f"unknown {what} {value!r}; options: {options}")
     trend = trend or TrendSpec("constant")
     theta_space = ParameterSpace([f"t{j}" for j in range(d_t)],
                                  np.zeros(d_t), np.ones(d_t))
@@ -264,12 +262,10 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
     if estimation == "mle":
         emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
                            seed=seed, omega_bounds=omega_bounds)
-    elif estimation == "cv":
+    else:
         emulator = fit_cv(training, trend, kernel, k_folds=min(cv_folds, training.m),
                           n_restarts=n_restarts, seed=seed,
                           omega_bounds=omega_bounds)
-    else:
-        raise ConfigError(f"unknown estimation method {estimation!r}")
     q2 = q2_loocv(emulator) if not emulator.degenerate else 1.0
     return emulator, q2
 
@@ -339,19 +335,6 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     return log_post
 
 
-class _EmulatorEvaluator:
-    """Adapter letting validation fall back to GPcode means when the real
-    simulator is over budget. Extrapolates in x; use knowingly."""
-
-    def __init__(self, emulator: FittedEmulator):
-        self.emulator = emulator
-        self.name = "gpcode-fallback"
-
-    def run(self, inputs):
-        mean, _ = self.emulator.predict_batch(inputs, warn_extrapolation=False)
-        return mean
-
-
 def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
                        n_draws: int = 200, seed: int = 0,
                        level: float = 0.95) -> ValidationReport:
@@ -410,8 +393,6 @@ def run_workflow(config) -> WorkflowResult:
     """Execute the full calibration workflow from a ``WorkflowConfig``:
     split, discrepancy emulation, code emulation (with predictivity gate),
     MCMC, posterior validation."""
-    from .simulators import SubprocessSimulator
-
     timings = {}
 
     def timed(stage, fn):
@@ -433,6 +414,7 @@ def run_workflow(config) -> WorkflowResult:
     data = config.experiments
     sim = config.simulator
     prior = config.prior
+    emu, mc = config.emulator, config.mcmc
 
     iuq, val = timed("split", lambda: split_experiments(
         data, iuq_indices=config.split.get("iuq"),
@@ -440,50 +422,53 @@ def run_workflow(config) -> WorkflowResult:
         fraction=config.split.get("fraction"),
         seed=config.split.get("seed")))
 
-    if config.discrepancy_enabled:
+    # the simulator budget of validation caps the posterior draws it runs
+    n_draws, cap = config.validation["draws"], config.validation["max_sim_evals"]
+    if cap is not None:
+        if cap < val.n:
+            raise ConfigError(f"validation.max_sim_evals {cap} is below the "
+                              f"{val.n} validation rows of one posterior draw")
+        n_draws = min(n_draws, cap // val.n)
+
+    if config.discrepancy["enabled"]:
         # the discrepancy fit is small and its likelihood surface is
         # multimodal (signal vs pure-noise explanations): be generous with
         # restarts regardless of the code-emulator budget
         gp_bias = timed("gpbias", lambda: build_discrepancy_emulator(
-            sim, val, prior.nominal, kernel=config.kernel,
-            n_restarts=max(config.n_restarts, 8),
-            seed=config.emulator_seed + 1))
+            sim, val, prior.nominal, kernel=emu["kernel"],
+            n_restarts=max(emu["n_restarts"], 8), seed=emu["seed"] + 1))
     else:
         gp_bias = None
 
     gp_code, q2_code = timed("gpcode", lambda: build_code_emulator(
-        sim, iuq.x, prior, n_train=config.n_train, design=config.code_design,
-        design_method=config.design_method, seed=config.emulator_seed,
-        kernel=config.kernel, trend=TrendSpec(config.trend),
-        estimation=config.estimation, cv_folds=config.cv_folds,
-        n_restarts=config.n_restarts))
-    if q2_code < config.q2_gate:
+        sim, iuq.x, prior, n_train=emu["n_train"], design=emu["design"],
+        design_method=emu["design_method"], seed=emu["seed"],
+        kernel=emu["kernel"], trend=TrendSpec(emu["trend"]),
+        estimation=emu["estimation"], cv_folds=emu["cv_folds"],
+        n_restarts=emu["n_restarts"]))
+    q2_gate = config.thresholds["q2_gate"]
+    if q2_code < q2_gate:
         raise GateError(
             f"code emulator predictivity gate failed: q2_loocv = {q2_code:.4f} "
-            f"< threshold {config.q2_gate}; increase n_train or revisit the "
+            f"< threshold {q2_gate}; increase n_train or revisit the "
             "kernel/trend choice")
 
     def run_chains():
         log_post = make_log_posterior(gp_code, gp_bias, iuq, prior)
         chains = []
-        for i in range(config.mcmc_chains):
+        for i in range(mc["chains"]):
             chains.append(mcmc_sample(
-                log_post, prior, n_samples=config.mcmc_samples,
-                n_burn=config.mcmc_burn, seed=config.mcmc_seed + 1000 * i,
-                thin=config.mcmc_thin, param_names=config.theta_names))
+                log_post, prior, n_samples=mc["samples"], n_burn=mc["burn"],
+                seed=mc["seed"] + 1000 * i, thin=mc["thin"],
+                param_names=config.theta_names))
         return chains
 
     chains = timed("mcmc", run_chains)
     chain = chains[0]
 
     evals_before = gp_bias.eval_count if gp_bias is not None else 0
-    use_emulator = (isinstance(sim, SubprocessSimulator)
-                    and config.validation_max_sim_evals is not None
-                    and config.validation_draws * val.n > config.validation_max_sim_evals)
-    evaluator = _EmulatorEvaluator(gp_code) if use_emulator else sim
     validation = timed("validate", lambda: validate_posterior(
-        evaluator, chain, val, n_draws=config.validation_draws,
-        seed=config.mcmc_seed + 1))
+        sim, chain, val, n_draws=n_draws, seed=mc["seed"] + 1))
     evals_after = gp_bias.eval_count if gp_bias is not None else 0
 
     return WorkflowResult(chain=chain, validation=validation, gp_code=gp_code,

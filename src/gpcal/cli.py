@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .calibration import _ESTIMATIONS, _TRENDS
 from .config import RunManifest, load_config
 from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
 from .diagnostics import Z_95, loocv_error, q2_loocv
@@ -132,7 +133,7 @@ def _cmd_calibrate(args) -> int:
     manifest.save(out_dir / "manifest.json")
 
     print(f"q2_loocv(gpcode) = {result.q2_code:.4f}  "
-          f"(gate {config.q2_gate})")
+          f"(gate {config.thresholds['q2_gate']})")
     print(f"mcmc acceptance rate = {result.chain.accept_rate:.3f}")
     for name, stats in result.chain.summary()["parameters"].items():
         print(f"  {name}: mean = {stats['mean']:.6g}, std = {stats['std']:.6g}")
@@ -221,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--training", required=True)
     p.add_argument("--kernel", default="gaussian",
                    choices=KERNEL_KINDS)
-    p.add_argument("--trend", default="constant", choices=["constant", "linear"])
-    p.add_argument("--method", default="mle", choices=["mle", "cv"])
+    p.add_argument("--trend", default="constant", choices=_TRENDS)
+    p.add_argument("--method", default="mle", choices=_ESTIMATIONS)
     p.add_argument("--cv-folds", type=int, default=10)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)

@@ -12,18 +12,20 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .calibration import _CODE_DESIGNS, _DESIGN_METHODS, ExperimentData
+from .calibration import (_CODE_DESIGNS, _DESIGN_METHODS, _ESTIMATIONS, _TRENDS,
+                          ExperimentData)
 from .errors import ConfigError
 from .fileio import atomic_write
 from .kernels import KERNEL_KINDS
 from .priors import Prior1D, PriorSpec
-from .simulators import SimulatorBinding, simulator_from_config
+from .simulators import BUILTIN_SIMULATORS, SimulatorBinding, simulator_from_config
 from .spaces import ParameterSpace
 
 
@@ -34,170 +36,186 @@ class WorkflowConfig:
     prior: PriorSpec
     simulator: SimulatorBinding
     experiments: ExperimentData
-    experiments_path: str
     split: dict
-    kernel: str
-    trend: str
-    estimation: str
-    cv_folds: int
-    n_train: int
-    code_design: str
-    design_method: str
-    n_restarts: int
-    emulator_seed: int
-    mcmc_samples: int
-    mcmc_burn: int | None
-    mcmc_thin: int
-    mcmc_seed: int
-    mcmc_chains: int
-    q2_gate: float
-    discrepancy_enabled: bool
-    validation_draws: int
-    validation_max_sim_evals: int | None
+    emulator: dict
+    mcmc: dict
+    thresholds: dict
+    discrepancy: dict
+    validation: dict
     output_dir: str | None
     config_hash: str
-    semantic: dict = field(repr=False, default_factory=dict)
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"config is missing required field {where}.{key}")
-    return d[key]
-
-
-def _convert(value, to, name):
-    """``to(value)`` for ``to`` int or float, or a ConfigError naming the
-    field."""
-    try:
+def _check(ok, what, to=lambda v: v):
+    """A value check: ``to(value)`` if ``ok(value)``, else a ConfigError
+    naming the value's dotted path."""
+    def check(value, path):
+        if not ok(value):
+            raise ConfigError(f"{path} {value!r} is not {what}")
         return to(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if to is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+    return check
 
 
-def _positive(value, name):
-    value = _convert(value, int, name)
-    if value < 1:
-        raise ConfigError(f"{name} must be positive, got {value}")
-    return value
+def _at_least(n):
+    # type(), not isinstance(): a bool is no int here. An integral float
+    # becomes an int, so 11.0 hashes as 11 did.
+    return _check(lambda v: (type(v) is int or type(v) is float and v.is_integer())
+                  and v >= n, f"an integer >= {n}", int)
+
+
+def _choice(options):
+    return _check(lambda v: type(v) is str and v in options,
+                  f"one of {', '.join(options)}")
+
+
+def _list(item):
+    def check(value, path):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} {value!r} is not a list")
+        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return check
+
+
+def _variant(tag, schemas):
+    """A mapping whose ``tag`` key picks the schema of its other keys."""
+    choose = _choice(tuple(schemas))
+
+    def check(value, path):
+        kind = choose(value.get(tag), f"{path}.{tag}") if isinstance(value, dict) else None
+        return _section(value, {tag: (choose, _REQUIRED), **schemas.get(kind, {})}, path)
+    return check
+
+
+_REQUIRED, _ABSENT = object(), object()
+_NATURAL, _COUNT = _at_least(0), _at_least(1)
+# abs(v) <= max, not isfinite(v): a 400-digit int overflows isfinite
+_FLOAT = _check(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+                "a finite number", float)
+_BOOL = _check(lambda v: type(v) is bool, "true or false")
+_STR = _check(lambda v: type(v) is str, "a string")
+_COMMAND = _check(lambda v: v and (type(v) is str or type(v) is list
+                                   and all(type(c) is str for c in v)),
+                  "a command string or a nonempty list of strings")
+
+#: key -> (check or nested schema, default). A _REQUIRED key must be given;
+#: an _ABSENT one is left out when not given. The five sections from
+#: "emulator" on, defaults filled in, are what run_workflow reads.
+_SCHEMA = {
+    "design_space": ({"names": (_list(_STR), _REQUIRED),
+                      "lower": (_list(_FLOAT), _REQUIRED),
+                      "upper": (_list(_FLOAT), _REQUIRED)}, _REQUIRED),
+    "calibration": ({
+        "names": (_list(_STR), _REQUIRED),
+        "priors": (_list(_variant("dist", {
+            "uniform": {"lower": (_FLOAT, _REQUIRED), "upper": (_FLOAT, _REQUIRED)},
+            "normal": {"mean": (_FLOAT, _REQUIRED), "sd": (_FLOAT, _REQUIRED)},
+            "lognormal": {"log_mean": (_FLOAT, _REQUIRED),
+                          "log_sd": (_FLOAT, _REQUIRED)}})), _REQUIRED),
+        "nominal": (_list(_FLOAT), None)}, _REQUIRED),
+    "simulator": (_variant("kind", {
+        "builtin": {"name": (_choice(tuple(BUILTIN_SIMULATORS)), _REQUIRED)},
+        "subprocess": {"command": (_COMMAND, _REQUIRED),
+                       "columns": (_list(_STR), _ABSENT),
+                       "workdir": (_STR, _ABSENT)},
+        "table": {"path": (_STR, _REQUIRED)}}), _REQUIRED),
+    "experiments": ({
+        "path": (_STR, _REQUIRED),
+        "split": ({"iuq": (_list(_NATURAL), _ABSENT), "val": (_list(_NATURAL), _ABSENT),
+                   "fraction": (_FLOAT, _ABSENT), "seed": (_NATURAL, _ABSENT)},
+                  _REQUIRED)}, _REQUIRED),
+    "emulator": ({"kernel": (_choice(KERNEL_KINDS), "matern_5_2"),
+                  "trend": (_choice(_TRENDS), "constant"),
+                  "estimation": (_choice(_ESTIMATIONS), "mle"),
+                  "cv_folds": (_at_least(2), 10),
+                  "n_train": (_COUNT, _REQUIRED),
+                  "design": (_choice(_CODE_DESIGNS), "cross"),
+                  "design_method": (_choice(_DESIGN_METHODS), "lhs"),
+                  "n_restarts": (_COUNT, 4),
+                  "seed": (_NATURAL, _REQUIRED)}, _REQUIRED),
+    "mcmc": ({"samples": (_COUNT, _REQUIRED), "burn": (_COUNT, None),
+              "thin": (_COUNT, 1), "seed": (_NATURAL, _REQUIRED),
+              "chains": (_COUNT, 1)}, _REQUIRED),
+    "thresholds": ({"q2_gate": (_FLOAT, 0.7)}, {}),
+    "discrepancy": ({"enabled": (_BOOL, True)}, {}),
+    "validation": ({"draws": (_COUNT, 200), "max_sim_evals": (_COUNT, None)}, {}),
+    "output_dir": (_STR, None),
+}
+_RUN_SECTIONS = ("emulator", "mcmc", "thresholds", "discrepancy", "validation")
+
+
+def _section(d, schema, path):
+    """``d`` checked against ``schema`` at the dotted ``path``, with every
+    default filled in; nested schemas are walked in turn."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'config root'} {d!r} is not a mapping")
+    prefix = f"{path}." if path else ""
+    for key in d:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {prefix}{key}")
+    out = {}
+    for key, (check, default) in schema.items():
+        value = d.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"config is missing required field {prefix}{key}")
+        if value is None and default is None:
+            out[key] = None
+        elif value is not _ABSENT:
+            out[key] = (_section(value, check, prefix + key) if isinstance(check, dict)
+                        else check(value, prefix + key))
+    return out
 
 
 def load_config(path) -> WorkflowConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes: a bad encoding is a YAMLError
         try:
             raw = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config root must be a mapping: {path}")
     base = path.parent
+    cfg = _section(raw, _SCHEMA, "")
 
-    design_space = ParameterSpace.from_dict(_require(raw, "design_space", "<root>"))
+    design_space = ParameterSpace(**cfg["design_space"])
 
-    cal = _require(raw, "calibration", "<root>")
-    theta_names = tuple(_require(cal, "names", "calibration"))
-    priors = [Prior1D.from_dict(p) for p in _require(cal, "priors", "calibration")]
-    if len(priors) != len(theta_names):
-        raise ConfigError(f"{len(priors)} priors for {len(theta_names)} "
+    cal = cfg["calibration"]
+    priors = [Prior1D.from_dict(p) for p in cal["priors"]]
+    if len(priors) != len(cal["names"]):
+        raise ConfigError(f"{len(priors)} priors for {len(cal['names'])} "
                           "calibration parameters")
-    prior = PriorSpec(priors, cal.get("nominal"))
+    prior = PriorSpec(priors, cal["nominal"])
 
-    sim_cfg = dict(_require(raw, "simulator", "<root>"))
-    if sim_cfg.get("kind") == "table":
+    sim_cfg = cfg["simulator"]
+    if sim_cfg["kind"] == "table":
         sim_cfg["path"] = str((base / sim_cfg["path"]).resolve())
-        if not Path(sim_cfg["path"]).exists():
+        if not Path(sim_cfg["path"]).is_file():
             raise ConfigError(f"simulator table not found: {sim_cfg['path']}")
     simulator = simulator_from_config(sim_cfg, design_space.dim, prior.dim)
 
-    exp_cfg = _require(raw, "experiments", "<root>")
-    exp_path = base / _require(exp_cfg, "path", "experiments")
-    if not exp_path.exists():
+    exp_path = base / cfg["experiments"]["path"]
+    if not exp_path.is_file():
         raise ConfigError(f"experiments file not found: {exp_path}")
     experiments = ExperimentData.from_csv(exp_path, design_space.names)
-    split = dict(_require(exp_cfg, "split", "experiments"))
-    if "fraction" in split and "seed" not in split:
-        raise ConfigError("fractional split requires an explicit seed")
+    split = cfg["experiments"]["split"]
 
-    emu = _require(raw, "emulator", "<root>")
-    kernel = emu.get("kernel", "matern_5_2")
-    if kernel not in KERNEL_KINDS:
-        raise ConfigError(f"unknown kernel {kernel!r}; options: {KERNEL_KINDS}")
-    trend = emu.get("trend", "constant")
-    if trend not in ("constant", "linear"):
-        raise ConfigError(f"emulator trend must be constant or linear, got {trend!r}")
-    estimation = emu.get("estimation", "mle")
-    if estimation not in ("mle", "cv"):
-        raise ConfigError(f"estimation must be mle or cv, got {estimation!r}")
-    code_design = emu.get("design", "cross")
-    if code_design not in _CODE_DESIGNS:
-        raise ConfigError(f"unknown emulator.design {code_design!r}; "
-                          f"options: {_CODE_DESIGNS}")
-    design_method = emu.get("design_method", "lhs")
-    if design_method not in _DESIGN_METHODS:
-        raise ConfigError(f"unknown emulator.design_method {design_method!r}; "
-                          f"options: {_DESIGN_METHODS}")
-    n_train = _positive(_require(emu, "n_train", "emulator"), "emulator.n_train")
-    n_restarts = _positive(emu.get("n_restarts", 4), "emulator.n_restarts")
-    cv_folds = _positive(emu.get("cv_folds", 10), "emulator.cv_folds")
-    if "seed" not in emu:
-        raise ConfigError("emulator.seed must be explicit (no implicit entropy)")
-    emulator_seed = _convert(emu["seed"], int, "emulator.seed")
-
-    mc = _require(raw, "mcmc", "<root>")
-    mcmc_samples = _positive(_require(mc, "samples", "mcmc"), "mcmc.samples")
-    mcmc_burn = _positive(mc["burn"], "mcmc.burn") if "burn" in mc else None
-    mcmc_thin = _positive(mc.get("thin", 1), "mcmc.thin")
-    if "seed" not in mc:
-        raise ConfigError("mcmc.seed must be explicit (no implicit entropy)")
-    mcmc_seed = _convert(mc["seed"], int, "mcmc.seed")
-    mcmc_chains = _positive(mc.get("chains", 1), "mcmc.chains")
-
-    thresholds = raw.get("thresholds", {})
-    q2_gate = _convert(thresholds.get("q2_gate", 0.7), float, "thresholds.q2_gate")
-    discrepancy_enabled = bool(raw.get("discrepancy", {}).get("enabled", True))
-    val_cfg = raw.get("validation", {})
-    validation_draws = _positive(val_cfg.get("draws", 200), "validation.draws")
-    max_evals = val_cfg.get("max_sim_evals")
-    validation_max_sim_evals = (None if max_evals is None else
-                                _convert(max_evals, int, "validation.max_sim_evals"))
-
+    run = {name: cfg[name] for name in _RUN_SECTIONS}
     semantic = {
         "design_space": design_space.to_dict(),
-        "calibration": {"names": list(theta_names), "prior": prior.to_dict()},
+        "calibration": {"names": cal["names"], "prior": prior.to_dict()},
         "simulator": sim_cfg,
         "experiments": {"sha256": hashlib.sha256(exp_path.read_bytes()).hexdigest(),
                         "split": split},
-        "emulator": {"kernel": kernel, "trend": trend, "estimation": estimation,
-                     "cv_folds": cv_folds, "n_train": n_train,
-                     "design": code_design, "design_method": design_method,
-                     "n_restarts": n_restarts, "seed": emulator_seed},
-        "mcmc": {"samples": mcmc_samples, "burn": mcmc_burn, "thin": mcmc_thin,
-                 "seed": mcmc_seed, "chains": mcmc_chains},
-        "thresholds": {"q2_gate": q2_gate},
-        "discrepancy": {"enabled": discrepancy_enabled},
-        "validation": {"draws": validation_draws,
-                       "max_sim_evals": validation_max_sim_evals},
+        **run,
     }
     digest = hashlib.sha256(
         json.dumps(semantic, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
 
     return WorkflowConfig(
-        design_space=design_space, theta_names=theta_names, prior=prior,
-        simulator=simulator, experiments=experiments,
-        experiments_path=str(exp_path), split=split, kernel=kernel, trend=trend,
-        estimation=estimation, cv_folds=cv_folds, n_train=n_train,
-        code_design=code_design, design_method=design_method,
-        n_restarts=n_restarts, emulator_seed=emulator_seed,
-        mcmc_samples=mcmc_samples, mcmc_burn=mcmc_burn, mcmc_thin=mcmc_thin,
-        mcmc_seed=mcmc_seed, mcmc_chains=mcmc_chains, q2_gate=q2_gate,
-        discrepancy_enabled=discrepancy_enabled,
-        validation_draws=validation_draws,
-        validation_max_sim_evals=validation_max_sim_evals,
-        output_dir=raw.get("output_dir"), config_hash=digest, semantic=semantic)
+        design_space=design_space, theta_names=tuple(cal["names"]), prior=prior,
+        simulator=simulator, experiments=experiments, split=split,
+        output_dir=cfg["output_dir"], config_hash=digest, **run)
 
 
 def versions() -> dict:

@@ -16,8 +16,9 @@ _KINDS = ("uniform", "normal", "lognormal")
 
 @dataclass(frozen=True)
 class Prior1D:
-    """One marginal prior: uniform(lower, upper), normal(mu, sigma) or
-    lognormal(mu, sigma) with (mu, sigma) the log-space parameters."""
+    """One marginal prior: uniform(lower, upper), normal(mean, sd) or
+    lognormal(log_mean, log_sd) with (log_mean, log_sd) the log-space
+    parameters. The constructors' parameter names are the config keys."""
 
     kind: str
     p1: float
@@ -37,12 +38,12 @@ class Prior1D:
         return cls("uniform", float(lower), float(upper))
 
     @classmethod
-    def normal(cls, mu, sigma):
-        return cls("normal", float(mu), float(sigma))
+    def normal(cls, mean, sd):
+        return cls("normal", float(mean), float(sd))
 
     @classmethod
-    def lognormal(cls, mu, sigma):
-        return cls("lognormal", float(mu), float(sigma))
+    def lognormal(cls, log_mean, log_sd):
+        return cls("lognormal", float(log_mean), float(log_sd))
 
     @property
     def support(self) -> tuple:
@@ -91,15 +92,13 @@ class Prior1D:
 
     @classmethod
     def from_dict(cls, d) -> "Prior1D":
-        kind = d.get("dist", d.get("kind"))
-        if kind == "uniform":
-            return cls.uniform(d.get("lower", d.get("p1")), d.get("upper", d.get("p2")))
-        if kind == "normal":
-            return cls.normal(d.get("mean", d.get("p1")), d.get("sd", d.get("p2")))
-        if kind == "lognormal":
-            return cls.lognormal(d.get("log_mean", d.get("p1")),
-                                 d.get("log_sd", d.get("p2")))
-        raise ConfigError(f"unknown prior dist {kind!r}")
+        """``{dist: <kind>, ...}`` with the keyword arguments of that kind's
+        constructor, e.g. ``{dist: normal, mean: 0, sd: 1}``."""
+        params = dict(d)
+        kind = params.pop("dist", None)
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown prior dist {kind!r}; options: {_KINDS}")
+        return getattr(cls, kind)(**params)
 
 
 class PriorSpec:
@@ -124,10 +123,6 @@ class PriorSpec:
     @property
     def dim(self) -> int:
         return len(self.components)
-
-    @property
-    def means(self) -> np.ndarray:
-        return np.array([c.mean for c in self.components])
 
     @property
     def stds(self) -> np.ndarray:
@@ -162,8 +157,3 @@ class PriorSpec:
     def to_dict(self) -> dict:
         return {"components": [c.to_dict() for c in self.components],
                 "nominal": self.nominal.tolist()}
-
-    @classmethod
-    def from_dict(cls, d) -> "PriorSpec":
-        return cls([Prior1D.from_dict(c) for c in d["components"]],
-                   d.get("nominal"))

@@ -93,16 +93,16 @@ class BuiltinSimulator(SimulatorBinding):
 
 
 def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GPCAL_WORKERS", "1")))
-    except ValueError:
-        return 1
+    value = os.environ.get("GPCAL_WORKERS", "1")
+    if not (value.strip().isdecimal() and int(value) >= 1):
+        raise ConfigError(f"GPCAL_WORKERS must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 class SubprocessSimulator(SimulatorBinding):
     """External command speaking the CSV-in/CSV-out protocol."""
 
-    def __init__(self, command, n_x: int, n_theta: int, column_names=None,
+    def __init__(self, command, n_x: int, n_theta: int, columns=None,
                  workdir=None):
         if not command:
             raise ConfigError("subprocess simulator needs a non-empty command")
@@ -111,7 +111,7 @@ class SubprocessSimulator(SimulatorBinding):
         self.name = f"subprocess:{self.command[0]}"
         self.n_x = int(n_x)
         self.n_theta = int(n_theta)
-        self.column_names = list(column_names) if column_names else (
+        self.columns = list(columns) if columns else (
             [f"x{i + 1}" for i in range(self.n_x)]
             + [f"theta{i + 1}" for i in range(self.n_theta)])
         self.workdir = workdir
@@ -120,7 +120,7 @@ class SubprocessSimulator(SimulatorBinding):
         with tempfile.TemporaryDirectory(prefix="gpcal_sim_") as tmp:
             in_path = Path(tmp) / "inputs.csv"
             out_path = Path(tmp) / "outputs.csv"
-            write_csv(in_path, self.column_names, chunk)
+            write_csv(in_path, self.columns, chunk)
             proc = subprocess.run(self.command + [str(in_path), str(out_path)],
                                   capture_output=True, text=True, cwd=self.workdir)
             if proc.returncode != 0:
@@ -202,20 +202,20 @@ class TableSimulator(SimulatorBinding):
 
 
 def simulator_from_config(cfg: dict, n_x: int, n_theta: int) -> SimulatorBinding:
-    kind = cfg.get("kind")
+    """The binding for ``{kind: <kind>, ...}``, the other keys passed to its
+    constructor as keyword arguments."""
+    fields = dict(cfg)
+    kind = fields.pop("kind", None)
     if kind == "builtin":
-        sim = BuiltinSimulator(cfg["name"])
+        sim = BuiltinSimulator(**fields)
         if (sim.n_x, sim.n_theta) != (n_x, n_theta):
             raise ConfigError(
-                f"builtin simulator {cfg['name']!r} takes {sim.n_x} design and "
-                f"{sim.n_theta} calibration inputs; config declares "
-                f"({n_x}, {n_theta})")
+                f"{sim.name} takes {sim.n_x} design and {sim.n_theta} "
+                f"calibration inputs; config declares ({n_x}, {n_theta})")
         return sim
     if kind == "subprocess":
-        return SubprocessSimulator(cfg["command"], n_x, n_theta,
-                                   column_names=cfg.get("columns"),
-                                   workdir=cfg.get("workdir"))
+        return SubprocessSimulator(n_x=n_x, n_theta=n_theta, **fields)
     if kind == "table":
-        return TableSimulator(cfg["path"], n_x, n_theta)
+        return TableSimulator(n_x=n_x, n_theta=n_theta, **fields)
     raise ConfigError(f"unknown simulator kind {kind!r}; "
                       "options: builtin, subprocess, table")

@@ -215,6 +215,13 @@ def test_config_validation_errors(tmp_path):
         load_config(tmp_path / "nonexistent.yaml")
 
 
+def test_config_not_in_utf8_is_a_config_error(tmp_path):
+    path = write_config(tmp_path)
+    path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    with pytest.raises(ConfigError, match="cannot parse"):
+        load_config(path)
+
+
 @pytest.mark.parametrize("key, value", [("design", "crosss"),
                                         ("design_method", "sobol")])
 def test_config_rejects_unknown_code_design(tmp_path, key, value):
@@ -249,5 +256,5 @@ def test_cli_non_numeric_config_value_is_a_config_error(tmp_path, capsys,
 def test_demo_config_loads():
     config = load_config("demo/linear_demo.yaml")
     assert config.theta_names == ("slope", "offset")
-    assert config.mcmc_seed == 13
+    assert config.mcmc["seed"] == 13
     assert config.experiments.n == 20

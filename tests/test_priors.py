@@ -56,11 +56,3 @@ def test_priorspec_ppf_maps_unit_cube():
     assert out[0, 1] == pytest.approx(1.0)  # median of lognormal(0, .5)
     assert out[1, 0] == -1.0
     assert np.all(out[:, 1] > 0)
-
-
-def test_priorspec_dict_roundtrip():
-    spec = PriorSpec([Prior1D.uniform(0, 4), Prior1D.normal(1, 2)],
-                     nominal=[2.0, 1.0])
-    back = PriorSpec.from_dict(spec.to_dict())
-    assert back.components == spec.components
-    assert np.array_equal(back.nominal, spec.nominal)

@@ -68,6 +68,15 @@ def test_subprocess_parallel_chunks_preserve_order(tmp_path, monkeypatch):
     assert np.allclose(out, 2.0 * np.arange(20.0))
 
 
+@pytest.mark.parametrize("value", ["four", "0", "2.5"])
+def test_subprocess_workers_must_be_a_positive_integer(tmp_path, monkeypatch, value):
+    # not quietly one worker: a ConfigError (exit 1) naming the variable
+    sim = SubprocessSimulator(_write_script(tmp_path, GOOD_SIM), n_x=1, n_theta=2)
+    monkeypatch.setenv("GPCAL_WORKERS", value)
+    with pytest.raises(ConfigError, match="GPCAL_WORKERS"):
+        sim.run(np.array([[1.0, 2.0, 0.5]]))
+
+
 def test_subprocess_nonzero_exit(tmp_path):
     cmd = _write_script(tmp_path, "import sys; sys.exit(3)")
     sim = SubprocessSimulator(cmd, n_x=1, n_theta=0)
