@@ -22,14 +22,13 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .design import lhs_design, maximin_lhs
 from .diagnostics import ValidationReport, _z_value, interval_covered, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
 from .errors import ConfigError, DataError, GateError, GpcalError, NumericalError
 from .fileio import read_numeric_csv
-from .kernels import DEFAULT_NUGGET
+from .kernels import DEFAULT_NUGGET, _cho_solve, _cholesky
 from .mcmc import PosteriorChain, mcmc_sample
 from .priors import PriorSpec
 from .simulators import SimulatorBinding
@@ -271,24 +270,32 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
 
 
 def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):
-    """(log|Sigma|, d' Sigma^-1 d) with escalating jitter; raises on breakdown."""
+    """(log|Sigma|, d' Sigma^-1 d) with escalating jitter; raises on breakdown.
+
+    The same bits and errors as ``cho_factor`` + ``cho_solve`` with their
+    finiteness checks, each made once: Sigma before the first factorization,
+    d before the solve.
+    """
     scale = float(np.mean(np.diag(sigma)))
     if not np.isfinite(scale) or scale <= 0:
         raise NumericalError("likelihood covariance has a nonpositive diagonal")
+    if not np.isfinite(sigma).all():
+        raise ValueError("array must not contain infs or NaNs")
     jitter = 0.0
     while True:
-        try:
-            c = cho_factor(sigma if jitter == 0.0 else
-                           sigma + jitter * np.eye(sigma.shape[0]), lower=True)
-            logdet = 2.0 * float(np.sum(np.log(np.diag(c[0]))))
-            quad = float(d @ cho_solve(c, d))
-            return logdet, quad
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
-            if jitter > 1e-6 * scale:
-                raise NumericalError(
-                    "likelihood covariance is not positive definite even "
-                    "after jitter; numerical breakdown") from None
+        c = _cholesky(sigma if jitter == 0.0 else
+                      sigma + jitter * np.eye(sigma.shape[0]))
+        if c is not None:
+            break
+        jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
+        if jitter > 1e-6 * scale:
+            raise NumericalError(
+                "likelihood covariance is not positive definite even "
+                "after jitter; numerical breakdown")
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    if not np.isfinite(d).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return logdet, float(d @ _cho_solve(c, d))
 
 
 def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | None,

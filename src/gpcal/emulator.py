@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from .design import _lhs_points
@@ -35,7 +34,8 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
 from .fileio import atomic_write
 from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
                       SiteDistances, _corr_1d, _factor, _nugget_vector,
-                      _product_corr, correlation_matrix, cross_corr_matrix)
+                      _product_corr, _tri_solve, correlation_matrix,
+                      cross_corr_matrix)
 from .spaces import DesignMatrix
 
 EMULATOR_FORMAT_VERSION = 1
@@ -80,8 +80,11 @@ class TrendSpec:
             return np.ones((m, 1))
         if self.kind == "linear":
             return np.hstack([np.ones((m, 1)), Xs])
-        cols = [np.asarray(f(Xs), dtype=float).reshape(m) for f in self.basis]
-        return np.column_stack(cols)
+        F = np.column_stack([np.asarray(f(Xs), dtype=float).reshape(m)
+                             for f in self.basis])
+        if not np.isfinite(F).all():             # the solves do not check
+            raise DataError("custom trend basis returned a non-finite value")
+        return F
 
     def to_dict(self) -> dict:
         if self.kind == "custom":
@@ -190,7 +193,7 @@ class _GLS:
             if diag.min() <= 1e-12 * max(diag.max(), 1.0):
                 raise DataError("trend basis is rank-deficient on this design "
                                 "(e.g. constant input column with a linear trend)")
-            beta = solve_triangular(Rq, Q.T @ R.half_solve(y), lower=False)
+            beta = _tri_solve(Rq, Q.T @ R.half_solve(y), False)
             self.G, self.Rq = G, Rq
         self.beta = np.empty(0) if beta is None else beta
         self.resid = y - self.trend(F)
@@ -218,7 +221,7 @@ class _GLS:
         Z = self.R.half_solve(r)
         if self.G is None:
             return mean, Z, None
-        return mean, Z, solve_triangular(self.Rq.T, self.G.T @ Z - Fs.T, lower=True)
+        return mean, Z, _tri_solve(self.Rq.T, self.G.T @ Z - Fs.T, True)
 
 
 def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix,
@@ -350,6 +353,8 @@ class FittedEmulator:
         if X.shape[1] != self.dim:
             raise DataError(f"points have dimension {X.shape[1]}, "
                             f"emulator has {self.dim}")
+        if not np.isfinite(X).all():             # the solves do not check
+            raise DataError("prediction points must be finite")
         if warn_extrapolation and X.size and not self.in_training_box(X):
             warnings.warn("prediction outside the training bounding box; GP "
                           "extrapolation can carry large errors",

@@ -7,6 +7,7 @@ round-trip exactly through text.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from pathlib import Path
@@ -45,12 +46,19 @@ def write_csv(path, header, rows) -> None:
 
 def read_numeric_csv(path) -> tuple[np.ndarray, list]:
     """Read a headered all-numeric CSV. Malformed cells are reported with
-    their 1-based row and column position."""
+    their 1-based row and column position, and a file that is not UTF-8 is a
+    :class:`DataError` too."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n").rstrip("\r") for ln in fh if ln.strip()]
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{exc.start})") from None
+    # universal newlines, as text-mode open() reads them
+    lines = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)
+             if ln.strip()]
     if not lines:
         raise DataError(f"empty CSV: {path}")
     names = [c.strip() for c in lines[0].split(",")]

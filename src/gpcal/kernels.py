@@ -35,8 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import ConfigError, DataError, IllConditionedError, NumericalWarning
 
@@ -208,6 +207,11 @@ class CorrelationMatrix:
     same bits without fresh m x m allocations, but the instance is valid only
     until the buffers' next use, so it must not outlive one objective
     evaluation of a fit.
+
+    Finiteness is checked once, on ``values``, before the factorization: a
+    finite positive-definite matrix has a finite factor, so the solves call
+    LAPACK on it directly and scan nothing. Their right-hand sides must be
+    finite; nothing here checks them.
     """
 
     def __init__(self, values: np.ndarray, nugget, *, buffers=None):
@@ -227,14 +231,58 @@ class CorrelationMatrix:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^{-1} b via the cached factorization."""
-        return cho_solve(self._cho, b)
+        return _cho_solve(self._cho[0], b)
 
     def half_solve(self, b: np.ndarray) -> np.ndarray:
         """L^{-1} b where R = L L^T."""
-        return solve_triangular(self._L, b, lower=True)
+        return _tri_solve(self._L, b, True)
 
     def inverse(self) -> np.ndarray:
-        return cho_solve(self._cho, np.eye(self.m))
+        return _cho_solve(self._cho[0], np.eye(self.m))
+
+
+def _tri_solve(T: np.ndarray, b: np.ndarray, lower: bool) -> np.ndarray:
+    """``solve_triangular(T, b, lower=lower)`` for finite float arrays,
+    without its finiteness scans: the same LAPACK ``dtrtrs`` call on the same
+    layout, so the same bits and, for a singular ``T``, the same
+    ``LinAlgError``. Like scipy, a ``T`` that is not F-contiguous is solved
+    as the transposed system on ``T.T``; the two paths round differently.
+    """
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if T.flags.f_contiguous:
+        x, info = dtrtrs(T, b, lower=lower)
+    else:
+        x, info = dtrtrs(T.T, b, lower=not lower, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cho_solve((c, True), b)`` for a finite lower Cholesky factor ``c``
+    (F-ordered, as ``dpotrf`` returns it) and a finite ``b``, without the
+    finiteness scans: the same ``dpotrs`` call, so the same bits."""
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    x, info = dpotrs(c, b, lower=1)
+    if info:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _cholesky(a: np.ndarray):
+    """The lower factor ``cho_factor(a, lower=True)`` returns, in a fresh
+    F-ordered array, or None when ``a`` is not positive definite. ``a`` must
+    be finite; nothing here checks it."""
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         'argument on entry to "POTRF".')
+    return c if info == 0 else None
 
 
 def _factor_into(values: np.ndarray, work: np.ndarray, L: np.ndarray):
@@ -244,7 +292,7 @@ def _factor_into(values: np.ndarray, work: np.ndarray, L: np.ndarray):
 
     ``values`` must be exactly symmetric: it is copied in through the
     transposed view ``work.T``, a contiguous copy. The C-ordered copy looks
-    redundant (solve_triangular ignores the upper triangle) but selects the
+    redundant (:func:`_tri_solve` ignores the upper triangle) but selects the
     transposed LAPACK triangular-solve path; solving with the F-ordered
     factor itself changes half_solve's last bits, and with them the optimum
     that MLE fits reach. Only the layout matters: zeroing the upper triangle

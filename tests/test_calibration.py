@@ -1,14 +1,22 @@
+import ast
 import math
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+
+import gpcal.calibration
+import gpcal.emulator
 
 from gpcal import (BuiltinSimulator, ConfigError, DataError, ExperimentData,
-                   Prior1D, PriorSpec, SimulatorError, SubprocessSimulator,
-                   build_code_emulator, build_discrepancy_emulator,
-                   make_log_posterior, split_experiments, validate_posterior)
+                   NumericalError, Prior1D, PriorSpec, SimulatorError,
+                   SubprocessSimulator, build_code_emulator,
+                   build_discrepancy_emulator, make_log_posterior,
+                   split_experiments, validate_posterior)
+from gpcal.calibration import _chol_logdet_solve
 from gpcal.mcmc import PosteriorChain
 
 
@@ -238,6 +246,94 @@ def test_log_posterior_outside_support():
     lp = make_log_posterior(stub, None, iuq, linear_prior())
     assert lp([5.0, 0.0]) == -math.inf
     assert lp([2.0, -2.0]) == -math.inf
+
+
+def test_log_posterior_of_a_non_finite_theta_is_minus_inf():
+    # the prior is where theta's finiteness is checked; nothing after it is
+    stub = ExactStub(BuiltinSimulator("linear"))
+    lp = make_log_posterior(stub, None, linear_experiments(3, seed=1),
+                            linear_prior())
+    for theta in ([math.nan, 1.0], [2.0, math.inf]):
+        assert lp(theta) == -math.inf
+
+
+def scipy_chol_logdet_solve(sigma, d):
+    """``_chol_logdet_solve`` as written on ``scipy.linalg``: the oracle."""
+    scale = float(np.mean(np.diag(sigma)))
+    if not np.isfinite(scale) or scale <= 0:
+        raise NumericalError("likelihood covariance has a nonpositive diagonal")
+    jitter = 0.0
+    while True:
+        try:
+            c = cho_factor(sigma if jitter == 0.0 else
+                           sigma + jitter * np.eye(sigma.shape[0]), lower=True)
+            logdet = 2.0 * float(np.sum(np.log(np.diag(c[0]))))
+            quad = float(d @ cho_solve(c, d))
+            return logdet, quad
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * scale if jitter == 0.0 else jitter * 10.0
+            if jitter > 1e-6 * scale:
+                raise NumericalError(
+                    "likelihood covariance is not positive definite even "
+                    "after jitter; numerical breakdown") from None
+
+
+def _outcome(f, sigma, d):
+    try:
+        return f(sigma, d)
+    except Exception as exc:                     # compared, not swallowed
+        return type(exc), str(exc)
+
+
+def likelihood_covariances(rng):
+    """A positive-definite covariance, one that factors only with jitter (all
+    ones: the second pivot is exactly 0), and one that no jitter rescues."""
+    A = rng.normal(size=(18, 18))
+    return {"pd": A @ A.T / 18 + 0.0025 * np.eye(18),
+            "jitter": np.full((6, 6), 2.0),
+            "indefinite": np.diag([1.0, -0.5, 1.0, 1.0])}
+
+
+def test_chol_logdet_solve_equals_the_scipy_body(rng):
+    covariances = likelihood_covariances(rng)
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(covariances["jitter"], lower=True)
+    for name, sigma in covariances.items():
+        q = sigma.shape[0]
+        for d in (rng.normal(size=q), np.zeros(q), np.full(q, np.nan)):
+            want = _outcome(scipy_chol_logdet_solve, sigma, d)
+            assert _outcome(_chol_logdet_solve, sigma, d) == want, name
+            if name == "indefinite":             # NaN d too: scipy's order
+                assert want[0] is NumericalError
+            elif not np.isnan(d).any():
+                assert all(isinstance(v, float) for v in want)
+
+
+def test_chol_logdet_solve_non_finite_input_raises_as_scipy(rng):
+    sigma = likelihood_covariances(rng)["pd"]
+    d = rng.normal(size=18)
+    cases = []
+    for bad in (np.nan, np.inf, -np.inf):
+        s = sigma.copy()
+        s[2, 5] = s[5, 2] = bad                  # the diagonal stays finite
+        cases.append((s, d))
+        e = d.copy()
+        e[7] = bad
+        cases.append((sigma, e))
+    for s, e in cases:
+        want = _outcome(scipy_chol_logdet_solve, s, e)
+        assert want[0] is ValueError
+        assert _outcome(_chol_logdet_solve, s, e) == want
+
+
+def test_calibration_and_emulator_import_nothing_from_scipy_linalg():
+    for module in (gpcal.calibration, gpcal.emulator):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = [node.module or "" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)]
+        imported += [alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names]
+        assert not [m for m in imported if m.startswith("scipy.linalg")], module
 
 
 def test_log_posterior_covariance_scaling_identity():

@@ -149,6 +149,18 @@ def test_cli_calibrate_gate_failure(tmp_path, capsys):
     assert "gate" in capsys.readouterr().err
 
 
+def test_cli_calibrate_experiments_not_in_utf8_is_a_data_error(tmp_path, capsys):
+    config = write_config(tmp_path)
+    csv = tmp_path / "experiments.csv"
+    csv.write_bytes(csv.read_bytes() + b"\xe9")
+    code = main(["calibrate", "--config", str(config),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_report_outputs(calibrated_run):
     _, out_dir = calibrated_run
     assert main(["report", "--run", str(out_dir), "--bins", "25"]) == 0

@@ -1,16 +1,18 @@
-"""The CLI exit-code contract under mutated configs.
+"""The CLI exit-code contract under mutated configs and experiments CSVs.
 
 One node of a small copy of the demo config is mutated at a time: a wrong
 type, NaN or infinity, a bool, a float for an int, a string, a list, a
-missing key or an extra key. ``gpcal calibrate`` must return an exit code in
-0-4 without raising, and print an ``error:`` line whenever it fails.
+missing key or an extra key. One cell or line of the demo's experiments CSV
+is mutated the same way: a byte that is not UTF-8, NaN or infinity, an empty
+cell, text, a missing or extra cell, a missing line, or only the header left.
+``gpcal calibrate`` must return an exit code in 0-4 without raising, and
+print an ``error:`` line whenever it fails.
 """
 
 import contextlib
 import copy
 import io
 import math
-import shutil
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ BASE = yaml.safe_load((DEMO / "linear_demo.yaml").read_text())
 BASE["emulator"]["n_train"] = 30
 BASE["mcmc"].update(samples=150, burn=50)
 BASE["validation"]["draws"] = 10
+CSV = (DEMO / "experiments.csv").read_bytes()
 
 #: (path, value, dotted path the error must name). All but the last ended
 #: in a traceback or loaded silently and changed the run before the config
@@ -65,6 +68,7 @@ class _Marker:
 
 MISSING, EXTRA = _Marker("MISSING"), _Marker("EXTRA")
 AS_FLOAT, PLUS_HALF = _Marker("AS_FLOAT"), _Marker("PLUS_HALF")
+DROP_LINE, HEADER_ONLY = _Marker("DROP_LINE"), _Marker("HEADER_ONLY")
 
 
 def _paths(node, path=()):
@@ -102,9 +106,28 @@ def _mutated(path, value):
     return cfg
 
 
-def _calibrate(tmp_path, cfg):
+def _mutated_csv(row, col, value):
+    """The demo CSV with one cell of line ``row`` (0 is the header) replaced
+    by ``value`` (bytes or text), dropped (MISSING) or repeated (EXTRA), or
+    with that line dropped, or with only the header left."""
+    lines = [line.split(b",") for line in CSV.splitlines()]
+    cells = lines[row]
+    if value is HEADER_ONLY:
+        del lines[1:]
+    elif value is DROP_LINE:
+        del lines[row]
+    elif value is MISSING:
+        del cells[col]
+    elif value is EXTRA:
+        cells.insert(col, cells[col])
+    else:
+        cells[col] = value if isinstance(value, bytes) else value.encode()
+    return b"".join(b",".join(line) + b"\n" for line in lines)
+
+
+def _calibrate(tmp_path, cfg, csv=CSV):
     """(exit code, standard error, output directory) of one calibrate."""
-    shutil.copy(DEMO / "experiments.csv", tmp_path / "experiments.csv")
+    (tmp_path / "experiments.csv").write_bytes(csv)
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
@@ -145,3 +168,20 @@ def test_config_error_names_its_path_before_any_output(tmp_path, path, value,
     assert code == 1
     assert err.startswith("error: ") and dotted in err
     assert not out.exists()
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(row=st.integers(0, CSV.count(b"\n") - 1), col=st.integers(0, 2),
+       value=st.one_of(
+           st.sampled_from([MISSING, EXTRA, DROP_LINE, HEADER_ONLY, b"\xe9",
+                            "nan", "inf", "-inf", "", " ", "1e400", "0"]),
+           st.text(max_size=6)))
+@example(row=20, col=2, value=b"0.05\xe9")
+def test_mutated_experiments_csv_keeps_the_exit_code_contract(
+        tmp_path_factory, row, col, value):
+    code, err, _ = _calibrate(tmp_path_factory.mktemp("mutant"), BASE,
+                              _mutated_csv(row, col, value))
+    event(f"exit code {code}")
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code != 0:
+        assert any(line.startswith("error: ") for line in err.splitlines()), err

@@ -15,7 +15,7 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning,
                    sigma2_hat)
 from gpcal.emulator import _concentrated_nll, _cv_heldout, _cv_means, make_folds
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           correlation_matrix, cross_corr_matrix)
+                           _tri_solve, correlation_matrix, cross_corr_matrix)
 from gpcal.spaces import ParameterSpace
 
 from conftest import dense_oracle_predict, oracle_corr_matrix, random_instance
@@ -453,6 +453,43 @@ def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
         assert np.array_equal(got[0], mean)
         assert np.array_equal(got[1], mse)
         assert np.array_equal(got[2], cov)
+
+
+@pytest.mark.parametrize("trend", [
+    TrendSpec("constant"), TrendSpec("linear"),
+    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
+                               lambda X: X[:, 0] * X[:, 1],
+                               lambda X: np.sin(3.0 * X[:, 1])))],
+    ids=["constant", "linear", "custom"])
+def test_tri_solve_on_the_trend_qr_factor_matches_solve_triangular(trend, rng):
+    # Rq from np.linalg.qr is C-ordered (1 x 1 for the constant trend, so
+    # also F-ordered): beta solves with Rq, predict with the F-ordered Rq.T
+    x = rng.uniform(0, 2, (18, 2))
+    tr = TrainingSet(x, np.sin(2.0 * x[:, 0]) + x[:, 0] * x[:, 1])
+    R = correlation_matrix(tr.X, KernelSpec("matern_5_2", [0.4, 0.9]), 1e-10)
+    Q, Rq = np.linalg.qr(R.half_solve(trend.build_matrix(tr.X)))
+    n = Rq.shape[0]
+    b = rng.normal(size=(n, 7))
+    for rhs in (Q.T @ R.half_solve(tr.y), b, np.asfortranarray(b)):
+        assert np.array_equal(_tri_solve(Rq, rhs, False),
+                              solve_triangular(Rq, rhs, lower=False))
+        assert np.array_equal(_tri_solve(Rq.T, rhs, True),
+                              solve_triangular(Rq.T, rhs, lower=True))
+
+
+def test_non_finite_points_and_basis_values_are_data_errors(rng):
+    # the solves no longer scan their right-hand sides, so the inputs that
+    # reach them from outside are checked where they come in
+    x = rng.uniform(0, 2, (18, 2))
+    tr = TrainingSet(x, np.sin(2.0 * x[:, 0]) + x[:, 0] * x[:, 1])
+    kernel = KernelSpec("matern_5_2", [0.4, 0.9])
+    em = build_emulator(tr, TrendSpec("constant"), kernel)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DataError, match="must be finite"):
+            em.predict_batch([[1.0, 1.0], [bad, 1.0]], warn_extrapolation=False)
+    trend = TrendSpec("custom", basis=(lambda X: np.where(X[:, 0] > 0.5, np.inf, 1.0),))
+    with pytest.raises(DataError, match="non-finite"):
+        build_emulator(tr, trend, kernel)
 
 
 # ------------------------------------------------- fixed-row predictor

@@ -58,3 +58,14 @@ def test_csv_error_reporting(tmp_path):
     (tmp_path / "empty.csv").write_text("")
     with pytest.raises(DataError, match="empty"):
         read_numeric_csv(tmp_path / "empty.csv")
+
+
+def test_csv_reader_keeps_universal_newlines_and_rejects_non_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"a,b\r\n1,2\r3,4\n\n  \n5,6")
+    values, names = read_numeric_csv(path)
+    assert names == ["a", "b"]
+    assert np.array_equal(values, [[1, 2], [3, 4], [5, 6]])
+    path.write_bytes(b"a,b\n1,2\xe9\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        read_numeric_csv(path)

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           cross_corr_matrix)
+                           _tri_solve, cross_corr_matrix)
 
 from conftest import (cross_correlation, kernel_eval, oracle_kernel,
                       weighted_distance)
@@ -312,6 +312,51 @@ def test_half_solve_matches_tril_solve_bit_for_bit(m, rng):
     L = np.tril(R._cho[0])
     for b in (rng.normal(size=m), rng.normal(size=(m, 4)), np.eye(m)):
         assert np.array_equal(R.half_solve(b), solve_triangular(L, b, lower=True))
+
+
+# ------------------------------------------- the LAPACK seam, scipy as oracle
+
+def right_hand_sides(m, rng):
+    """1-D, C- and F-ordered 2-D, strided and empty right-hand sides."""
+    b = rng.normal(size=(m, 4))
+    return (rng.normal(size=m), b, np.asfortranarray(b), b[:, ::2],
+            np.empty((m, 0)))
+
+
+def same_solution(ours, oracle):
+    return (ours.shape == oracle.shape and ours.dtype == oracle.dtype
+            and np.array_equal(ours, oracle))
+
+
+@pytest.mark.parametrize("m", [1, 7, 108])
+def test_tri_solve_matches_solve_triangular_on_either_layout(m, rng):
+    R = correlation_matrix(rng.uniform(0, 1, (m, 3)),
+                           KernelSpec("matern_5_2", [0.3, 0.6, 1.1]), 1e-8)
+    c = R._cho[0]
+    # the factor as either triangle, in either order; scipy picks its LAPACK
+    # path from the order, and the two paths round differently
+    triangles = [(c, True), (np.ascontiguousarray(c), True),
+                 (np.ascontiguousarray(c.T), False), (c.T, False)]
+    for T, lower in triangles:
+        for b in right_hand_sides(m, rng):
+            assert same_solution(_tri_solve(T, b, lower),
+                                 solve_triangular(T, b, lower=lower))
+    for b in right_hand_sides(m, rng):
+        assert same_solution(R.half_solve(b), solve_triangular(R._L, b, lower=True))
+        assert same_solution(R.solve(b), cho_solve((c, True), b))
+    assert np.array_equal(R.inverse(), cho_solve((c, True), np.eye(m)))
+
+
+def test_tri_solve_of_a_singular_triangle_raises_like_scipy(rng):
+    T = np.tril(rng.normal(size=(6, 6)))
+    T[3, 3] = 0.0
+    b = rng.normal(size=6)
+    for A, lower in ((T, True), (np.asfortranarray(T), True), (T.T, False)):
+        with pytest.raises(np.linalg.LinAlgError) as scipy_error:
+            solve_triangular(A, b, lower=lower)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            _tri_solve(A, b, lower)
+        assert str(ours.value) == str(scipy_error.value)
 
 
 # ------------------------------------- distinct-distance assembly and buffers
