@@ -86,7 +86,11 @@ class ExperimentData:
         if names != want:
             raise DataError(f"{path}: expected columns {want}, got {names}")
         nx = len(x_names)
-        return cls(values[:, :nx], values[:, nx], values[:, nx + 1] ** 2)
+        sd = values[:, nx + 1]
+        if np.any(sd < 0):
+            row = int(np.argmax(sd < 0)) + 2
+            raise DataError(f"{path}: negative sigma_exp {sd[row - 2]} at row {row}")
+        return cls(values[:, :nx], values[:, nx], sd ** 2)
 
 
 def split_experiments(data: ExperimentData, iuq_indices=None, val_indices=None,
@@ -177,9 +181,6 @@ def build_discrepancy_emulator(sim: SimulatorBinding, val_set: ExperimentData,
     training = TrainingSet(val_set.x, residuals)
     trend = TrendSpec("constant")
     noise = val_set.noise_variances()
-    if training.degenerate:
-        emulator = fit_mle(training, trend, kernel, seed=seed)
-        return DiscrepancyModel(emulator, residuals, np.zeros(val_set.n))
     nugget = np.maximum(noise / training.y_scale ** 2, DEFAULT_NUGGET)
     emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
                        seed=seed, nugget=nugget, omega_bounds=omega_bounds)
@@ -256,17 +257,24 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
         T = prior.ppf(u[:, d_x:])
         inputs = np.hstack([X, T])
 
-    outputs = sim.run(inputs)
-    training = TrainingSet(inputs, outputs)
+    return fit_estimated(TrainingSet(inputs, sim.run(inputs)), trend, kernel,
+                         estimation, cv_folds, n_restarts, seed,
+                         omega_bounds=omega_bounds)
+
+
+def fit_estimated(training: TrainingSet, trend: TrendSpec, kernel: str,
+                  estimation: str, cv_folds: int, n_restarts: int, seed: int,
+                  **fit_args):
+    """``(emulator, q2)``: the emulator fitted by ``estimation`` ("mle" or
+    "cv", with at most m folds) and its LOOCV predictivity, 1.0 for constant
+    outputs. ``fit_args`` go to :func:`fit_mle` or :func:`fit_cv`."""
     if estimation == "mle":
         emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
-                           seed=seed, omega_bounds=omega_bounds)
+                           seed=seed, **fit_args)
     else:
         emulator = fit_cv(training, trend, kernel, k_folds=min(cv_folds, training.m),
-                          n_restarts=n_restarts, seed=seed,
-                          omega_bounds=omega_bounds)
-    q2 = q2_loocv(emulator) if not emulator.degenerate else 1.0
-    return emulator, q2
+                          n_restarts=n_restarts, seed=seed, **fit_args)
+    return emulator, (q2_loocv(emulator) if not emulator.degenerate else 1.0)
 
 
 def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):

@@ -11,22 +11,21 @@ failure, 4 gate failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .calibration import _ESTIMATIONS, _TRENDS
-from .config import RunManifest, load_config
+from .calibration import _ESTIMATIONS, _TRENDS, fit_estimated
+from .config import (_COUNT, _FLOAT, _NATURAL, RunManifest, _at_least, load_config,
+                     load_space)
 from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
-from .diagnostics import Z_95, loocv_error, q2_loocv
-from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
+from .diagnostics import Z_95, loocv_error
+from .emulator import FittedEmulator, TrainingSet, TrendSpec
 from .errors import ConfigError, DataError, GpcalError
-from .fileio import atomic_write, read_numeric_csv, write_csv
+from .fileio import read_json, read_numeric_csv, write_csv, write_json
 from .kernels import KERNEL_KINDS
-from .spaces import ParameterSpace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,8 +34,20 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _arg(parse, check):
+    """An argparse ``type``: the flag's text parsed, then held to a config
+    schema check, so a flag takes the values its config key takes."""
+    def arg(text):
+        try:
+            return check(parse(text), "value")
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    arg.__name__ = parse.__name__  # argparse names it in "invalid int value"
+    return arg
+
+
 def _cmd_design(args) -> int:
-    space = ParameterSpace.load(args.space)
+    space = load_space(args.space)
     if args.method == "lhs":
         design = lhs_design(args.n, space, seed=args.seed, midpoint=args.midpoint)
     elif args.method == "maximin":
@@ -44,10 +55,8 @@ def _cmd_design(args) -> int:
                              seed=args.seed, midpoint=args.midpoint)
     elif args.method == "sobol":
         design = sobol_sequence(args.n, space, skip=args.skip)
-    elif args.method == "halton":
+    else:  # halton; argparse admits only these four methods
         design = halton_sequence(args.n, space, skip=args.skip)
-    else:
-        raise ConfigError(f"unknown design method {args.method!r}")
     design.write_csv(args.out)
     print(f"wrote {design.m} x {design.dim} {args.method} design to {args.out}")
     return 0
@@ -66,31 +75,23 @@ def _load_training_csv(path):
 def _cmd_fit(args) -> int:
     x, y, names = _load_training_csv(args.training)
     training = TrainingSet(x, y)
-    trend = TrendSpec(args.trend)
-    if args.method == "mle":
-        emulator = fit_mle(training, trend, args.kernel, n_restarts=args.restarts,
-                           seed=args.seed, nugget=args.nugget)
-    else:
-        emulator = fit_cv(training, trend, args.kernel,
-                          k_folds=min(args.cv_folds, training.m),
-                          n_restarts=args.restarts, seed=args.seed,
-                          nugget=args.nugget)
+    emulator, q2 = fit_estimated(training, TrendSpec(args.trend), args.kernel,
+                                 args.method, args.cv_folds, args.restarts,
+                                 args.seed, nugget=args.nugget)
     emulator.save(args.out)
-    q2 = q2_loocv(emulator) if not emulator.degenerate else 1.0
     print(f"fitted {args.kernel} emulator on {training.m} points "
           f"(inputs: {names[:-1]}, output: {names[-1]})")
     print(f"q2_loocv = {q2:.6f}")
     if args.report:
-        report = {
+        write_json(args.report, {
             "q2_loocv": q2,
-            "loocv_error": loocv_error(emulator) if not emulator.degenerate else 0.0,
+            "loocv_error": loocv_error(emulator),
             "estimation": args.method,
             "cv_folds": args.cv_folds if args.method == "cv" else None,
             "n_points": training.m,
             "kernel": emulator.kernel.to_dict(),
             "process_variance": emulator.process_variance,
-        }
-        atomic_write(Path(args.report), json.dumps(report, indent=2) + "\n")
+        })
     return 0
 
 
@@ -102,11 +103,10 @@ def _cmd_calibrate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_workflow(config)
 
-    artifacts = {}
-    chain_path = out_dir / "chain.csv"
-    result.chain.save_csv(chain_path)
-    artifacts["chain_csv"] = chain_path.name
-    summary_path = out_dir / "posterior_summary.json"
+    artifacts = {"chain_csv": "chain.csv", "posterior_summary": "posterior_summary.json",
+                 "validation_report": "validation_report.json", "gpcode": "gpcode.json"}
+    if result.gp_bias is not None:
+        artifacts["gpbias"] = "gpbias.json"
     summary = result.chain.summary()
     if result.extra_chains:
         summary["chains"] = {
@@ -114,18 +114,12 @@ def _cmd_calibrate(args) -> int:
             "per_chain_means": [c.post_burn.mean(axis=0).tolist()
                                 for c in [result.chain] + result.extra_chains],
         }
-    atomic_write(summary_path, json.dumps(summary, indent=2) + "\n")
-    artifacts["posterior_summary"] = summary_path.name
-    val_path = out_dir / "validation_report.json"
-    result.validation.save_json(val_path)
-    artifacts["validation_report"] = val_path.name
-    code_path = out_dir / "gpcode.json"
-    result.gp_code.save(code_path)
-    artifacts["gpcode"] = code_path.name
+    result.chain.save_csv(out_dir / artifacts["chain_csv"])
+    write_json(out_dir / artifacts["posterior_summary"], summary)
+    result.validation.save_json(out_dir / artifacts["validation_report"])
+    result.gp_code.save(out_dir / artifacts["gpcode"])
     if result.gp_bias is not None:
-        bias_path = out_dir / "gpbias.json"
-        result.gp_bias.emulator.save(bias_path)
-        artifacts["gpbias"] = bias_path.name
+        result.gp_bias.emulator.save(out_dir / artifacts["gpbias"])
     manifest = RunManifest(config_hash=config.config_hash, artifacts=artifacts,
                            stage_seconds=result.stage_seconds,
                            theta_names=list(config.theta_names),
@@ -135,7 +129,7 @@ def _cmd_calibrate(args) -> int:
     print(f"q2_loocv(gpcode) = {result.q2_code:.4f}  "
           f"(gate {config.thresholds['q2_gate']})")
     print(f"mcmc acceptance rate = {result.chain.accept_rate:.3f}")
-    for name, stats in result.chain.summary()["parameters"].items():
+    for name, stats in summary["parameters"].items():
         print(f"  {name}: mean = {stats['mean']:.6g}, std = {stats['std']:.6g}")
     print(f"validation rmse = {result.validation.rmse:.6g}, "
           f"coverage95 = {result.validation.coverage_95:.3f}")
@@ -146,10 +140,20 @@ def _cmd_calibrate(args) -> int:
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
     manifest = RunManifest.load(run_dir / "manifest.json")
+    try:  # a run record edited or cut short by hand lacks keys or has wrong types
+        paths = {key: run_dir / name for key, name in manifest.artifacts.items()}
+        residuals = [(float(m), float(s), float(a)) for m, s, a
+                     in read_json(paths["validation_report"])["residuals"]]
+        parameters = read_json(paths["posterior_summary"])["parameters"]
+        theta_mean = [float(parameters[n]["mean"]) for n in manifest.theta_names]
+        curves = len(manifest.x_names) == 1
+        chain, names = read_numeric_csv(paths["chain_csv"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{run_dir}: malformed run record "
+                        f"({type(exc).__name__}: {exc})") from None
     report_dir = run_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
 
-    chain, names = read_numeric_csv(run_dir / manifest.artifacts["chain_csv"])
     for j, name in enumerate(names):
         col = chain[:, j]
         lo, hi = float(col.min()), float(col.max())
@@ -161,26 +165,16 @@ def _cmd_report(args) -> int:
                   zip(edges[:-1], edges[1:], counts))
     write_csv(report_dir / "trace.csv", ["iteration"] + names,
               np.column_stack([np.arange(chain.shape[0]), chain]))
-
-    with open(run_dir / manifest.artifacts["validation_report"]) as fh:
-        val = json.load(fh)
-    rows = []
-    for mean, sd, actual in val["residuals"]:
-        rows.append((mean, sd, actual, mean - Z_95 * sd, mean + Z_95 * sd))
     write_csv(report_dir / "predictive.csv",
               ["pred_mean", "pred_sd", "observed", "lower95", "upper95"],
-              [(m, s, a, lo, hi) for m, s, a, lo, hi in rows])
+              [(m, s, a, m - Z_95 * s, m + Z_95 * s) for m, s, a in residuals])
 
-    with open(run_dir / manifest.artifacts["posterior_summary"]) as fh:
-        summary = json.load(fh)
-    theta_mean = [summary["parameters"][n]["mean"] for n in manifest.theta_names]
-
-    if len(manifest.x_names) == 1:
+    if curves:
         for key, fname in (("gpcode", "gpcode_curve.csv"),
                            ("gpbias", "gpbias_curve.csv")):
-            if key not in manifest.artifacts:
+            if key not in paths:
                 continue
-            emulator = FittedEmulator.load(run_dir / manifest.artifacts[key])
+            emulator = FittedEmulator.load(paths[key])
             tr_x = emulator.training.x_phys
             grid = np.linspace(tr_x[:, 0].min(), tr_x[:, 0].max(), args.grid)
             if key == "gpcode":
@@ -207,11 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("design", help="generate a space-filling design")
     p.add_argument("--method", required=True,
                    choices=["lhs", "maximin", "sobol", "halton"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_arg(int, _NATURAL), required=True)
     p.add_argument("--space", required=True, help="parameter space JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--skip", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--seed", type=_arg(int, _NATURAL), default=0)
+    p.add_argument("--skip", type=_arg(int, _NATURAL), default=0)
+    p.add_argument("--restarts", type=_arg(int, _COUNT), default=20)
     p.add_argument("--midpoint", action="store_true",
                    help="place LHS points at stratum midpoints")
     p.add_argument("--out", required=True)
@@ -224,10 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=KERNEL_KINDS)
     p.add_argument("--trend", default="constant", choices=_TRENDS)
     p.add_argument("--method", default="mle", choices=_ESTIMATIONS)
-    p.add_argument("--cv-folds", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nugget", type=float, default=1e-10)
+    p.add_argument("--cv-folds", type=_arg(int, _at_least(2)), default=10)
+    p.add_argument("--restarts", type=_arg(int, _COUNT), default=4)
+    p.add_argument("--seed", type=_arg(int, _NATURAL), default=0)
+    p.add_argument("--nugget", type=_arg(float, _FLOAT), default=1e-10)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optional report JSON path")
     p.set_defaults(fn=_cmd_fit)
@@ -239,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="emit plot-ready CSVs from a run directory")
     p.add_argument("--run", required=True)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--bins", type=_arg(int, _COUNT), default=40)
+    p.add_argument("--grid", type=_arg(int, _COUNT), default=200)
     p.set_defaults(fn=_cmd_report)
     return parser
 

@@ -1,4 +1,5 @@
-"""Workflow configuration, config hashing and the run manifest.
+"""Workflow configuration, parameter-space files, config hashing and the
+run manifest.
 
 The config file is YAML (JSON is accepted too; JSON is a YAML subset). All
 seeds must be explicit: a run is fully determined by its configuration file
@@ -14,15 +15,15 @@ import json
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .calibration import (_CODE_DESIGNS, _DESIGN_METHODS, _ESTIMATIONS, _TRENDS,
                           ExperimentData)
-from .errors import ConfigError
-from .fileio import atomic_write
+from .errors import ConfigError, DataError
+from .fileio import read_json, write_json
 from .kernels import KERNEL_KINDS
 from .priors import Prior1D, PriorSpec
 from .simulators import BUILTIN_SIMULATORS, SimulatorBinding, simulator_from_config
@@ -218,6 +219,16 @@ def load_config(path) -> WorkflowConfig:
         output_dir=cfg["output_dir"], config_hash=digest, **run)
 
 
+def load_space(path) -> ParameterSpace:
+    """The parameter space in a JSON file, checked like a config's
+    ``design_space``; every failure is a ConfigError naming the file."""
+    doc = read_json(path, ConfigError)
+    try:
+        return ParameterSpace(**_section(doc, _SCHEMA["design_space"][0], ""))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def versions() -> dict:
     import numpy
     import scipy
@@ -237,25 +248,13 @@ class RunManifest:
     created: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
 
     def save(self, path) -> None:
-        atomic_write(Path(path), json.dumps({
-            "config_hash": self.config_hash,
-            "artifacts": self.artifacts,
-            "stage_seconds": self.stage_seconds,
-            "theta_names": self.theta_names,
-            "x_names": self.x_names,
-            "versions": self.versions,
-            "created": self.created,
-        }, indent=2) + "\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path) -> "RunManifest":
-        path = Path(path)
-        if not path.exists():
-            from .errors import DataError
-            raise DataError(f"manifest not found: {path}")
-        with open(path) as fh:
-            d = json.load(fh)
-        return cls(config_hash=d["config_hash"], artifacts=d["artifacts"],
-                   stage_seconds=d["stage_seconds"],
-                   theta_names=d["theta_names"], x_names=d["x_names"],
-                   versions=d["versions"], created=d["created"])
+        doc = read_json(path)
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in doc] if isinstance(doc, dict) else names
+        if missing:
+            raise DataError(f"{path}: run manifest is missing {', '.join(missing)}")
+        return cls(**{name: doc[name] for name in names})

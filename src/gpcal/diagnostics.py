@@ -9,16 +9,14 @@ re-estimation ("refit='mle'") are available as options.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy.stats import norm
 
 from .emulator import FittedEmulator, TrainingSet, _cv_heldout, fit_mle
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, write_csv
+from .fileio import write_csv, write_json
 
 #: 95% intervals use the conventional 1.96 factor exactly
 Z_95 = 1.96
@@ -176,7 +174,7 @@ class ValidationReport:
         return d
 
     def save_json(self, path) -> None:
-        atomic_write(Path(path), json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
     def save_residuals_csv(self, path) -> None:
         write_csv(path, ["predicted", "sd", "actual"], self.residuals)

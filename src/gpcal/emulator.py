@@ -19,11 +19,9 @@ trend basis.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,7 +29,7 @@ from scipy.optimize import minimize
 from .design import _lhs_points
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
-from .fileio import atomic_write
+from .fileio import read_json, write_json
 from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
                       SiteDistances, _corr_1d, _factor, _nugget_vector,
                       _product_corr, _tri_solve, correlation_matrix,
@@ -241,8 +239,7 @@ def sigma2_hat(training: TrainingSet, trend: TrendSpec, beta,
                R: CorrelationMatrix) -> float:
     """Profiled process variance (1/m)(y - F beta)' R^-1 (y - F beta).
 
-    Divides by m, not m - n. Zero residuals give 0, which callers flag as
-    degenerate."""
+    Divides by m, not m - n; zero residuals give 0."""
     return _conditioned(training, trend, R, beta).sigma2()
 
 
@@ -282,7 +279,6 @@ class FittedEmulator:
         self.trend = trend
         self.kernel = kernel
         self.degenerate = training.degenerate
-        self.variance_degenerate = training.degenerate
         if self.degenerate:
             self.hyper = Hyperparameters(np.empty(0), 0.0, kernel.omega.copy(),
                                          kernel.p.copy(), np.zeros(training.m))
@@ -294,10 +290,7 @@ class FittedEmulator:
                             f"{trend.kind} trend, got {training.m}")
         R = correlation_matrix(training.X, kernel, nugget, auto_escalate=auto_escalate)
         self._gls = _conditioned(training, trend, R, solve=True)
-        s2 = self._gls.sigma2()
-        self.variance_degenerate = s2 <= 1e-15
-        if sigma2_override is not None:
-            s2 = float(sigma2_override)
+        s2 = self._gls.sigma2() if sigma2_override is None else float(sigma2_override)
         self.hyper = Hyperparameters(self._gls.beta, s2, kernel.omega.copy(),
                                      kernel.p.copy(), R.nugget)
 
@@ -466,7 +459,7 @@ class FittedEmulator:
         }
 
     def save(self, path) -> None:
-        atomic_write(Path(path), json.dumps(self.to_dict(), indent=2) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, d) -> "FittedEmulator":
@@ -486,11 +479,11 @@ class FittedEmulator:
 
     @classmethod
     def load(cls, path) -> "FittedEmulator":
-        path = Path(path)
-        if not path.exists():
-            raise DataError(f"emulator file not found: {path}")
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            return cls.from_dict(read_json(path))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed emulator document "
+                            f"({type(exc).__name__}: {exc})") from None
 
 
 def build_emulator(training: TrainingSet, trend: TrendSpec, kernel: KernelSpec,
@@ -518,6 +511,8 @@ def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
     lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"invalid omega bounds ({lo}, {hi})")
+    if n_restarts < 1:
+        raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
     lb = np.full(d, math.log(lo))
     ub = np.full(d, math.log(hi))
     if free_p:

@@ -1,13 +1,16 @@
-"""File I/O helpers: atomic writes and the CSV dialect used everywhere.
+"""File I/O: atomic writes, the CSV dialect and the JSON documents used
+everywhere. No other module reads or writes gpcal's files itself.
 
 CSV dialect: comma separator, '.' decimal, mandatory header row, UTF-8, LF
 line endings. Floats are emitted with 17 significant digits so values
-round-trip exactly through text.
+round-trip exactly through text. JSON documents are indented by 2 and end
+in a newline.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -44,18 +47,38 @@ def write_csv(path, header, rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def write_json(path, doc) -> None:
+    atomic_write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def read_text(path, error=DataError) -> str:
+    """The UTF-8 text of a file. A missing file or bytes that are not UTF-8
+    raise ``error`` (an exception class, or any callable taking the message)
+    with a message naming the path."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"file not found: {path}")
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+
+
+def read_json(path, error=DataError):
+    """The JSON document in a file; a missing file, bytes that are not UTF-8
+    or malformed JSON raise ``error`` as in :func:`read_text`."""
+    try:
+        return json.loads(read_text(path, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON ({exc})") from None
+
+
 def read_numeric_csv(path) -> tuple[np.ndarray, list]:
     """Read a headered all-numeric CSV. Malformed cells are reported with
     their 1-based row and column position, and a file that is not UTF-8 is a
     :class:`DataError` too."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"file not found: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason} at byte "
-                        f"{exc.start})") from None
+    text = read_text(path)
     # universal newlines, as text-mode open() reads them
     lines = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)
              if ln.strip()]

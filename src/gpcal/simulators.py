@@ -9,13 +9,15 @@ Subprocess protocol: the configured command is invoked with two extra
 arguments, the path of an input CSV (header row with column names, one input
 row per line) and the path where it must write an output CSV (header ``y``,
 one output row per input row), exiting 0 on success. A nonzero exit status,
-a malformed cell or a row-count mismatch is a binding error that names the
-offending row. Batches can be split across ``GPCAL_WORKERS`` parallel
-invocations; outputs are reassembled in input order.
+output that is not UTF-8, a malformed cell or a row-count mismatch is a
+binding error that names the offending rows. Batches can be split across
+``GPCAL_WORKERS`` parallel invocations; outputs are reassembled in input
+order.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import tempfile
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SimulatorError
-from .fileio import read_numeric_csv, write_csv
+from .fileio import read_numeric_csv, read_text, write_csv
 
 
 class SimulatorBinding:
@@ -117,27 +119,25 @@ class SubprocessSimulator(SimulatorBinding):
         self.workdir = workdir
 
     def _run_chunk(self, chunk: np.ndarray, offset: int) -> np.ndarray:
+        rows_at = f"rows {offset + 1}..{offset + len(chunk)}"
         with tempfile.TemporaryDirectory(prefix="gpcal_sim_") as tmp:
             in_path = Path(tmp) / "inputs.csv"
             out_path = Path(tmp) / "outputs.csv"
             write_csv(in_path, self.columns, chunk)
             proc = subprocess.run(self.command + [str(in_path), str(out_path)],
-                                  capture_output=True, text=True, cwd=self.workdir)
+                                  capture_output=True, cwd=self.workdir)
             if proc.returncode != 0:
                 raise SimulatorError(
-                    f"{self.name} exited with status {proc.returncode} on rows "
-                    f"{offset + 1}..{offset + len(chunk)}: "
-                    f"{proc.stderr.strip()[:500]}")
-            if not out_path.exists():
-                raise SimulatorError(f"{self.name} wrote no output file")
-            with open(out_path, encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
+                    f"{self.name} exited with status {proc.returncode} on "
+                    f"{rows_at}: {proc.stderr.decode(errors='replace').strip()[:500]}")
+            text = read_text(out_path, lambda msg: SimulatorError(
+                f"{self.name} output for {rows_at}: {msg}"))
+            lines = [ln.strip() for ln in io.StringIO(text, newline=None) if ln.strip()]
             rows = lines[1:] if lines else []
             if len(rows) != chunk.shape[0]:
                 raise SimulatorError(
                     f"{self.name} returned {len(rows)} rows for "
-                    f"{chunk.shape[0]} inputs (rows {offset + 1}.."
-                    f"{offset + len(chunk)})")
+                    f"{chunk.shape[0]} inputs ({rows_at})")
             out = np.empty(chunk.shape[0])
             for j, cell in enumerate(rows):
                 try:

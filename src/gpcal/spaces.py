@@ -8,15 +8,14 @@ physical units only appear at the I/O boundary.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .fileio import atomic_write, format_float
+from .fileio import write_csv, write_json
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,31 +61,12 @@ class ParameterSpace:
         u = np.asarray(u, dtype=float)
         return self.lower + u * (self.upper - self.lower)
 
-    def contains(self, x_phys: np.ndarray) -> bool:
-        x_phys = np.asarray(x_phys, dtype=float)
-        return bool(np.all(x_phys >= self.lower) and np.all(x_phys <= self.upper))
-
     def to_dict(self) -> dict:
         return {
             "names": list(self.names),
             "lower": self.lower.tolist(),
             "upper": self.upper.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: Mapping) -> "ParameterSpace":
-        try:
-            return cls(d["names"], d["lower"], d["upper"])
-        except KeyError as exc:
-            raise ConfigError(f"parameter space is missing field {exc}") from exc
-
-    @classmethod
-    def load(cls, path) -> "ParameterSpace":
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"parameter space file not found: {path}")
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,18 +116,12 @@ class DesignMatrix:
         """Write physical-unit CSV plus a ``.meta.json`` sidecar with the
         generation record and unit-cube coordinates."""
         path = Path(path)
-        phys = self.to_physical()
-        lines = [",".join(self.space.names)]
-        for row in phys:
-            lines.append(",".join(format_float(v) for v in row))
-        atomic_write(path, "\n".join(lines) + "\n")
-        sidecar = {
+        write_csv(path, self.space.names, self.to_physical())
+        write_json(path.with_suffix(path.suffix + ".meta.json"), {
             "method": self.meta.get("method"),
             "seed": self.meta.get("seed"),
             "skip": self.meta.get("skip"),
             "n": self.m,
             "space": self.space.to_dict(),
             "unit_cube": self.points.tolist(),
-        }
-        atomic_write(path.with_suffix(path.suffix + ".meta.json"),
-                     json.dumps(sidecar, indent=2) + "\n")
+        })

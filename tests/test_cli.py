@@ -1,4 +1,6 @@
 import json
+import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +188,107 @@ def test_cli_report_outputs(calibrated_run):
 def test_cli_report_missing_manifest(tmp_path, capsys):
     assert main(["report", "--run", str(tmp_path)]) == 2
     assert "manifest" in capsys.readouterr().err
+
+
+# ------------------------------------------- failures never end in a traceback
+
+def _space(tmp_path, text):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    return ["design", "--method", "lhs", "--n", "5", "--space", str(path),
+            "--out", str(tmp_path / "d.csv")]
+
+
+def _fit(tmp_path, *flags):
+    train = tmp_path / "train.csv"
+    make_training_csv(train)
+    return ["fit", "--training", str(train), "--out", str(tmp_path / "e.json"),
+            *flags]
+
+
+def _report(tmp_path, run_dir, edit, *flags):
+    """``report`` on a copy of a finished run whose files ``edit`` changed."""
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    edit(copy)
+    return ["report", "--run", str(copy), *flags]
+
+
+def _truncate(path):
+    path.write_text(path.read_text()[:40])
+
+
+def _drop_x_names(run):
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["x_names"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _calibrate_negative_sigma(tmp_path):
+    config = write_config(tmp_path, samples=300, burn=100)
+    csv = tmp_path / "experiments.csv"
+    lines = csv.read_text().splitlines()
+    csv.write_text("\n".join(lines[:1] + [line.replace(",0.05", ",-0.05")
+                                         for line in lines[1:]]) + "\n")
+    return ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _calibrate_non_utf8_simulator(tmp_path):
+    script = tmp_path / "sim.py"
+    script.write_text("import sys\nopen(sys.argv[2], 'wb').write(b'y\\n\\xe9\\n')\n")
+    config = write_config(tmp_path, samples=300, burn=100)
+    raw = yaml.safe_load(config.read_text())
+    raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, str(script)]}
+    config.write_text(yaml.safe_dump(raw))
+    return ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+#: id -> (argv from (tmp_path, finished run directory), exit code, text the
+#: error line must hold). Each ended in a traceback or exit 0 before.
+FAILURES = {
+    "design-space-malformed-json": (
+        lambda tmp, run: _space(tmp, '{"names": ["a"], "lower": [0'),
+        1, "malformed JSON"),
+    "design-space-names-5": (
+        lambda tmp, run: _space(tmp, '{"names": 5, "lower": [0], "upper": [1]}'),
+        1, "names 5 is not a list"),
+    "design-seed-negative": (
+        lambda tmp, run: _space(tmp, '{"names": ["a"], "lower": [0], "upper": [1]}')
+        + ["--seed", "-3"], 1, "--seed"),
+    "fit-restarts-0": (lambda tmp, run: _fit(tmp, "--restarts", "0"), 1, "--restarts"),
+    "fit-seed-negative": (lambda tmp, run: _fit(tmp, "--seed", "-1"), 1, "--seed"),
+    "fit-nugget-nan": (lambda tmp, run: _fit(tmp, "--nugget", "nan"), 1, "--nugget"),
+    "report-bins-0": (
+        lambda tmp, run: _report(tmp, run, lambda r: None, "--bins", "0"), 1, "--bins"),
+    "report-truncated-gpcode": (
+        lambda tmp, run: _report(tmp, run, lambda r: _truncate(r / "gpcode.json")),
+        2, "gpcode.json: malformed JSON"),
+    "report-truncated-manifest": (
+        lambda tmp, run: _report(tmp, run, lambda r: _truncate(r / "manifest.json")),
+        2, "manifest.json: malformed JSON"),
+    "report-manifest-without-x-names": (
+        lambda tmp, run: _report(tmp, run, _drop_x_names), 2, "missing x_names"),
+    "report-validation-without-residuals": (
+        lambda tmp, run: _report(tmp, run, lambda r: (r / "validation_report.json")
+                                 .write_text('{"rmse": 0.1}')),
+        2, "malformed run record (KeyError: 'residuals')"),
+    "calibrate-negative-sigma-exp": (
+        lambda tmp, run: _calibrate_negative_sigma(tmp), 2, "negative sigma_exp"),
+    "calibrate-simulator-output-not-utf8": (
+        lambda tmp, run: _calibrate_non_utf8_simulator(tmp), 2, "output for rows 1..10:"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES, ids=list(FAILURES))
+def test_cli_failure_exits_with_its_code_and_an_error_line(case, calibrated_run,
+                                                            tmp_path, capsys):
+    make_argv, want_code, want_text = FAILURES[case]
+    argv = make_argv(tmp_path, calibrated_run[1])
+    capsys.readouterr()
+    assert main(argv) == want_code
+    error = [ln for ln in capsys.readouterr().err.splitlines()
+             if ln.startswith("error: ")]
+    assert error and want_text in error[-1], error
 
 
 # ------------------------------------------------------------------ config

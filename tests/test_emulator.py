@@ -869,3 +869,21 @@ def test_serialization_rejects_unknown_version(tmp_path, rng):
     d["version"] = 99
     with pytest.raises(DataError):
         FittedEmulator.from_dict(d)
+
+
+def test_load_maps_a_malformed_document_to_a_data_error(tmp_path, rng):
+    good = random_instance(rng).to_dict()
+    no_scaling = {k: v for k, v in good.items() if k != "scaling"}
+    bad_x = {**good, "training": {"x": "abc", "y": good["training"]["y"]}}
+    for doc in (no_scaling, bad_x, [1, 2]):
+        path = tmp_path / "emulator.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="malformed emulator document"):
+            FittedEmulator.load(path)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
+def test_fits_need_at_least_one_restart(fit, rng):
+    x = rng.uniform(0, 1, (12, 1))
+    with pytest.raises(ConfigError, match="n_restarts >= 1"):
+        fit(TrainingSet(x, np.sin(4 * x[:, 0])), TrendSpec("constant"), n_restarts=0)

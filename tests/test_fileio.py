@@ -1,8 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gpcal import DataError
-from gpcal.fileio import atomic_write, format_float, read_numeric_csv, write_csv
+import gpcal
+from gpcal import ConfigError, DataError
+from gpcal.fileio import (atomic_write, format_float, read_json, read_numeric_csv,
+                          write_csv, write_json)
 
 
 def test_float_formatting_round_trips():
@@ -69,3 +74,39 @@ def test_csv_reader_keeps_universal_newlines_and_rejects_non_utf8(tmp_path):
     path.write_bytes(b"a,b\n1,2\xe9\n")
     with pytest.raises(DataError, match="not UTF-8"):
         read_numeric_csv(path)
+
+
+def test_json_round_trip_and_errors(tmp_path):
+    path = tmp_path / "doc.json"
+    doc = {"b": [1.5, None], "a": {"x": "y"}}
+    write_json(path, doc)
+    assert path.read_text() == ('{\n  "b": [\n    1.5,\n    null\n  ],\n'
+                                '  "a": {\n    "x": "y"\n  }\n}\n')
+    assert read_json(path) == doc
+    for name, data, message in (("missing.json", None, "not found"),
+                                ("latin1.json", b'{"a": "\xe9"}', "not UTF-8"),
+                                ("cut.json", b'{"a": [1', "malformed JSON")):
+        if data is not None:
+            (tmp_path / name).write_bytes(data)
+        with pytest.raises(DataError, match=message) as info:
+            read_json(tmp_path / name)
+        assert name in str(info.value)
+    with pytest.raises(ConfigError, match="malformed JSON"):
+        read_json(tmp_path / "cut.json", ConfigError)
+
+
+def test_only_fileio_parses_json_or_writes_atomically():
+    """gpcal's file formats have one owner: no other module calls
+    ``json.load``/``json.loads`` or ``atomic_write``."""
+    for module in sorted(Path(gpcal.__file__).parent.glob("*.py")):
+        if module.name == "fileio.py":
+            continue
+        tree = ast.parse(module.read_text())
+        used = {f"json.{node.attr}" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "json"}
+        used |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not used & {"json.load", "json.loads", "fileio.atomic_write",
+                           "atomic_write"}, module.name

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpcal import ConfigError, DataError, DesignMatrix, ParameterSpace
+from gpcal.config import load_space
 
 
 def test_space_validation():
@@ -57,8 +58,8 @@ def test_space_json_roundtrip(tmp_path):
     space = ParameterSpace(["a", "b"], [0.0, -1.0], [2.0, 1.0])
     path = tmp_path / "space.json"
     path.write_text(json.dumps(space.to_dict()))
-    loaded = ParameterSpace.load(path)
+    loaded = load_space(path)
     assert loaded.names == space.names
     assert np.array_equal(loaded.lower, space.lower)
     with pytest.raises(ConfigError):
-        ParameterSpace.load(tmp_path / "missing.json")
+        load_space(tmp_path / "missing.json")
