@@ -18,14 +18,19 @@ import numpy as np
 
 from . import __version__
 from .calibration import _ESTIMATIONS, _TRENDS, fit_estimated
-from .config import (_COUNT, _FLOAT, _NATURAL, RunManifest, _at_least, load_config,
+from .config import (_COUNT, _NATURAL, RunManifest, _at_least, _check, load_config,
                      load_space)
 from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
 from .diagnostics import Z_95, loocv_error
 from .emulator import FittedEmulator, TrainingSet, TrendSpec
 from .errors import ConfigError, DataError, GpcalError
-from .fileio import read_json, read_numeric_csv, write_csv, write_json
+from .fileio import make_dir, read_json, read_numeric_csv, write_csv, write_json
 from .kernels import KERNEL_KINDS
+
+
+#: a nugget is a variance: a finite number >= 0
+_NUGGET = _check(lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max,
+                 "a finite number >= 0", float)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,8 +104,7 @@ def _cmd_calibrate(args) -> int:
     from .calibration import run_workflow
 
     config = load_config(args.config)
-    out_dir = Path(args.out or config.output_dir or "gpcal_run")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_dir(args.out or config.output_dir or "gpcal_run")
     result = run_workflow(config)
 
     artifacts = {"chain_csv": "chain.csv", "posterior_summary": "posterior_summary.json",
@@ -151,8 +155,7 @@ def _cmd_report(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{run_dir}: malformed run record "
                         f"({type(exc).__name__}: {exc})") from None
-    report_dir = run_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
+    report_dir = make_dir(run_dir / "report")
 
     for j, name in enumerate(names):
         col = chain[:, j]
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=_arg(int, _at_least(2)), default=10)
     p.add_argument("--restarts", type=_arg(int, _COUNT), default=4)
     p.add_argument("--seed", type=_arg(int, _NATURAL), default=0)
-    p.add_argument("--nugget", type=_arg(float, _FLOAT), default=1e-10)
+    p.add_argument("--nugget", type=_arg(float, _NUGGET), default=1e-10)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optional report JSON path")
     p.set_defaults(fn=_cmd_fit)

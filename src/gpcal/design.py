@@ -12,7 +12,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigError, DataError
 from .spaces import DesignMatrix, ParameterSpace
@@ -71,7 +70,9 @@ def maximin_lhs(n: int, space: ParameterSpace, n_restarts: int,
                               "n_restarts": n_restarts, "min_distance": best_dist})
 
 
-SOBOL_MAX_DIM = int(qmc.Sobol.MAXDIM)  # direction-number table limit (21201)
+#: scipy.stats.qmc.Sobol.MAXDIM, the direction-number table limit; a literal,
+#: since scipy.stats is imported only by the Sobol and Halton designs
+SOBOL_MAX_DIM = 21201
 
 
 def sobol_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatrix:
@@ -90,6 +91,7 @@ def sobol_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatrix
         raise ConfigError(
             f"Sobol direction numbers available up to d={SOBOL_MAX_DIM}, "
             f"got d={space.dim}")
+    from scipy.stats import qmc
     engine = qmc.Sobol(d=space.dim, scramble=False)
     engine.fast_forward(1 + skip)
     with warnings.catch_warnings():
@@ -107,6 +109,7 @@ def halton_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatri
         raise ConfigError(f"halton_sequence requires n >= 0, got {n}")
     if skip < 0:
         raise ConfigError(f"skip must be >= 0, got {skip}")
+    from scipy.stats import qmc
     engine = qmc.Halton(d=space.dim, scramble=False)
     engine.fast_forward(1 + skip)
     return DesignMatrix(engine.random(n), space,

@@ -558,6 +558,7 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     ties between equally good optima go to the first-found candidate. Same
     data and seed reproduce the fit bit-for-bit.
     """
+    _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))
@@ -666,6 +667,7 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     objective (e.g. data lying exactly on the trend) are broken by the
     smallest length-scale vector norm.
     """
+    _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
         return build_emulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim), p))

@@ -17,26 +17,43 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 
 def format_float(v) -> str:
     return format(float(v), ".17g")
 
 
+def make_dir(path) -> Path:
+    """Create directory ``path`` and its parents if missing; a path that
+    cannot be made a directory is a :class:`ConfigError` naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create directory {path}: "
+                          f"{exc.strerror or exc}") from None
+    return path
+
+
 def atomic_write(path, text: str) -> None:
     """Write text to path via a temp file + rename so readers never see a
-    truncated artifact."""
+    truncated artifact. A path that cannot be written is a
+    :class:`ConfigError` naming it, and leaves no temp file behind."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    make_dir(path.parent)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

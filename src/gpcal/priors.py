@@ -7,11 +7,16 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import lognorm, norm
+from scipy.special import ndtri
 
 from .errors import ConfigError
 
 _KINDS = ("uniform", "normal", "lognormal")
+
+# scipy.stats.norm's log normalising constant and lognorm's sqrt(2 pi), as
+# scipy computes them
+_LOG_SQRT_2PI = np.log(np.sqrt(2 * np.pi))
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -70,22 +75,39 @@ class Prior1D:
         return self.mean * math.sqrt(math.expm1(self.p2 ** 2))
 
     def logpdf(self, v: float) -> float:
+        """Log density at v; bit-identical to ``scipy.stats`` ``norm`` and
+        ``lognorm`` ``logpdf``, whose operations it repeats in order on
+        1-element arrays (numpy's scalar and array paths can differ in the
+        last bit)."""
         lo, hi = self.support
         if not lo <= v <= hi:
             return -math.inf
         if self.kind == "uniform":
             return -math.log(self.p2 - self.p1)
+        if self.kind == "lognormal" and v <= 0:
+            return -math.inf
+        v = np.array([v], dtype=float)
         if self.kind == "normal":
-            return float(norm.logpdf(v, loc=self.p1, scale=self.p2))
-        return float(lognorm.logpdf(v, s=self.p2, scale=math.exp(self.p1)))
+            z = (v - self.p1) / self.p2
+            lp = -z**2 / 2.0 - _LOG_SQRT_2PI - np.log(np.array([self.p2]))
+        else:
+            s = np.array([self.p2])
+            scale = np.array([math.exp(self.p1)])
+            x = v / scale
+            lp = (-np.log(x)**2 / (2 * s**2) - np.log(s * x * _SQRT_2PI)
+                  - np.log(scale))
+        return float(lp[0])
 
     def ppf(self, u):
+        """Inverse CDF at u; bit-identical to ``scipy.stats`` ``ppf``,
+        including u = 0 and 1 (the support's ends) and u outside [0, 1]
+        (nan)."""
         u = np.asarray(u, dtype=float)
         if self.kind == "uniform":
             return self.p1 + u * (self.p2 - self.p1)
         if self.kind == "normal":
-            return norm.ppf(u, loc=self.p1, scale=self.p2)
-        return lognorm.ppf(u, s=self.p2, scale=math.exp(self.p1))
+            return ndtri(u) * self.p2 + self.p1
+        return np.exp(self.p2 * ndtri(u)) * math.exp(self.p1)
 
     def to_dict(self) -> dict:
         return {"dist": self.kind, "p1": self.p1, "p2": self.p2}

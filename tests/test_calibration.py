@@ -336,6 +336,35 @@ def test_calibration_and_emulator_import_nothing_from_scipy_linalg():
         assert not [m for m in imported if m.startswith("scipy.linalg")], module
 
 
+def _import_time_imports(tree):
+    """Modules a module imports when it is itself imported: every import
+    outside a function body, ``from a import b`` read as ``a.b``."""
+    names, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_module_imports_scipy_stats_at_import_time():
+    # scipy.stats costs about 200 ms to import and only the Sobol and Halton
+    # designs use it, inside the functions that need it
+    modules = sorted(Path(gpcal.calibration.__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for module in modules:
+        imported = _import_time_imports(ast.parse(module.read_text()))
+        assert not [m for m in imported if m.startswith("scipy.stats")], module.name
+    probe = ast.parse("import scipy.stats\ndef f():\n    from scipy import stats\n"
+                      "class C:\n    from scipy.stats import qmc\n")
+    assert _import_time_imports(probe) == ["scipy.stats.qmc", "scipy.stats"]
+
+
 def test_log_posterior_covariance_scaling_identity():
     # scale Sigma by 4 and the residual by 2: quadratic term unchanged,
     # log-det shifts by a theta-independent constant

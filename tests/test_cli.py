@@ -1,11 +1,15 @@
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import gpcal
 from gpcal import FittedEmulator, sobol_sequence
 from gpcal.cli import main
 from gpcal.config import load_config
@@ -218,6 +222,13 @@ def _truncate(path):
     path.write_text(path.read_text()[:40])
 
 
+def _touch(path):
+    """``path`` made an empty file, replacing any directory there."""
+    shutil.rmtree(path, ignore_errors=True)
+    path.write_text("")
+    return path
+
+
 def _drop_x_names(run):
     manifest = json.loads((run / "manifest.json").read_text())
     del manifest["x_names"]
@@ -244,7 +255,8 @@ def _calibrate_non_utf8_simulator(tmp_path):
 
 
 #: id -> (argv from (tmp_path, finished run directory), exit code, text the
-#: error line must hold). Each ended in a traceback or exit 0 before.
+#: error line must hold). Each ended in a traceback, exit 0 or another exit
+#: code before.
 FAILURES = {
     "design-space-malformed-json": (
         lambda tmp, run: _space(tmp, '{"names": ["a"], "lower": [0'),
@@ -258,6 +270,20 @@ FAILURES = {
     "fit-restarts-0": (lambda tmp, run: _fit(tmp, "--restarts", "0"), 1, "--restarts"),
     "fit-seed-negative": (lambda tmp, run: _fit(tmp, "--seed", "-1"), 1, "--seed"),
     "fit-nugget-nan": (lambda tmp, run: _fit(tmp, "--nugget", "nan"), 1, "--nugget"),
+    "fit-nugget-negative": (
+        lambda tmp, run: _fit(tmp, "--nugget", "-1"), 1, "--nugget"),
+    "fit-out-is-a-directory": (
+        lambda tmp, run: _fit(tmp, "--out", str(tmp)), 1, "cannot write "),
+    "fit-report-under-a-file": (
+        lambda tmp, run: _fit(tmp, "--report", str(tmp / "train.csv" / "r.json")),
+        1, "cannot create directory"),
+    "calibrate-out-is-a-file": (
+        lambda tmp, run: ["calibrate", "--config", str(run.parent / "config.yaml"),
+                          "--out", str(_touch(tmp / "out"))],
+        1, "cannot create directory"),
+    "report-dir-is-a-file": (
+        lambda tmp, run: _report(tmp, run, lambda r: _touch(r / "report")),
+        1, "cannot create directory"),
     "report-bins-0": (
         lambda tmp, run: _report(tmp, run, lambda r: None, "--bins", "0"), 1, "--bins"),
     "report-truncated-gpcode": (
@@ -289,6 +315,42 @@ def test_cli_failure_exits_with_its_code_and_an_error_line(case, calibrated_run,
     error = [ln for ln in capsys.readouterr().err.splitlines()
              if ln.startswith("error: ")]
     assert error and want_text in error[-1], error
+
+
+# ------------------------------------------------- what a run imports
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demo" / "linear_demo.yaml"
+
+
+def loads_scipy_stats(code, cwd):
+    """Whether ``scipy.stats`` is in ``sys.modules`` after ``code`` ran in a
+    fresh interpreter: importing it costs about 200 ms, and only the Sobol
+    and Halton designs need it."""
+    src = str(Path(gpcal.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\n"
+         "print('scipy.stats' in sys.modules)"],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+def test_cli_import_and_config_load_leave_scipy_stats_unloaded(tmp_path):
+    start = "import gpcal.cli\nfrom gpcal.config import load_config\n"
+    assert not loads_scipy_stats(f"{start}load_config({str(DEMO_CONFIG)!r})", tmp_path)
+    # the probe sees the import where it does happen
+    assert loads_scipy_stats(
+        f"{start}from gpcal import ParameterSpace, sobol_sequence\n"
+        "sobol_sequence(4, ParameterSpace(['a'], [0.0], [1.0]))", tmp_path)
+
+
+def test_calibrate_leaves_scipy_stats_unloaded(tmp_path):
+    config = write_config(tmp_path, samples=300, burn=100)
+    argv = ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert not loads_scipy_stats(
+        f"from gpcal.cli import main\nassert main({argv!r}) == 0", tmp_path)
+    assert (tmp_path / "out" / "validation_report.json").is_file()
 
 
 # ------------------------------------------------------------------ config

@@ -136,8 +136,10 @@ def test_sobol_sequential_extension_and_skip():
 
 
 def test_sobol_dimension_limit():
+    from scipy.stats import qmc
+
     from gpcal.design import SOBOL_MAX_DIM
-    assert SOBOL_MAX_DIM >= 21
+    assert SOBOL_MAX_DIM == qmc.Sobol.MAXDIM
     names = [f"x{i}" for i in range(SOBOL_MAX_DIM + 1)]
     space = ParameterSpace(names, np.zeros(len(names)), np.ones(len(names)))
     with pytest.raises(ConfigError):

@@ -837,6 +837,24 @@ def test_fits_reject_invalid_omega_bounds(fit, bounds, rng):
         fit(tr, TrendSpec("constant"), omega_bounds=bounds, n_restarts=1)
 
 
+@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
+@pytest.mark.parametrize("nugget", [-1.0, np.r_[np.full(9, 1e-10), -1e-10],
+                                    np.full(3, 1e-10)])
+def test_fits_reject_an_invalid_nugget_before_the_multistart(fit, nugget, rng,
+                                                             monkeypatch):
+    # each objective call turns a DataError into a failed candidate, so a
+    # nugget checked only there ends the fit in a FitError
+    x = rng.uniform(0, 1, (10, 1))
+    tr = TrainingSet(x, np.sin(5.0 * x[:, 0]))
+
+    def no_restart(*args, **kwargs):
+        raise AssertionError("the multistart ran")
+
+    monkeypatch.setattr(gpcal.emulator, "minimize", no_restart)
+    with pytest.raises(DataError, match="nugget"):
+        fit(tr, TrendSpec("constant"), nugget=nugget, n_restarts=2)
+
+
 def test_training_set_needs_enough_points():
     x = np.array([[0.0], [1.0]])
     with pytest.raises(DataError):

@@ -6,8 +6,8 @@ import pytest
 
 import gpcal
 from gpcal import ConfigError, DataError
-from gpcal.fileio import (atomic_write, format_float, read_json, read_numeric_csv,
-                          write_csv, write_json)
+from gpcal.fileio import (atomic_write, format_float, make_dir, read_json,
+                          read_numeric_csv, write_csv, write_json)
 
 
 def test_float_formatting_round_trips():
@@ -36,12 +36,28 @@ def test_atomic_write_failure_keeps_previous_content(tmp_path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", boom)
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match=f"cannot write {target}: disk full"):
         atomic_write(target, "new\n")
     monkeypatch.setattr(os, "replace", real_replace)
     assert target.read_text() == "original\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert leftovers == []
+
+
+def test_unwritable_paths_are_config_errors_naming_the_path(tmp_path):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("x")
+    with pytest.raises(ConfigError, match=f"cannot write {tmp_path / 'a_dir'}"):
+        atomic_write(tmp_path / "a_dir", "text\n")
+    with pytest.raises(ConfigError, match=f"cannot create directory {tmp_path / 'a_file'}"):
+        atomic_write(tmp_path / "a_file" / "out.txt", "text\n")
+    with pytest.raises(ConfigError, match="cannot create directory"):
+        make_dir(tmp_path / "a_file")
+    assert make_dir(tmp_path / "new" / "sub") == tmp_path / "new" / "sub"
+    assert (tmp_path / "new" / "sub").is_dir()
+    leftovers = sorted(p.name for p in tmp_path.iterdir())
+    assert leftovers == ["a_dir", "a_file", "new"]
+    assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 def test_csv_round_trip(tmp_path):

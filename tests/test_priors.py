@@ -5,6 +5,37 @@ import pytest
 from scipy.stats import lognorm, norm
 
 from gpcal import ConfigError, Prior1D, PriorSpec
+from gpcal.diagnostics import _z_value
+
+#: the closed forms are held to scipy.stats bit for bit, not to a tolerance
+N_RANDOM = 2000
+
+
+def same_bits(a, b) -> bool:
+    """Equal as float64 arrays bit for bit: same shape, nan where nan, and
+    the same sign of zero (a nan's sign bit carries no value)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) & ~np.isnan(a),
+                               np.signbit(b) & ~np.isnan(b)))
+
+
+def scipy_logpdf(prior, v):
+    if prior.kind == "normal":
+        return norm.logpdf(v, loc=prior.p1, scale=prior.p2)
+    return lognorm.logpdf(v, s=prior.p2, scale=math.exp(prior.p1))
+
+
+def scipy_ppf(prior, u):
+    if prior.kind == "normal":
+        return norm.ppf(u, loc=prior.p1, scale=prior.p2)
+    return lognorm.ppf(u, s=prior.p2, scale=math.exp(prior.p1))
+
+
+def random_priors(rng, n):
+    for _ in range(n):
+        yield Prior1D.normal(rng.normal(0.0, 10.0), math.exp(rng.uniform(-5, 5)))
+        yield Prior1D.lognormal(rng.normal(0.0, 3.0), math.exp(rng.uniform(-4, 1.5)))
 
 
 def test_uniform_prior():
@@ -17,14 +48,58 @@ def test_uniform_prior():
 
 
 def test_normal_and_lognormal_match_scipy():
-    p = Prior1D.normal(1.0, 2.0)
-    assert p.logpdf(0.3) == pytest.approx(norm.logpdf(0.3, 1.0, 2.0))
-    assert p.ppf(0.9) == pytest.approx(norm.ppf(0.9, 1.0, 2.0))
+    rng = np.random.default_rng(20261018)
+    for prior in random_priors(rng, N_RANDOM):
+        # values spread over +-3 sd of the (log-)normal, where a prior is used
+        z = 3.0 * rng.normal()
+        v = prior.p1 + prior.p2 * z
+        if prior.kind == "lognormal":
+            v = math.exp(v)
+        assert prior.logpdf(v) == float(scipy_logpdf(prior, v)), (prior, v)
+        u = float(rng.uniform())
+        assert same_bits(prior.ppf(u), scipy_ppf(prior, u)), (prior, u)
     q = Prior1D.lognormal(0.5, 0.3)
-    assert q.logpdf(1.7) == pytest.approx(
-        lognorm.logpdf(1.7, s=0.3, scale=math.exp(0.5)))
-    assert q.logpdf(-1.0) == -math.inf
     assert q.mean == pytest.approx(math.exp(0.5 + 0.045))
+
+
+@pytest.mark.parametrize("prior", [Prior1D.normal(1.3, 0.7),
+                                   Prior1D.lognormal(-0.4, 0.9)],
+                         ids=["normal", "lognormal"])
+def test_closed_form_ppf_matches_scipy_on_arrays_and_edges(prior):
+    u = np.random.default_rng(7).uniform(size=N_RANDOM)
+    assert same_bits(prior.ppf(u), scipy_ppf(prior, u))
+    edges = np.array([0.0, 0.5, 1.0, -0.25, 1.25, np.nan, 1e-300, 1 - 2 ** -53])
+    assert same_bits(prior.ppf(edges), scipy_ppf(prior, edges))
+    for e in edges:
+        assert same_bits(prior.ppf(e), scipy_ppf(prior, e)), e
+    # u = 0 and 1 are the support's ends: (-inf, inf) or (0, inf)
+    assert prior.ppf(0.0) == prior.support[0] and prior.ppf(1.0) == math.inf
+
+
+@pytest.mark.parametrize("prior", [Prior1D.normal(1.3, 0.7),
+                                   Prior1D.lognormal(-0.4, 0.9)],
+                         ids=["normal", "lognormal"])
+def test_closed_form_logpdf_matches_scipy_at_the_support_edges(prior):
+    values = [-math.inf, -1e300, -2.0, -0.0, 0.0, 5e-324, 1e-300, 1e-8,
+              prior.p1, 1e8, 1e300, math.inf]
+    with np.errstate(over="ignore"):  # z**2 overflows to inf at +-1e300
+        for v in values:
+            assert same_bits(prior.logpdf(v), scipy_logpdf(prior, v)), v
+    if prior.kind == "lognormal":
+        assert prior.logpdf(0.0) == prior.logpdf(-1.0) == -math.inf
+    # nan lies outside every support: a proposal there is rejected
+    assert prior.logpdf(math.nan) == -math.inf
+
+
+def test_z_value_matches_scipy_norm_ppf():
+    assert _z_value(0.95) == 1.96
+    levels = [0.5, 0.6827, 0.9, 0.99, 0.999999, 1e-9, *np.random.default_rng(3)
+              .uniform(size=N_RANDOM)]
+    for level in levels:
+        assert _z_value(level) == float(norm.ppf(0.5 * (1.0 + level))), level
+    for bad in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ConfigError):
+            _z_value(bad)
 
 
 def test_prior_validation():
@@ -39,8 +114,7 @@ def test_prior_validation():
 def test_priorspec_support_and_logprior():
     spec = PriorSpec([Prior1D.uniform(0, 1), Prior1D.normal(0, 1)],
                      nominal=[0.5, 0.0])
-    assert spec.log_prior([0.5, 0.0]) == pytest.approx(
-        norm.logpdf(0.0))
+    assert spec.log_prior([0.5, 0.0]) == -math.log(1.0) + float(norm.logpdf(0.0))
     assert spec.log_prior([1.5, 0.0]) == -math.inf
     assert spec.contains([0.2, -3.0])
     assert not spec.contains([-0.1, 0.0])
@@ -53,6 +127,6 @@ def test_priorspec_ppf_maps_unit_cube():
     u = np.array([[0.5, 0.5], [0.25, 0.9]])
     out = spec.ppf(u)
     assert out[0, 0] == 0.0
-    assert out[0, 1] == pytest.approx(1.0)  # median of lognormal(0, .5)
+    assert out[0, 1] == 1.0  # median of lognormal(0, .5)
     assert out[1, 0] == -1.0
-    assert np.all(out[:, 1] > 0)
+    assert same_bits(out[:, 1], lognorm.ppf(u[:, 1], s=0.5))
