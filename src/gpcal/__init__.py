@@ -14,13 +14,10 @@ from .calibration import (DiscrepancyModel, ExperimentData, WorkflowResult,
                           build_code_emulator, build_discrepancy_emulator,
                           make_log_posterior, run_workflow, split_experiments,
                           validate_posterior)
-from .design import (adaptive_enrich, halton_sequence, lhs_design, maximin_lhs,
-                     sobol_sequence)
-from .diagnostics import (ValidationReport, coverage_report, loocv_error,
-                          q2_loocv, q2_test, validate_emulator)
+from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
+from .diagnostics import ValidationReport, coverage_report, loocv_error, q2_loocv
 from .emulator import (FittedEmulator, Hyperparameters, TrainingSet, TrendSpec,
-                       build_emulator, fit_cv, fit_mle, gls_beta,
-                       neg_log_likelihood, sigma2_hat)
+                       fit_cv, fit_mle, gls_beta, neg_log_likelihood, sigma2_hat)
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      GateError, GpcalError, IllConditionedError,
                      NumericalError, NumericalWarning, SimulatorError)

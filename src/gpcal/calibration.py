@@ -156,14 +156,10 @@ class DiscrepancyModel:
         return mean, cov
 
 
-#: default length-scale search box on scaled inputs
-OMEGA_BOUNDS = (1e-3, 1e3)
-
-
 def build_discrepancy_emulator(sim: SimulatorBinding, val_set: ExperimentData,
                                theta0, kernel: str = "matern_5_2",
-                               n_restarts: int = 8, seed: int = 0,
-                               omega_bounds=OMEGA_BOUNDS) -> DiscrepancyModel:
+                               n_restarts: int = 8,
+                               seed: int = 0) -> DiscrepancyModel:
     """Fit the discrepancy GP ("GPbias") to validation-domain residuals.
 
     The simulator runs once at the validation settings with the nominal
@@ -183,12 +179,12 @@ def build_discrepancy_emulator(sim: SimulatorBinding, val_set: ExperimentData,
     noise = val_set.noise_variances()
     nugget = np.maximum(noise / training.y_scale ** 2, DEFAULT_NUGGET)
     emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
-                       seed=seed, nugget=nugget, omega_bounds=omega_bounds)
+                       seed=seed, nugget=nugget)
     if emulator.hyper.sigma2 > 0:
         refined = np.maximum(noise / (training.y_scale ** 2 * emulator.hyper.sigma2),
                              DEFAULT_NUGGET)
         emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
-                           seed=seed, nugget=refined, omega_bounds=omega_bounds)
+                           seed=seed, nugget=refined)
     return DiscrepancyModel(emulator, residuals, emulator.hyper.nugget)
 
 
@@ -206,7 +202,7 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
                         kernel: str = "matern_5_2",
                         trend: TrendSpec | None = None,
                         estimation: str = "mle", cv_folds: int = 10,
-                        n_restarts: int = 4, omega_bounds=OMEGA_BOUNDS):
+                        n_restarts: int = 4):
     """Fit the simulator emulator ("GPcode") over the joint (x, theta) space.
 
     The calibration part of the training design maps a space-filling
@@ -258,22 +254,21 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
         inputs = np.hstack([X, T])
 
     return fit_estimated(TrainingSet(inputs, sim.run(inputs)), trend, kernel,
-                         estimation, cv_folds, n_restarts, seed,
-                         omega_bounds=omega_bounds)
+                         estimation, cv_folds, n_restarts, seed)
 
 
 def fit_estimated(training: TrainingSet, trend: TrendSpec, kernel: str,
                   estimation: str, cv_folds: int, n_restarts: int, seed: int,
-                  **fit_args):
+                  nugget=DEFAULT_NUGGET):
     """``(emulator, q2)``: the emulator fitted by ``estimation`` ("mle" or
-    "cv", with at most m folds) and its LOOCV predictivity, 1.0 for constant
-    outputs. ``fit_args`` go to :func:`fit_mle` or :func:`fit_cv`."""
+    "cv", with at most m folds) under ``nugget`` and its LOOCV predictivity,
+    1.0 for constant outputs."""
     if estimation == "mle":
         emulator = fit_mle(training, trend, kernel, n_restarts=n_restarts,
-                           seed=seed, **fit_args)
+                           seed=seed, nugget=nugget)
     else:
         emulator = fit_cv(training, trend, kernel, k_folds=min(cv_folds, training.m),
-                          n_restarts=n_restarts, seed=seed, **fit_args)
+                          n_restarts=n_restarts, seed=seed, nugget=nugget)
     return emulator, (q2_loocv(emulator) if not emulator.degenerate else 1.0)
 
 

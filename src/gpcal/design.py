@@ -1,4 +1,4 @@
-"""Space-filling and adaptive experimental designs on the unit hypercube.
+"""Space-filling experimental designs on the unit hypercube.
 
 All generators are deterministic given their seed/skip arguments and return
 ``DesignMatrix`` objects; mapping to physical units is the caller's problem
@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .spaces import DesignMatrix, ParameterSpace
 
 
@@ -115,25 +115,3 @@ def halton_sequence(n: int, space: ParameterSpace, skip: int = 0) -> DesignMatri
     return DesignMatrix(engine.random(n), space,
                         meta={"method": "halton", "skip": skip})
 
-
-def adaptive_enrich(emulator, candidates: DesignMatrix, k: int) -> DesignMatrix:
-    """Pick the k candidate points with the largest predictive MSE.
-
-    Greedy one-shot ranking: MSE is evaluated once for all candidates and the
-    top k are returned in descending-MSE order. No re-ranking after
-    hypothetical insertion is performed, so clustered candidates in the same
-    low-information region can all be selected.
-    """
-    from .emulator import FittedEmulator
-    if not isinstance(emulator, FittedEmulator):
-        raise DataError("adaptive_enrich requires a fitted emulator")
-    if candidates.m == 0:
-        raise DataError("candidate set is empty")
-    if not 1 <= k <= candidates.m:
-        raise ConfigError(f"k must be in [1, {candidates.m}], got {k}")
-    _, mse = emulator.predict_batch(candidates.to_physical(),
-                                    warn_extrapolation=False)
-    order = np.argsort(-mse, kind="stable")[:k]
-    return DesignMatrix(candidates.points[order], candidates.space,
-                        meta={"method": "adaptive_enrich", "k": k,
-                              "mse": mse[order].tolist()})

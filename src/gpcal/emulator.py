@@ -34,7 +34,6 @@ from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
                       SiteDistances, _corr_1d, _factor, _nugget_vector,
                       _product_corr, _tri_solve, correlation_matrix,
                       cross_corr_matrix)
-from .spaces import DesignMatrix
 
 EMULATOR_FORMAT_VERSION = 1
 
@@ -340,8 +339,6 @@ class FittedEmulator:
         sigma2 * [R(x*_a, x*_b) - r_a' R^-1 r_b + u_a' (F' R^-1 F)^-1 u_b]
         with u = F' R^-1 r - f. Its diagonal is the MSE vector.
         """
-        if isinstance(x_star, DesignMatrix):
-            x_star = x_star.to_physical()
         X = np.atleast_2d(np.asarray(x_star, dtype=float))
         if X.shape[1] != self.dim:
             raise DataError(f"points have dimension {X.shape[1]}, "
@@ -486,28 +483,16 @@ class FittedEmulator:
                             f"({type(exc).__name__}: {exc})") from None
 
 
-def build_emulator(training: TrainingSet, trend: TrendSpec, kernel: KernelSpec,
-                   nugget=DEFAULT_NUGGET, sigma2_override=None,
-                   auto_escalate=True) -> FittedEmulator:
-    """Condition a GP on training data with fixed kernel hyperparameters."""
-    return FittedEmulator(training, trend, kernel, nugget=nugget,
-                          sigma2_override=sigma2_override,
-                          auto_escalate=auto_escalate)
-
-
-def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
-                omega_bounds, n_restarts: int, seed: int, what: str):
-    """Minimize ``loss(spec)`` over log(omega), and p when ``free_p`` is set
-    for the power-exponential kind, by L-BFGS-B from ``n_restarts``
-    LHS-distributed starts in the bound box.
+def _multistart(loss, d: int, kernel: str, omega_bounds, n_restarts: int,
+                seed: int, what: str):
+    """Minimize ``loss(spec)`` over log(omega) by L-BFGS-B from
+    ``n_restarts`` LHS-distributed starts in the bound box; a
+    power-exponential kind keeps p = 2.
 
     A candidate whose loss raises a numerical error or is not finite scores
     ``_BIG``. Returns every restart's ``(value, spec)`` in start order;
     raises :class:`FitError` if none is finite.
     """
-    template = KernelSpec(kernel, np.ones(d), p)
-    if free_p and kernel != "power_exponential":
-        raise ConfigError("free_p applies only to the power_exponential kind")
     lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
     if not 0 < lo < hi:
         raise ConfigError(f"invalid omega bounds ({lo}, {hi})")
@@ -515,12 +500,9 @@ def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
         raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
     lb = np.full(d, math.log(lo))
     ub = np.full(d, math.log(hi))
-    if free_p:
-        lb = np.concatenate([lb, np.full(d, p_bounds[0])])
-        ub = np.concatenate([ub, np.full(d, p_bounds[1])])
 
     def unpack(t):
-        return template.with_params(np.exp(t[:d]), t[d:] if free_p else None)
+        return KernelSpec(kernel, np.exp(t))
 
     def objective(t):
         try:
@@ -530,7 +512,7 @@ def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
         return val if np.isfinite(val) else _BIG
 
     rng = np.random.default_rng(seed)
-    u = _lhs_points(n_restarts, lb.size, rng, midpoint=False)
+    u = _lhs_points(n_restarts, d, rng, midpoint=False)
     starts = lb + u * (ub - lb)
     results = []
     for t0 in starts:
@@ -547,12 +529,10 @@ def _multistart(loss, d: int, kernel: str, p, free_p: bool, p_bounds,
 
 
 def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
-            p=None, free_p: bool = False, p_bounds=(0.0, 2.0),
             omega_bounds=(1e-3, 1e3), n_restarts: int = 5, seed: int = 0,
             nugget=DEFAULT_NUGGET) -> FittedEmulator:
     """Maximum-likelihood fit: multistart bounded minimization of the
-    concentrated negative log-likelihood over log(omega) (and p when
-    ``free_p`` is set for the power-exponential kind).
+    concentrated negative log-likelihood over log(omega).
 
     Restart starting points are drawn by Latin hypercube over the bound box;
     ties between equally good optima go to the first-found candidate. Same
@@ -560,17 +540,16 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
-        return build_emulator(training, trend,
-                              KernelSpec(kernel, np.ones(training.dim), p))
+        return FittedEmulator(training, trend,
+                              KernelSpec(kernel, np.ones(training.dim)))
     # distances and buffers for every restart of this fit only
     sites = SiteDistances(training.X)
     results = _multistart(
         lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
-        training.dim, kernel, p, free_p, p_bounds, omega_bounds, n_restarts,
-        seed, "MLE")
+        training.dim, kernel, omega_bounds, n_restarts, seed, "MLE")
     del sites  # freed before the final conditioning, to keep peak memory down
     best = min(results, key=lambda r: r[0])[1]
-    return build_emulator(training, trend, best, nugget=nugget)
+    return FittedEmulator(training, trend, best, nugget=nugget)
 
 
 def make_folds(m: int, k: int, seed: int) -> np.ndarray:
@@ -585,21 +564,20 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
 
 
 def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-              nugget, fold_labels: np.ndarray, beta_fixed, sites):
+              nugget, fold_labels: np.ndarray, sites: SiteDistances):
     """Condition on each fold's retained points; yield, per fold, the
     held-out indices, the fold's :class:`_GLS`, the held-out cross block
     (retained x held-out), the held-out basis rows and the held-out nuggets.
 
-    The m x m correlation of all training sites is assembled once; each
-    fold's training matrix and held-out cross block are index slices of it,
-    bit-identical to assembling them from the fold's sites. ``sites`` is a
-    :class:`SiteDistances` of ``training.X`` to reuse across calls, or None.
+    ``sites`` is a :class:`SiteDistances` of ``training.X``, reused across
+    calls. The m x m correlation of all training sites is assembled from it
+    once; each fold's training matrix and held-out cross block are index
+    slices of it, bit-identical to assembling them from the fold's sites.
     """
     m = training.m
     nug = _nugget_vector(nugget, m)
     mu = training.mu_std(trend.mu)
-    R = (_product_corr(training.X, training.X, spec) if sites is None
-         else sites.correlation(spec))
+    R = sites.correlation(spec)
     for k in np.unique(fold_labels):
         te = fold_labels == k
         tr_idx = np.nonzero(~te)[0]
@@ -609,19 +587,17 @@ def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
         Rk = _factor(R[np.ix_(tr_idx, tr_idx)], nug[tr_idx], spec,
                      auto_escalate=False)
         gls = _GLS(Rk, trend.build_matrix(training.X[tr_idx]),
-                   training.y[tr_idx], beta_fixed, mu, solve=True)
+                   training.y[tr_idx], mu=mu, solve=True)
         yield (te_idx, gls, R[np.ix_(tr_idx, te_idx)],
                trend.build_matrix(training.X[te_idx]), nug[te_idx])
 
 
 def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, beta_fixed=None, sites=None):
-    """Held-out predictions for each fold with fixed (omega, p).
-
-    If ``beta_fixed`` is None the trend coefficients are re-estimated by GLS
-    on each fold's retained points (a genuine reduced fit); otherwise the
-    given coefficients are reused and only the conditioning set changes.
-    The folds come from :func:`_cv_folds`; ``sites`` is as there.
+                nugget, fold_labels: np.ndarray, sites: SiteDistances):
+    """Held-out predictions for each fold with fixed (omega, p): the trend
+    coefficients are re-estimated by GLS on each fold's retained points, a
+    genuine reduced fit. The folds come from :func:`_cv_folds`; ``sites`` is
+    as there.
 
     Returns standardized held-out means ``mu_cv`` and unit-process-variance
     predictive factors ``v_cv`` (these include the held-out points' own
@@ -630,7 +606,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     mu_cv = np.empty(training.m)
     v_cv = np.empty(training.m)
     for te_idx, gls, r, Fte, nug_te in _cv_folds(
-            training, trend, spec, nugget, fold_labels, beta_fixed, sites):
+            training, trend, spec, nugget, fold_labels, sites):
         mu_cv[te_idx], Z, W = gls.predict(r, Fte)
         v = (1.0 + nug_te) - np.einsum("ij,ij->j", Z, Z)
         if W is not None:
@@ -640,27 +616,23 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
 
 
 def _cv_means(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-              nugget, fold_labels: np.ndarray, beta_fixed=None,
-              sites=None) -> np.ndarray:
+              nugget, fold_labels: np.ndarray, sites: SiteDistances) -> np.ndarray:
     """:func:`_cv_heldout`'s ``mu_cv`` alone, bit for bit, without the
     held-out variances: all the CV objective needs."""
     mu_cv = np.empty(training.m)
     for te_idx, gls, r, Fte, _ in _cv_folds(
-            training, trend, spec, nugget, fold_labels, beta_fixed, sites):
+            training, trend, spec, nugget, fold_labels, sites):
         mu_cv[te_idx] = gls.mean(r, Fte)
     return mu_cv
 
 
 def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
-           k_folds: int = 10, p=None, free_p: bool = False,
-           p_bounds=(0.0, 2.0), omega_bounds=(1e-3, 1e3),
-           n_restarts: int = 5, seed: int = 0,
-           nugget=DEFAULT_NUGGET) -> FittedEmulator:
-    """Cross-validation fit: length-scales (and roughness exponents when
-    ``free_p`` is set for the power-exponential kind) minimize the sum of
-    squared held-out prediction errors over K folds (K = m gives LOOCV); the
-    process variance is then the mean of squared predictive-sd-standardized
-    held-out residuals.
+           k_folds: int = 10, omega_bounds=(1e-3, 1e3), n_restarts: int = 5,
+           seed: int = 0, nugget=DEFAULT_NUGGET) -> FittedEmulator:
+    """Cross-validation fit: length-scales minimize the sum of squared
+    held-out prediction errors over K folds (K = m gives LOOCV); the process
+    variance is then the mean of squared predictive-sd-standardized held-out
+    residuals.
 
     Folds re-estimate trend coefficients on their retained points. Fold
     assignment is a seeded shuffle followed by round-robin. Ties in the CV
@@ -669,27 +641,25 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
-        return build_emulator(training, trend,
-                              KernelSpec(kernel, np.ones(training.dim), p))
+        return FittedEmulator(training, trend,
+                              KernelSpec(kernel, np.ones(training.dim)))
     fold_labels = make_folds(training.m, k_folds, seed)
     # distances and buffers for every restart of this fit only
     sites = SiteDistances(training.X)
 
     def loss(spec):
-        mu_cv = _cv_means(training, trend, spec, nugget, fold_labels,
-                          sites=sites)
+        mu_cv = _cv_means(training, trend, spec, nugget, fold_labels, sites)
         return float(np.sum((training.y - mu_cv) ** 2))
 
-    results = _multistart(loss, training.dim, kernel, p, free_p, p_bounds,
-                          omega_bounds, n_restarts, seed, "CV")
+    results = _multistart(loss, training.dim, kernel, omega_bounds, n_restarts,
+                          seed, "CV")
     best_val = min(v for v, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
     tied = [spec for v, spec in results if v <= best_val + tol]
     spec = min(tied, key=lambda spec: float(np.linalg.norm(spec.omega)))
-    mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels,
-                              sites=sites)
+    mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels, sites)
     del sites  # freed before the final conditioning, to keep peak memory down
     resid = training.y - mu_cv
     sigma2_cv = float(np.mean(resid ** 2 / v_cv))
-    return build_emulator(training, trend, spec, nugget=nugget,
+    return FittedEmulator(training, trend, spec, nugget=nugget,
                           sigma2_override=sigma2_cv)

@@ -82,11 +82,6 @@ class KernelSpec:
     def dim(self) -> int:
         return self.omega.size
 
-    def with_params(self, omega, p=None) -> "KernelSpec":
-        return KernelSpec(self.kind, omega,
-                          p if p is not None else
-                          (self.p if self.kind == "power_exponential" else None))
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "omega": self.omega.tolist(), "p": self.p.tolist()}
 
@@ -348,8 +343,8 @@ def _nugget_vector(nugget, m: int) -> np.ndarray:
         nug = np.full(m, float(nug))
     elif nug.size != m:
         raise DataError(f"nugget vector has {nug.size} entries for {m} sites")
-    if np.any(nug < 0):
-        raise DataError("nugget must be nonnegative")
+    if not np.all(np.isfinite(nug) & (nug >= 0)):
+        raise DataError("nugget must be finite and nonnegative")
     return nug
 
 

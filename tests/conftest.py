@@ -147,7 +147,7 @@ def random_instance(rng, kinds=("gaussian", "exponential", "matern_3_2",
                                "matern_5_2", "power_exponential"),
                     d_max=3, m_max=10, nugget=0.0):
     """Small random emulation problem with a well-spread design."""
-    from gpcal import KernelSpec, TrainingSet, TrendSpec, build_emulator, lhs_design
+    from gpcal import FittedEmulator, KernelSpec, TrainingSet, TrendSpec, lhs_design
     from gpcal.spaces import ParameterSpace
 
     d = int(rng.integers(1, d_max + 1))
@@ -161,7 +161,7 @@ def random_instance(rng, kinds=("gaussian", "exponential", "matern_3_2",
     trend = TrendSpec(("constant", "linear")[int(rng.integers(2))])
     training = TrainingSet(X, y)
     spec = KernelSpec(kind, omega, p)
-    return build_emulator(training, trend, spec, nugget=nugget)
+    return FittedEmulator(training, trend, spec, nugget=nugget)
 
 
 @pytest.fixture

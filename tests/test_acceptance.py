@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import yaml
 
-from gpcal import (KernelSpec, TrainingSet, TrendSpec, build_emulator, fit_mle,
+from gpcal import (KernelSpec, TrainingSet, TrendSpec, FittedEmulator, fit_mle,
                    lhs_design, loocv_error, mcmc_sample, q2_loocv, run_workflow)
 from gpcal.cli import main
 from gpcal.config import load_config
@@ -78,7 +78,7 @@ def test_criterion_1_interpolation_suite():
         training, trend, spec = _interpolation_instance(i)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericalWarning)
-            em = build_emulator(training, trend, spec, nugget=0.0,
+            em = FittedEmulator(training, trend, spec, nugget=0.0,
                                 auto_escalate=False)
         means, mses = em.predict_batch(training.x_phys, warn_extrapolation=False)
         worst_mean = max(worst_mean, float(np.max(

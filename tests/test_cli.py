@@ -135,6 +135,22 @@ def test_cli_calibrate_artifacts(calibrated_run):
     assert set(summary["parameters"]) == {"slope", "offset"}
     for stats in summary["parameters"].values():
         assert "mean" in stats and "std" in stats
+    validation = json.loads((out_dir / "validation_report.json").read_text())
+    assert list(validation) == ["n_points", "rmse", "coverage_95", "residuals",
+                                "n_posterior_draws", "interval_level"]
+
+
+def test_cli_report_reads_a_validation_report_with_null_q2_and_loocv_error(
+        calibrated_run, tmp_path):
+    # run records written before those two keys left the report hold both
+    # as null; report reads only the residuals
+    def add_null_keys(run):
+        path = run / "validation_report.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "q2": None, "loocv_error": None}))
+
+    assert main(_report(tmp_path, calibrated_run[1], add_null_keys)) == 0
+    assert (tmp_path / "run" / "report" / "predictive.csv").is_file()
 
 
 def test_cli_calibrate_deterministic_chain(calibrated_run, tmp_path):

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from gpcal import (ConfigError, DataError, KernelSpec, TrainingSet, TrendSpec,
-                   adaptive_enrich, build_emulator, halton_sequence, lhs_design,
-                   maximin_lhs, sobol_sequence)
-from gpcal.spaces import DesignMatrix, ParameterSpace
-
-from conftest import dense_oracle_predict
+from gpcal import (ConfigError, halton_sequence, lhs_design, maximin_lhs,
+                   sobol_sequence)
+from gpcal.spaces import ParameterSpace
 
 
 def unit_space(d):
@@ -184,51 +181,3 @@ def test_halton_empty_and_sequential():
     skipped = halton_sequence(4, unit_space(3), skip=2).points
     assert np.array_equal(skipped, b[2:6])
 
-
-# ---------------------------------------------------------------- adaptive
-
-def _demo_emulator_1d():
-    x = np.linspace(0.0, 1.0, 5).reshape(-1, 1)
-    y = np.sin(4.0 * x[:, 0]) + x[:, 0]
-    training = TrainingSet(x, y)
-    return build_emulator(training, TrendSpec("constant"),
-                          KernelSpec("gaussian", [0.25]), nugget=0.0)
-
-
-def test_adaptive_enrich_never_picks_training_site():
-    em = _demo_emulator_1d()
-    cand_pts = np.concatenate([em.training.x_phys[:, 0], [0.11, 0.37, 0.63, 0.88]])
-    cand = DesignMatrix(cand_pts.reshape(-1, 1), unit_space(1))
-    picked = adaptive_enrich(em, cand, k=4).to_physical()[:, 0]
-    for site in em.training.x_phys[:, 0]:
-        assert np.min(np.abs(picked - site)) > 1e-6
-
-
-def test_adaptive_enrich_full_ranking():
-    em = _demo_emulator_1d()
-    cand = DesignMatrix(np.linspace(0, 1, 9).reshape(-1, 1), unit_space(1))
-    out = adaptive_enrich(em, cand, k=9)
-    _, mse = em.predict_batch(out.to_physical(), warn_extrapolation=False)
-    assert np.all(np.diff(mse) <= 1e-15)  # descending
-
-
-def test_adaptive_enrich_picks_interior_gap_vs_dense_oracle():
-    em = _demo_emulator_1d()
-    grid = np.linspace(0.0, 1.0, 201)
-    cand = DesignMatrix(grid.reshape(-1, 1), unit_space(1))
-    pick = adaptive_enrich(em, cand, k=1).to_physical()[0, 0]
-    oracle_mse = np.array([dense_oracle_predict(em, [g])[2] for g in grid])
-    mse_at_pick = dense_oracle_predict(em, [pick])[2]
-    assert mse_at_pick >= oracle_mse.max() * (1.0 - 1e-9)
-    assert 0.0 < pick < 1.0
-    gaps = np.abs(em.training.x_phys[:, 0] - pick)
-    assert gaps.min() > 0.05  # sits inside a gap, not at a site
-
-
-def test_adaptive_enrich_errors():
-    em = _demo_emulator_1d()
-    cand = DesignMatrix(np.array([[0.5]]), unit_space(1))
-    with pytest.raises(ConfigError):
-        adaptive_enrich(em, cand, k=2)
-    with pytest.raises(DataError):
-        adaptive_enrich("not an emulator", cand, k=1)

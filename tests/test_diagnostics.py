@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gpcal import (DataError, KernelSpec, TrainingSet, TrendSpec, build_emulator,
-                   coverage_report, fit_mle, lhs_design, loocv_error, q2_loocv,
-                   q2_test, validate_emulator)
+from gpcal import (DataError, FittedEmulator, KernelSpec, TrainingSet, TrendSpec,
+                   coverage_report, fit_mle, lhs_design, loocv_error, q2_loocv)
 from gpcal.diagnostics import cross_validated_predictions
 from gpcal.spaces import ParameterSpace
 
@@ -41,7 +40,7 @@ def make_demo_emulator(m=8, seed=5, kind="matern_5_2", omega=0.4,
     space = ParameterSpace(["x"], [0.0], [1.0])
     x = lhs_design(m, space, seed=seed).to_physical()
     y = np.sin(5 * x[:, 0]) + 0.3 * x[:, 0]
-    return build_emulator(TrainingSet(x, y), TrendSpec(trend),
+    return FittedEmulator(TrainingSet(x, y), TrendSpec(trend),
                           KernelSpec(kind, [omega]), nugget=1e-10)
 
 
@@ -59,7 +58,7 @@ def test_loocv_fast_path_matches_literal_refit_loop(rng):
 def test_loocv_three_point_hand_case():
     x = np.array([[0.0], [0.5], [1.0]])
     y = np.array([1.0, -0.5, 2.0])
-    em = build_emulator(TrainingSet(x, y), TrendSpec("constant"),
+    em = FittedEmulator(TrainingSet(x, y), TrendSpec("constant"),
                         KernelSpec("gaussian", [0.4]), nugget=0.0)
     mu_fast, _ = cross_validated_predictions(em)
     mu_loop = literal_loocv_oracle(em)
@@ -80,72 +79,20 @@ def test_loocv_quadratic_homogeneity():
     y = np.sin(4 * x[:, 0])
     spec = KernelSpec("gaussian", [0.3])
     c = 7.0
-    e1 = loocv_error(build_emulator(TrainingSet(x, y), TrendSpec("constant"), spec))
-    e2 = loocv_error(build_emulator(TrainingSet(x, c * y), TrendSpec("constant"), spec))
+    e1 = loocv_error(FittedEmulator(TrainingSet(x, y), TrendSpec("constant"), spec))
+    e2 = loocv_error(FittedEmulator(TrainingSet(x, c * y), TrendSpec("constant"), spec))
     assert e2 == pytest.approx(c * c * e1, rel=1e-12)
 
 
 def test_loocv_requires_two_points():
-    em = build_emulator(TrainingSet(np.array([[0.5]]), np.array([1.0])),
+    em = FittedEmulator(TrainingSet(np.array([[0.5]]), np.array([1.0])),
                         TrendSpec("known_constant", mu=0.0),
                         KernelSpec("gaussian", [1.0]))
     with pytest.raises(DataError):
         loocv_error(em)
 
 
-def test_loocv_refit_trend_variant_differs_but_close(rng):
-    em = make_demo_emulator()
-    fixed = loocv_error(em, refit="none")
-    refit = loocv_error(em, refit="trend")
-    assert refit > 0 and fixed > 0
-
-
-def test_cross_validated_predictions_refit_mle():
-    # every fold refits the hyperparameters by MLE; on a smooth 1-D set the
-    # held-out accuracy must be close to holding the full fit's fixed
-    space = ParameterSpace(["x"], [0.0], [1.0])
-    x = lhs_design(12, space, seed=4).to_physical()
-    y = np.sin(4 * x[:, 0]) + 0.5 * x[:, 0]
-    em = fit_mle(TrainingSet(x, y), TrendSpec("constant"), "gaussian",
-                 n_restarts=3, seed=1)
-    mu, var = cross_validated_predictions(em, refit="mle")
-    assert mu.shape == var.shape == (12,)
-    assert np.all(np.isfinite(mu)) and np.all(var > 0)
-    q2_mle = q2_loocv(em, refit="mle")
-    q2_none = q2_loocv(em, refit="none")
-    assert q2_mle == pytest.approx(1.0 - np.sum((y - mu) ** 2)
-                                   / np.sum((y - y.mean()) ** 2), rel=1e-12)
-    assert q2_none > 0.999                # the full fit is not degenerate
-    assert abs(q2_mle - q2_none) <= 1e-4  # measured: 5e-8
-
-
 # --------------------------------------------------------------------- Q2
-
-def test_q2_test_perfect_predictions():
-    em = make_demo_emulator()
-    grid = np.linspace(0.05, 0.95, 12).reshape(-1, 1)
-    mean, _ = em.predict_batch(grid, warn_extrapolation=False)
-    assert q2_test(em, grid, mean) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_q2_test_constant_predictor_scores_zero():
-    x = np.linspace(0, 1, 7).reshape(-1, 1)
-    y_test = np.array([0.5, 1.0, 2.0, -1.0, 0.0, 1.5, 0.25])
-    # an emulator fitted to constant data predicts the constant ybar
-    em = fit_mle(TrainingSet(x, np.full(7, y_test.mean())), TrendSpec("constant"))
-    got = q2_test(em, x + 0.01, y_test)
-    assert got == pytest.approx(0.0, abs=1e-12)
-
-
-def test_q2_test_validations():
-    em = make_demo_emulator()
-    with pytest.raises(DataError):
-        q2_test(em, np.array([[0.5]]), np.array([1.0]))
-    with pytest.raises(DataError):
-        q2_test(em, np.array([[0.2], [0.4]]), np.array([1.0, 1.0]))
-    with pytest.warns(UserWarning, match="overlap"):
-        q2_test(em, em.training.x_phys, em.training.y_phys)
-
 
 def test_q2_loocv_identity_with_loocv_error(rng):
     for _ in range(6):
@@ -162,51 +109,20 @@ def test_q2_loocv_hand_case_vs_refit_oracle():
     space = ParameterSpace(["x"], [0.0], [1.0])
     x = lhs_design(4, space, seed=9).to_physical()
     y = np.array([0.3, 1.2, -0.4, 0.9])
-    em = build_emulator(TrainingSet(x, y), TrendSpec("constant"),
+    em = FittedEmulator(TrainingSet(x, y), TrendSpec("constant"),
                         KernelSpec("exponential", [0.5]), nugget=1e-10)
     mu_loop = literal_loocv_oracle(em)
     want = 1.0 - np.sum((y - mu_loop) ** 2) / np.sum((y - y.mean()) ** 2)
     assert q2_loocv(em) == pytest.approx(want, abs=1e-10)
 
 
-class _FixedPredictor:
-    """Duck-typed emulator stub with settable predictions."""
-
-    def __init__(self, train_x, means):
-        self.means = np.asarray(means, float)
-
-        class _T:
-            x_phys = np.asarray(train_x, float)
-
-        self.training = _T()
-
-    def predict_batch(self, X, warn_extrapolation=True):
-        return self.means.copy(), np.zeros(self.means.size)
-
-
-def test_q2_strictly_decreasing_in_single_residual():
-    test_x = np.linspace(0, 1, 6).reshape(-1, 1)
-    test_y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-    train_x = np.full((3, 1), -1.0)  # no overlap
-    base = test_y.copy()
-    prev = None
-    for bump in (0.0, 0.1, 0.5, 1.0, 2.0):
-        means = base.copy()
-        means[2] += bump  # grow one residual, others fixed
-        q2 = q2_test(_FixedPredictor(train_x, means), test_x, test_y)
-        if prev is not None:
-            assert q2 < prev
-        prev = q2
-    assert q2_test(_FixedPredictor(train_x, base), test_x, test_y) == 1.0
-
-
 def test_diagnostics_permutation_invariance(rng):
     x = rng.uniform(0, 1, (10, 1))
     y = np.cos(3 * x[:, 0])
     spec = KernelSpec("matern_3_2", [0.5])
-    em1 = build_emulator(TrainingSet(x, y), TrendSpec("constant"), spec)
+    em1 = FittedEmulator(TrainingSet(x, y), TrendSpec("constant"), spec)
     perm = rng.permutation(10)
-    em2 = build_emulator(TrainingSet(x[perm], y[perm]), TrendSpec("constant"), spec)
+    em2 = FittedEmulator(TrainingSet(x[perm], y[perm]), TrendSpec("constant"), spec)
     assert loocv_error(em1) == pytest.approx(loocv_error(em2), rel=1e-9)
     assert q2_loocv(em1) == pytest.approx(q2_loocv(em2), rel=1e-9)
 
@@ -242,7 +158,7 @@ def synthetic_gp_coverage(master_seed, n_draws=25, m_train=8, n_test=40,
         y = sigma * (L @ rng.standard_normal(len(X)))
         tr = TrainingSet(x_train, y[:m_train], scale_inputs=False,
                          standardize_outputs=False)
-        em = build_emulator(tr, TrendSpec("known_constant", mu=0.0),
+        em = FittedEmulator(tr, TrendSpec("known_constant", mu=0.0),
                             KernelSpec("gaussian", [omega]), nugget=1e-10,
                             sigma2_override=sigma2_mult * sigma ** 2)
         per_draw.append(coverage_report(em, x_test, y[m_train:]))
@@ -261,22 +177,3 @@ def test_coverage_drops_with_halved_variance():
     assert halved < full
     assert halved < 0.90
 
-
-# ----------------------------------------------------------------- report
-
-def test_validation_report_roundtrip(tmp_path):
-    em = make_demo_emulator()
-    grid = np.linspace(0.02, 0.98, 15).reshape(-1, 1)
-    y = np.sin(5 * grid[:, 0]) + 0.3 * grid[:, 0]
-    report = validate_emulator(em, grid, y)
-    assert report.n_points == 15
-    assert report.q2 is not None and report.q2 <= 1.0
-    assert 0.0 <= report.coverage_95 <= 1.0
-    json_path = tmp_path / "report.json"
-    csv_path = tmp_path / "residuals.csv"
-    report.save_json(json_path)
-    report.save_residuals_csv(csv_path)
-    assert json_path.exists()
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "predicted,sd,actual"
-    assert len(lines) == 16

@@ -462,7 +462,7 @@ def test_buffered_factor_rejects_non_finite_like_cho_factor(rng):
             CorrelationMatrix(values, 0.0, **kwargs)
         assert type(ours.value) is type(scipy_error.value)
         assert str(ours.value) == str(scipy_error.value)
-    # an infinite nugget reaches the factorization through either path
+    # a non-finite nugget is refused before the factorization on either path
     for X_or_sites in (X, SiteDistances(X)):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="nugget"):
             correlation_matrix(X_or_sites, spec, np.inf)
