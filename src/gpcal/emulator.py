@@ -20,6 +20,7 @@ trend basis.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -464,20 +465,30 @@ class FittedEmulator:
             raise DataError(f"unsupported emulator format version "
                             f"{d.get('version')!r}")
         scaling = d["scaling"]
+        for key in ("scale_inputs", "standardize_outputs"):
+            if type(scaling[key]) is not bool:
+                raise DataError(f"scaling.{key} {scaling[key]!r} is not true or false")
+        hyper = d["hyperparameters"]
+        sigma2 = hyper["sigma2"]
+        # null would re-estimate sigma2 from the training data
+        if not (type(sigma2) in (int, float) and 0 <= sigma2 <= sys.float_info.max):
+            raise DataError(f"hyperparameters.sigma2 {sigma2!r} is not a finite "
+                            "nonnegative number")
         training = TrainingSet(d["training"]["x"], d["training"]["y"],
                                scale_inputs=scaling["scale_inputs"],
                                standardize_outputs=scaling["standardize_outputs"])
         trend = TrendSpec.from_dict(d["trend"])
         kernel = KernelSpec.from_dict(d["kernel"])
-        hyper = d["hyperparameters"]
         nugget = np.asarray(hyper["nugget"], dtype=float)
-        return cls(training, trend, kernel, nugget=nugget,
-                   sigma2_override=hyper["sigma2"])
+        return cls(training, trend, kernel, nugget=nugget, sigma2_override=sigma2)
 
     @classmethod
     def load(cls, path) -> "FittedEmulator":
+        doc = read_json(path)
         try:
-            return cls.from_dict(read_json(path))
+            return cls.from_dict(doc)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed emulator document "
                             f"({type(exc).__name__}: {exc})") from None

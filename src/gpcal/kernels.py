@@ -27,6 +27,17 @@ sites, so the slices equal the fold's own assembly bit for bit. Bit-identity
 is a contract, not a nicety: the multistart L-BFGS-B in the emulator fits
 follows the objective's last bits, so any change in rounding moves the
 fitted optimum.
+
+One step departs from the plain matrix, and only inside the factorization:
+every correlation below ``eps**2`` (4.9e-32) is zeroed in the working copy
+handed to ``dpotrf`` (:func:`_factor_into`). At small length-scales the
+product kernels underflow to thousands of entries below 1e-300, and a
+Cholesky over subnormal numbers runs about ten times slower. The zeroed
+entries lie far below the rounding of any sum they enter, so only negligible
+entries of the factor change. On every matrix and fit path the tests check,
+the log-determinant, the solves and the objective values keep the bits of
+the plain factorization, and so do the fitted optima and written artifacts.
+The assembled ``values`` stay the plain kernel matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +56,8 @@ KERNEL_KINDS = ("linear", "exponential", "power_exponential", "gaussian",
 #: default nugget on scaled data, and the escalation ceiling (x10 steps)
 DEFAULT_NUGGET = 1e-10
 MAX_NUGGET = 1e-4
+#: correlations below this (eps**2, 4.9e-32) are zeroed before factoring
+_NEGLIGIBLE = np.finfo(float).eps ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +216,11 @@ class CorrelationMatrix:
     until the buffers' next use, so it must not outlive one objective
     evaluation of a fit.
 
+    ``values`` is kept as given. The factor is that of ``values`` with its
+    entries below ``eps**2`` zeroed (see :func:`_factor_into`). It differs
+    from the plain matrix's factor only in negligible entries; ``logdet`` and
+    the solves are tested to equal the plain factor's bit for bit.
+
     Finiteness is checked once, on ``values``, before the factorization: a
     finite positive-definite matrix has a finite factor, so the solves call
     LAPACK on it directly and scan nothing. Their right-hand sides must be
@@ -281,21 +299,31 @@ def _cholesky(a: np.ndarray):
 
 
 def _factor_into(values: np.ndarray, work: np.ndarray, L: np.ndarray):
-    """``cho_factor(values, lower=True)`` and a C-ordered copy of it, computed
-    in the F-ordered ``work`` and the C-ordered ``L``: the same LAPACK call on
-    the same F-ordered input, so the same bits, and the same errors.
+    """``cho_factor(values, lower=True)`` of ``values`` with its entries below
+    ``_NEGLIGIBLE`` zeroed, and a C-ordered copy of it, computed in the
+    F-ordered ``work`` and the C-ordered ``L``: the same LAPACK call on the
+    same F-ordered input, so the same bits, and the same errors.
 
     ``values`` must be exactly symmetric: it is copied in through the
-    transposed view ``work.T``, a contiguous copy. The C-ordered copy looks
-    redundant (:func:`_tri_solve` ignores the upper triangle) but selects the
-    transposed LAPACK triangular-solve path; solving with the F-ordered
-    factor itself changes half_solve's last bits, and with them the optimum
-    that MLE fits reach. Only the layout matters: zeroing the upper triangle
-    (np.tril) changes no bit.
+    transposed view ``work.T``, a contiguous copy. The zeroing (every kernel
+    kind is nonnegative, so the entry itself is compared) keeps ``dpotrf`` out
+    of the subnormal numbers an underflowing kernel leaves, whose
+    gradual-underflow arithmetic costs about ten times a clean factorization.
+    The factor differs from that of ``values`` only in entries far below the
+    rounding of the sums they enter; the tests check that logdet and the
+    solves keep the plain factor's bits. The boolean mask is the only m x m
+    allocation.
+
+    The C-ordered copy looks redundant (:func:`_tri_solve` ignores the upper
+    triangle) but selects the transposed LAPACK triangular-solve path;
+    solving with the F-ordered factor itself changes half_solve's last bits,
+    and with them the optimum that MLE fits reach. Only the layout matters:
+    zeroing the upper triangle (np.tril) changes no bit.
     """
     if not np.isfinite(values).all():            # cho_factor's check_finite
         raise ValueError("array must not contain infs or NaNs")
     np.copyto(work.T, values)
+    np.copyto(work, 0.0, where=work < _NEGLIGIBLE)
     c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
     if info:                                     # only > 0 for valid buffers
         raise np.linalg.LinAlgError(

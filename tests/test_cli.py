@@ -131,6 +131,10 @@ def test_cli_calibrate_artifacts(calibrated_run):
                  "gpcode", "gpbias"):
         assert name in manifest["artifacts"]
         assert (out_dir / manifest["artifacts"][name]).exists()
+    for name in ("gpcode", "gpbias"):  # the records load as written
+        path = out_dir / manifest["artifacts"][name]
+        em = FittedEmulator.load(path)
+        assert em.to_dict()["hyperparameters"] == json.loads(path.read_text())["hyperparameters"]
     summary = json.loads((out_dir / "posterior_summary.json").read_text())
     assert set(summary["parameters"]) == {"slope", "offset"}
     for stats in summary["parameters"].values():
@@ -251,6 +255,15 @@ def _drop_x_names(run):
     (run / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _edit_gpcode(section, key, value):
+    """An edit of a run that sets ``gpcode.json``'s ``section.key``."""
+    def edit(run):
+        doc = json.loads((run / "gpcode.json").read_text())
+        doc[section][key] = value
+        (run / "gpcode.json").write_text(json.dumps(doc))
+    return edit
+
+
 def _calibrate_negative_sigma(tmp_path):
     config = write_config(tmp_path, samples=300, burn=100)
     csv = tmp_path / "experiments.csv"
@@ -314,6 +327,18 @@ FAILURES = {
         lambda tmp, run: _report(tmp, run, lambda r: (r / "validation_report.json")
                                  .write_text('{"rmse": 0.1}')),
         2, "malformed run record (KeyError: 'residuals')"),
+    "report-gpcode-sigma2-null": (
+        lambda tmp, run: _report(tmp, run, _edit_gpcode("hyperparameters", "sigma2", None)),
+        2, "gpcode.json: hyperparameters.sigma2 None is not a finite nonnegative"),
+    "report-gpcode-sigma2-negative": (
+        lambda tmp, run: _report(tmp, run, _edit_gpcode("hyperparameters", "sigma2", -1.0)),
+        2, "hyperparameters.sigma2 -1.0 is not"),
+    "report-gpcode-scale-inputs-null": (
+        lambda tmp, run: _report(tmp, run, _edit_gpcode("scaling", "scale_inputs", None)),
+        2, "gpcode.json: scaling.scale_inputs None is not true or false"),
+    "report-gpcode-standardize-outputs-1": (
+        lambda tmp, run: _report(tmp, run, _edit_gpcode("scaling", "standardize_outputs", 1)),
+        2, "scaling.standardize_outputs 1 is not true or false"),
     "calibrate-negative-sigma-exp": (
         lambda tmp, run: _calibrate_negative_sigma(tmp), 2, "negative sigma_exp"),
     "calibrate-simulator-output-not-utf8": (

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_factor, solve_triangular
 
 import gpcal.emulator
 from gpcal import (ConfigError, DataError, ExtrapolationWarning,
@@ -164,6 +164,62 @@ def test_nll_with_fit_distances_is_bit_identical(rng):
             for trend in (TrendSpec("constant"), TrendSpec("linear")):
                 assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
                         == neg_log_likelihood(tr, trend, spec))
+
+
+def dense_scipy_nll(training, trend, spec, nugget):
+    """The concentrated NLL from scipy's factor of the plain kernel matrix,
+    no entry zeroed, in the expressions the GLS algebra uses."""
+    m = training.m
+    values = cross_corr_matrix(training.X, training.X, spec)
+    np.fill_diagonal(values, 1.0 + nugget)
+    c = cho_factor(values, lower=True)[0]
+    L = np.ascontiguousarray(c)
+    F = trend.build_matrix(training.X)
+    G = solve_triangular(L, F, lower=True)
+    Q, Rq = np.linalg.qr(G)
+    beta = solve_triangular(Rq, Q.T @ solve_triangular(L, training.y, lower=True),
+                            lower=False)
+    z = solve_triangular(L, training.y - F @ beta, lower=True)
+    s2 = max(float(z @ z) / m, np.finfo(float).tiny)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
+    return (0.5 * m * math.log(2.0 * math.pi * s2) + 0.5 * logdet + 0.5 * m
+            + m * math.log(training.y_scale))
+
+
+def subnormal_count(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(float).tiny)))
+
+
+def test_fit_mle_path_nll_is_bit_identical_to_an_unflushed_dense_factor(monkeypatch):
+    # correlations below eps**2 are zeroed before factoring, which keeps the
+    # Cholesky out of subnormal arithmetic at the small-omega end of the box;
+    # every objective value the multistart sees must stay what scipy's
+    # factor of the plain matrix gives
+    x = np.linspace(0.0, 10.0, 8)[:, None]
+    theta = 1.0 + 2.0 * lhs_design(10, ParameterSpace(["a", "b"], [0, 0], [1, 1]),
+                                   seed=1).points
+    X = np.hstack([np.repeat(x, 10, axis=0), np.tile(theta, (8, 1))])
+    tr = TrainingSet(X, X[:, 1] * X[:, 0] + X[:, 2])
+    trend = TrendSpec("constant")
+    seen = []
+    real = gpcal.emulator._concentrated_nll
+
+    def spy(training, trend, spec, nugget, sites):
+        seen.append((spec, real(training, trend, spec, nugget, sites)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(gpcal.emulator, "_concentrated_nll", spy)
+    fit_mle(tr, trend, "matern_5_2", n_restarts=3, seed=1)
+    assert len(seen) > 400
+    for spec, value in seen:
+        assert value == dense_scipy_nll(tr, trend, spec, 1e-10)
+    corners = [spec for spec, _ in seen if np.isclose(spec.omega, 1e-3).any()]
+    assert corners
+    sites = SiteDistances(tr.X)
+    for spec in corners:
+        R = correlation_matrix(sites, spec, 1e-10)
+        assert subnormal_count(R._cho[0]) == 0
+        assert subnormal_count(cho_factor(R.values, lower=True)[0]) > 0
 
 
 def test_fit_mle_result_shares_no_fit_buffer(rng, monkeypatch):
@@ -869,6 +925,40 @@ def test_load_maps_a_malformed_document_to_a_data_error(tmp_path, rng):
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="malformed emulator document"):
             FittedEmulator.load(path)
+
+
+def test_written_records_load_with_their_sigma2_and_scaling(rng):
+    x = rng.uniform(0, 2, (12, 2))
+    y = np.sin(x[:, 0]) * x[:, 1] + 5.0
+    written = [fit(TrainingSet(x, y), TrendSpec("constant"), "matern_5_2",
+                   n_restarts=2, seed=4) for fit in (fit_mle, fit_cv)]
+    written.append(fit_mle(TrainingSet(x, np.full(12, 3.0)), TrendSpec("constant")))
+    written.append(FittedEmulator(raw_training(x, y), TrendSpec("linear"),
+                                  KernelSpec("gaussian", [0.5, 0.8])))
+    for em in written:
+        doc = json.loads(json.dumps(em.to_dict()))
+        loaded = FittedEmulator.from_dict(doc)
+        assert loaded.hyper.sigma2 == em.hyper.sigma2
+        assert loaded.degenerate == em.degenerate
+        assert (loaded.training.scale_inputs, loaded.training.standardize_outputs) \
+            == (em.training.scale_inputs, em.training.standardize_outputs)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hyperparameters", "sigma2", None), ("hyperparameters", "sigma2", "1.0"),
+    ("hyperparameters", "sigma2", True), ("hyperparameters", "sigma2", -0.5),
+    ("scaling", "scale_inputs", None), ("scaling", "scale_inputs", 0),
+    ("scaling", "standardize_outputs", "false")])
+def test_from_dict_rejects_untyped_sigma2_and_scaling_flags(section, key, value,
+                                                            tmp_path, rng):
+    doc = random_instance(rng).to_dict()
+    doc[section][key] = value
+    with pytest.raises(DataError, match=f"{section}.{key} "):
+        FittedEmulator.from_dict(doc)
+    path = tmp_path / "emulator.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f"emulator.json: {section}.{key} "):
+        FittedEmulator.load(path)
 
 
 @pytest.mark.parametrize("fit", [fit_mle, fit_cv])
