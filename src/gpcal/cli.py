@@ -11,26 +11,25 @@ failure, 4 gate failure.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .calibration import _ESTIMATIONS, _TRENDS, fit_estimated
-from .config import (_COUNT, _NATURAL, RunManifest, _at_least, _check, load_config,
-                     load_space)
+from .config import load_config, load_space
 from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
 from .diagnostics import Z_95, loocv_error
 from .emulator import FittedEmulator, TrainingSet, TrendSpec
 from .errors import ConfigError, DataError, GpcalError
-from .fileio import make_dir, read_json, read_numeric_csv, write_csv, write_json
+from .fileio import (_ABSENT, _COUNT, _FLOAT, _NAMES, _NATURAL, _NONNEGATIVE, _STR,
+                     _Invalid, _at_least, _check, _list, _open, make_dir, read_checked,
+                     read_numeric_csv, write_csv, write_json)
 from .kernels import KERNEL_KINDS
-
-
-#: a nugget is a variance: a finite number >= 0
-_NUGGET = _check(lambda v: type(v) in (int, float) and 0 <= v <= sys.float_info.max,
-                 "a finite number >= 0", float)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,7 +44,7 @@ def _arg(parse, check):
     def arg(text):
         try:
             return check(parse(text), "value")
-        except ConfigError as exc:
+        except _Invalid as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     arg.__name__ = parse.__name__  # argparse names it in "invalid int value"
     return arg
@@ -100,6 +99,12 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+#: the run record's files, by their manifest keys
+_ARTIFACTS = {"chain_csv": "chain.csv", "posterior_summary": "posterior_summary.json",
+              "validation_report": "validation_report.json", "gpcode": "gpcode.json",
+              "gpbias": "gpbias.json"}
+
+
 def _cmd_calibrate(args) -> int:
     from .calibration import run_workflow
 
@@ -107,10 +112,8 @@ def _cmd_calibrate(args) -> int:
     out_dir = make_dir(args.out or config.output_dir or "gpcal_run")
     result = run_workflow(config)
 
-    artifacts = {"chain_csv": "chain.csv", "posterior_summary": "posterior_summary.json",
-                 "validation_report": "validation_report.json", "gpcode": "gpcode.json"}
-    if result.gp_bias is not None:
-        artifacts["gpbias"] = "gpbias.json"
+    artifacts = {key: name for key, name in _ARTIFACTS.items()
+                 if key != "gpbias" or result.gp_bias is not None}
     summary = result.chain.summary()
     if result.extra_chains:
         summary["chains"] = {
@@ -124,11 +127,13 @@ def _cmd_calibrate(args) -> int:
     result.gp_code.save(out_dir / artifacts["gpcode"])
     if result.gp_bias is not None:
         result.gp_bias.emulator.save(out_dir / artifacts["gpbias"])
-    manifest = RunManifest(config_hash=config.config_hash, artifacts=artifacts,
-                           stage_seconds=result.stage_seconds,
-                           theta_names=list(config.theta_names),
-                           x_names=list(config.design_space.names))
-    manifest.save(out_dir / "manifest.json")
+    write_json(out_dir / "manifest.json", {
+        "config_hash": config.config_hash, "artifacts": artifacts,
+        "stage_seconds": result.stage_seconds, "theta_names": list(config.theta_names),
+        "x_names": list(config.design_space.names),
+        "versions": {"gpcal": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "python": platform.python_version()},
+        "created": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
     print(f"q2_loocv(gpcode) = {result.q2_code:.4f}  "
           f"(gate {config.thresholds['q2_gate']})")
@@ -141,43 +146,62 @@ def _cmd_calibrate(args) -> int:
     return 0
 
 
+#: manifest.json's schema, and what report reads of validation_report.json
+#: ((mean, sd, observed) rows) and of posterior_summary.json (the means).
+#: gpbias, file and stage, is there only with the discrepancy on.
+_MANIFEST = {
+    "config_hash": _check(lambda v: type(v) is str and len(v) == 64
+                          and set(v) <= set("0123456789abcdef"), "a SHA-256 hex digest"),
+    "artifacts": {key: (_STR, _ABSENT) if key == "gpbias" else _STR for key in _ARTIFACTS},
+    "stage_seconds": {stage: (_NONNEGATIVE, _ABSENT) if stage == "gpbias" else _NONNEGATIVE
+                      for stage in ("split", "gpbias", "gpcode", "mcmc", "validate")},
+    "theta_names": _NAMES, "x_names": _NAMES,
+    "versions": dict.fromkeys(("gpcal", "numpy", "scipy", "python"), _STR),
+    "created": _STR,
+}
+_VALIDATION = _open({"residuals": _list(_list(_FLOAT, 3))})
+
+
+def _summary(names):
+    return _open({"parameters": _open(dict.fromkeys(names, _open({"mean": _FLOAT})))})
+
+
 def _cmd_report(args) -> int:
     run_dir = Path(args.run)
-    manifest = RunManifest.load(run_dir / "manifest.json")
-    try:  # a run record edited or cut short by hand lacks keys or has wrong types
-        paths = {key: run_dir / name for key, name in manifest.artifacts.items()}
-        residuals = [(float(m), float(s), float(a)) for m, s, a
-                     in read_json(paths["validation_report"])["residuals"]]
-        parameters = read_json(paths["posterior_summary"])["parameters"]
-        theta_mean = [float(parameters[n]["mean"]) for n in manifest.theta_names]
-        curves = len(manifest.x_names) == 1
-        chain, names = read_numeric_csv(paths["chain_csv"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{run_dir}: malformed run record "
-                        f"({type(exc).__name__}: {exc})") from None
-    report_dir = make_dir(run_dir / "report")
+    manifest = read_checked(run_dir / "manifest.json", _MANIFEST)
+    theta_names = manifest["theta_names"]
+    paths = {key: run_dir / name for key, name in manifest["artifacts"].items()}
+    residuals = read_checked(paths["validation_report"], _VALIDATION)["residuals"]
+    parameters = read_checked(paths["posterior_summary"],
+                              _summary(theta_names))["parameters"]
+    theta_mean = [parameters[n]["mean"] for n in theta_names]
+    chain, names = read_numeric_csv(paths["chain_csv"])
+    if names != theta_names:
+        raise DataError(f"{paths['chain_csv']}: header {names} is not the "
+                        f"manifest's theta_names {theta_names}")
+    if chain.shape[0] == 0 or not np.isfinite(chain).all():
+        raise DataError(f"{paths['chain_csv']}: needs at least one row, all finite")
+    # loaded whether or not curves are drawn: a malformed emulator exits 2 either way
+    emulators = {key: FittedEmulator.load(paths[key]) for key in ("gpcode", "gpbias")
+                 if key in paths}
 
+    tables = []  # (file name, header, rows), written once all are made
     for j, name in enumerate(names):
         col = chain[:, j]
         lo, hi = float(col.min()), float(col.max())
         if hi <= lo:
             lo, hi = lo - 0.5, hi + 0.5
         counts, edges = np.histogram(col, bins=args.bins, range=(lo, hi))
-        write_csv(report_dir / f"marginal_{name}.csv",
-                  ["bin_left", "bin_right", "count"],
-                  zip(edges[:-1], edges[1:], counts))
-    write_csv(report_dir / "trace.csv", ["iteration"] + names,
-              np.column_stack([np.arange(chain.shape[0]), chain]))
-    write_csv(report_dir / "predictive.csv",
-              ["pred_mean", "pred_sd", "observed", "lower95", "upper95"],
-              [(m, s, a, m - Z_95 * s, m + Z_95 * s) for m, s, a in residuals])
+        tables.append((f"marginal_{name}.csv", ["bin_left", "bin_right", "count"],
+                       zip(edges[:-1], edges[1:], counts)))
+    tables.append(("trace.csv", ["iteration"] + names,
+                   np.column_stack([np.arange(chain.shape[0]), chain])))
+    tables.append(("predictive.csv",
+                   ["pred_mean", "pred_sd", "observed", "lower95", "upper95"],
+                   [(m, s, a, m - Z_95 * s, m + Z_95 * s) for m, s, a in residuals]))
 
-    if curves:
-        for key, fname in (("gpcode", "gpcode_curve.csv"),
-                           ("gpbias", "gpbias_curve.csv")):
-            if key not in paths:
-                continue
-            emulator = FittedEmulator.load(paths[key])
+    if len(manifest["x_names"]) == 1:
+        for key, emulator in emulators.items():
             tr_x = emulator.training.x_phys
             grid = np.linspace(tr_x[:, 0].min(), tr_x[:, 0].max(), args.grid)
             if key == "gpcode":
@@ -187,9 +211,11 @@ def _cmd_report(args) -> int:
                 pts = grid.reshape(-1, 1)
             mean, mse = emulator.predict_batch(pts, warn_extrapolation=False)
             sd = np.sqrt(mse)
-            write_csv(report_dir / fname,
-                      ["x", "mean", "sd", "lower95", "upper95"],
-                      zip(grid, mean, sd, mean - Z_95 * sd, mean + Z_95 * sd))
+            tables.append((f"{key}_curve.csv", ["x", "mean", "sd", "lower95", "upper95"],
+                           zip(grid, mean, sd, mean - Z_95 * sd, mean + Z_95 * sd)))
+    report_dir = make_dir(run_dir / "report")
+    for fname, header, rows in tables:
+        write_csv(report_dir / fname, header, rows)
     print(f"report CSVs in {report_dir}")
     return 0
 
@@ -224,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=_arg(int, _at_least(2)), default=10)
     p.add_argument("--restarts", type=_arg(int, _COUNT), default=4)
     p.add_argument("--seed", type=_arg(int, _NATURAL), default=0)
-    p.add_argument("--nugget", type=_arg(float, _NUGGET), default=1e-10)
+    p.add_argument("--nugget", type=_arg(float, _NONNEGATIVE), default=1e-10)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optional report JSON path")
     p.set_defaults(fn=_cmd_fit)

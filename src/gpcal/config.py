@@ -1,5 +1,4 @@
-"""Workflow configuration, parameter-space files, config hashing and the
-run manifest.
+"""Workflow configuration, parameter-space files and config hashing.
 
 The config file is YAML (JSON is accepted too; JSON is a YAML subset). All
 seeds must be explicit: a run is fully determined by its configuration file
@@ -12,18 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import platform
-import sys
-import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import yaml
 
 from .calibration import (_CODE_DESIGNS, _DESIGN_METHODS, _ESTIMATIONS, _TRENDS,
                           ExperimentData)
-from .errors import ConfigError, DataError
-from .fileio import read_json, write_json
+from .errors import ConfigError
+from .fileio import (_ABSENT, _BOOL, _COUNT, _FLOAT, _NAMES, _NATURAL, _STR,
+                     _at_least, _check, _choice, _list, _variant, checked, read_checked)
 from .kernels import KERNEL_KINDS
 from .priors import Prior1D, PriorSpec
 from .simulators import BUILTIN_SIMULATORS, SimulatorBinding, simulator_from_config
@@ -47,123 +44,47 @@ class WorkflowConfig:
     config_hash: str
 
 
-def _check(ok, what, to=lambda v: v):
-    """A value check: ``to(value)`` if ``ok(value)``, else a ConfigError
-    naming the value's dotted path."""
-    def check(value, path):
-        if not ok(value):
-            raise ConfigError(f"{path} {value!r} is not {what}")
-        return to(value)
-    return check
-
-
-def _at_least(n):
-    # type(), not isinstance(): a bool is no int here. An integral float
-    # becomes an int, so 11.0 hashes as 11 did.
-    return _check(lambda v: (type(v) is int or type(v) is float and v.is_integer())
-                  and v >= n, f"an integer >= {n}", int)
-
-
-def _choice(options):
-    return _check(lambda v: type(v) is str and v in options,
-                  f"one of {', '.join(options)}")
-
-
-def _list(item):
-    def check(value, path):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path} {value!r} is not a list")
-        return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    return check
-
-
-def _variant(tag, schemas):
-    """A mapping whose ``tag`` key picks the schema of its other keys."""
-    choose = _choice(tuple(schemas))
-
-    def check(value, path):
-        kind = choose(value.get(tag), f"{path}.{tag}") if isinstance(value, dict) else None
-        return _section(value, {tag: (choose, _REQUIRED), **schemas.get(kind, {})}, path)
-    return check
-
-
-_REQUIRED, _ABSENT = object(), object()
-_NATURAL, _COUNT = _at_least(0), _at_least(1)
-# abs(v) <= max, not isfinite(v): a 400-digit int overflows isfinite
-_FLOAT = _check(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-                "a finite number", float)
-_BOOL = _check(lambda v: type(v) is bool, "true or false")
-_STR = _check(lambda v: type(v) is str, "a string")
 _COMMAND = _check(lambda v: v and (type(v) is str or type(v) is list
                                    and all(type(c) is str for c in v)),
                   "a command string or a nonempty list of strings")
 
-#: key -> (check or nested schema, default). A _REQUIRED key must be given;
-#: an _ABSENT one is left out when not given. The five sections from
-#: "emulator" on, defaults filled in, are what run_workflow reads.
+#: the config file's schema (see gpcal.fileio.checked). The five sections
+#: from "emulator" on, defaults filled in, are what run_workflow reads.
 _SCHEMA = {
-    "design_space": ({"names": (_list(_STR), _REQUIRED),
-                      "lower": (_list(_FLOAT), _REQUIRED),
-                      "upper": (_list(_FLOAT), _REQUIRED)}, _REQUIRED),
-    "calibration": ({
-        "names": (_list(_STR), _REQUIRED),
-        "priors": (_list(_variant("dist", {
-            "uniform": {"lower": (_FLOAT, _REQUIRED), "upper": (_FLOAT, _REQUIRED)},
-            "normal": {"mean": (_FLOAT, _REQUIRED), "sd": (_FLOAT, _REQUIRED)},
-            "lognormal": {"log_mean": (_FLOAT, _REQUIRED),
-                          "log_sd": (_FLOAT, _REQUIRED)}})), _REQUIRED),
-        "nominal": (_list(_FLOAT), None)}, _REQUIRED),
-    "simulator": (_variant("kind", {
-        "builtin": {"name": (_choice(tuple(BUILTIN_SIMULATORS)), _REQUIRED)},
-        "subprocess": {"command": (_COMMAND, _REQUIRED),
-                       "columns": (_list(_STR), _ABSENT),
+    "design_space": {"names": _NAMES, "lower": _list(_FLOAT), "upper": _list(_FLOAT)},
+    "calibration": {
+        "names": _NAMES,
+        "priors": _list(_variant("dist", {
+            "uniform": {"lower": _FLOAT, "upper": _FLOAT},
+            "normal": {"mean": _FLOAT, "sd": _FLOAT},
+            "lognormal": {"log_mean": _FLOAT, "log_sd": _FLOAT}})),
+        "nominal": (_list(_FLOAT), None)},
+    "simulator": _variant("kind", {
+        "builtin": {"name": _choice(tuple(BUILTIN_SIMULATORS))},
+        "subprocess": {"command": _COMMAND, "columns": (_list(_STR), _ABSENT),
                        "workdir": (_STR, _ABSENT)},
-        "table": {"path": (_STR, _REQUIRED)}}), _REQUIRED),
-    "experiments": ({
-        "path": (_STR, _REQUIRED),
-        "split": ({"iuq": (_list(_NATURAL), _ABSENT), "val": (_list(_NATURAL), _ABSENT),
-                   "fraction": (_FLOAT, _ABSENT), "seed": (_NATURAL, _ABSENT)},
-                  _REQUIRED)}, _REQUIRED),
-    "emulator": ({"kernel": (_choice(KERNEL_KINDS), "matern_5_2"),
-                  "trend": (_choice(_TRENDS), "constant"),
-                  "estimation": (_choice(_ESTIMATIONS), "mle"),
-                  "cv_folds": (_at_least(2), 10),
-                  "n_train": (_COUNT, _REQUIRED),
-                  "design": (_choice(_CODE_DESIGNS), "cross"),
-                  "design_method": (_choice(_DESIGN_METHODS), "lhs"),
-                  "n_restarts": (_COUNT, 4),
-                  "seed": (_NATURAL, _REQUIRED)}, _REQUIRED),
-    "mcmc": ({"samples": (_COUNT, _REQUIRED), "burn": (_COUNT, None),
-              "thin": (_COUNT, 1), "seed": (_NATURAL, _REQUIRED),
-              "chains": (_COUNT, 1)}, _REQUIRED),
+        "table": {"path": _STR}}),
+    "experiments": {
+        "path": _STR,
+        "split": {"iuq": (_list(_NATURAL), _ABSENT), "val": (_list(_NATURAL), _ABSENT),
+                  "fraction": (_FLOAT, _ABSENT), "seed": (_NATURAL, _ABSENT)}},
+    "emulator": {"kernel": (_choice(KERNEL_KINDS), "matern_5_2"),
+                 "trend": (_choice(_TRENDS), "constant"),
+                 "estimation": (_choice(_ESTIMATIONS), "mle"),
+                 "cv_folds": (_at_least(2), 10),
+                 "n_train": _COUNT,
+                 "design": (_choice(_CODE_DESIGNS), "cross"),
+                 "design_method": (_choice(_DESIGN_METHODS), "lhs"),
+                 "n_restarts": (_COUNT, 4),
+                 "seed": _NATURAL},
+    "mcmc": {"samples": _COUNT, "burn": (_COUNT, None), "thin": (_COUNT, 1),
+             "seed": _NATURAL, "chains": (_COUNT, 1)},
     "thresholds": ({"q2_gate": (_FLOAT, 0.7)}, {}),
     "discrepancy": ({"enabled": (_BOOL, True)}, {}),
     "validation": ({"draws": (_COUNT, 200), "max_sim_evals": (_COUNT, None)}, {}),
     "output_dir": (_STR, None),
 }
 _RUN_SECTIONS = ("emulator", "mcmc", "thresholds", "discrepancy", "validation")
-
-
-def _section(d, schema, path):
-    """``d`` checked against ``schema`` at the dotted ``path``, with every
-    default filled in; nested schemas are walked in turn."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path or 'config root'} {d!r} is not a mapping")
-    prefix = f"{path}." if path else ""
-    for key in d:
-        if key not in schema:
-            raise ConfigError(f"unknown config key {prefix}{key}")
-    out = {}
-    for key, (check, default) in schema.items():
-        value = d.get(key, default)
-        if value is _REQUIRED:
-            raise ConfigError(f"config is missing required field {prefix}{key}")
-        if value is None and default is None:
-            out[key] = None
-        elif value is not _ABSENT:
-            out[key] = (_section(value, check, prefix + key) if isinstance(check, dict)
-                        else check(value, prefix + key))
-    return out
 
 
 def load_config(path) -> WorkflowConfig:
@@ -176,12 +97,13 @@ def load_config(path) -> WorkflowConfig:
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
     base = path.parent
-    cfg = _section(raw, _SCHEMA, "")
+    cfg = checked(raw, _SCHEMA, ConfigError, path)
 
     design_space = ParameterSpace(**cfg["design_space"])
 
     cal = cfg["calibration"]
-    priors = [Prior1D.from_dict(p) for p in cal["priors"]]
+    # each prior's "dist" names the Prior1D constructor its other keys go to
+    priors = [getattr(Prior1D, p.pop("dist"))(**p) for p in cal["priors"]]
     if len(priors) != len(cal["names"]):
         raise ConfigError(f"{len(priors)} priors for {len(cal['names'])} "
                           "calibration parameters")
@@ -222,39 +144,4 @@ def load_config(path) -> WorkflowConfig:
 def load_space(path) -> ParameterSpace:
     """The parameter space in a JSON file, checked like a config's
     ``design_space``; every failure is a ConfigError naming the file."""
-    doc = read_json(path, ConfigError)
-    try:
-        return ParameterSpace(**_section(doc, _SCHEMA["design_space"][0], ""))
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def versions() -> dict:
-    import numpy
-    import scipy
-    from . import __version__
-    return {"gpcal": __version__, "numpy": numpy.__version__,
-            "scipy": scipy.__version__, "python": platform.python_version()}
-
-
-@dataclass
-class RunManifest:
-    config_hash: str
-    artifacts: dict
-    stage_seconds: dict
-    theta_names: list
-    x_names: list
-    versions: dict = field(default_factory=versions)
-    created: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S"))
-
-    def save(self, path) -> None:
-        write_json(path, asdict(self))
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        doc = read_json(path)
-        names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in doc] if isinstance(doc, dict) else names
-        if missing:
-            raise DataError(f"{path}: run manifest is missing {', '.join(missing)}")
-        return cls(**{name: doc[name] for name in names})
+    return ParameterSpace(**read_checked(path, _SCHEMA["design_space"], ConfigError))

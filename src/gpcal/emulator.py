@@ -20,6 +20,7 @@ trend basis.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -30,11 +31,12 @@ from scipy.optimize import minimize
 from .design import _lhs_points
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      IllConditionedError, NumericalError)
-from .fileio import read_json, write_json
-from .kernels import (DEFAULT_NUGGET, CorrelationMatrix, KernelSpec,
-                      SiteDistances, _corr_1d, _factor, _nugget_vector,
-                      _product_corr, _tri_solve, correlation_matrix,
-                      cross_corr_matrix)
+from .fileio import (_BOOL, _FLOAT, _NONNEGATIVE, _check, _choice, _list, _number,
+                     _open, _variant, checked, read_json, write_json)
+from .kernels import (DEFAULT_NUGGET, KERNEL_KINDS, CorrelationMatrix,
+                      KernelSpec, SiteDistances, _corr_1d, _factor,
+                      _nugget_vector, _product_corr, _tri_solve,
+                      correlation_matrix, cross_corr_matrix)
 
 EMULATOR_FORMAT_VERSION = 1
 
@@ -88,10 +90,6 @@ class TrendSpec:
         if self.kind == "custom":
             raise ConfigError("custom trend bases are not serializable")
         return {"kind": self.kind, "mu": self.mu}
-
-    @classmethod
-    def from_dict(cls, d) -> "TrendSpec":
-        return cls(d["kind"], d.get("mu", 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,38 +458,77 @@ class FittedEmulator:
         write_json(path, self.to_dict())
 
     @classmethod
-    def from_dict(cls, d) -> "FittedEmulator":
-        if d.get("version") != EMULATOR_FORMAT_VERSION:
-            raise DataError(f"unsupported emulator format version "
-                            f"{d.get('version')!r}")
-        scaling = d["scaling"]
-        for key in ("scale_inputs", "standardize_outputs"):
-            if type(scaling[key]) is not bool:
-                raise DataError(f"scaling.{key} {scaling[key]!r} is not true or false")
-        hyper = d["hyperparameters"]
-        sigma2 = hyper["sigma2"]
-        # null would re-estimate sigma2 from the training data
-        if not (type(sigma2) in (int, float) and 0 <= sigma2 <= sys.float_info.max):
-            raise DataError(f"hyperparameters.sigma2 {sigma2!r} is not a finite "
-                            "nonnegative number")
-        training = TrainingSet(d["training"]["x"], d["training"]["y"],
-                               scale_inputs=scaling["scale_inputs"],
-                               standardize_outputs=scaling["standardize_outputs"])
-        trend = TrendSpec.from_dict(d["trend"])
-        kernel = KernelSpec.from_dict(d["kernel"])
-        nugget = np.asarray(hyper["nugget"], dtype=float)
-        return cls(training, trend, kernel, nugget=nugget, sigma2_override=sigma2)
+    def from_dict(cls, d, source="emulator document") -> "FittedEmulator":
+        """The emulator a :meth:`to_dict` document describes. A document that
+        breaks its schema, or whose derived fields are not what its training
+        data, trend and kernel give, is a :class:`DataError` naming
+        ``source`` and the dotted key."""
+        sized = checked(d, _SIZES, DataError, source)
+        doc = checked(d, _document(len(sized["training"]["y"]),
+                                   len(sized["kernel"]["omega"])), DataError, source)
+        scaling, hyper = doc["scaling"], doc["hyperparameters"]
+        training = TrainingSet(doc["training"]["x"], doc["training"]["y"],
+                               scaling["scale_inputs"], scaling["standardize_outputs"])
+        em = cls(training, TrendSpec(**doc["trend"]), KernelSpec(**doc["kernel"]),
+                 nugget=hyper["nugget"], sigma2_override=hyper["sigma2"])
+        got = _fields(doc)
+        for key, want in _fields(em.to_dict()).items():
+            if got[key] != want and not (key == "hyperparameters.beta"
+                                         and em._beta_agrees(got[key])):
+                raise DataError(f"{source}: {key} {reprlib.repr(got[key])} is not "
+                                f"{reprlib.repr(want)}, what its training data, trend "
+                                "and kernel give")
+        return em
+
+    def _beta_agrees(self, beta) -> bool:
+        """Whether ``beta`` is this emulator's trend coefficients to within
+        BETA_TOL of their GLS standard errors, or BETA_TOL relative."""
+        if len(beta) != self.hyper.beta.size or not beta:
+            return False
+        Rq_inv = _tri_solve(self._gls.Rq, np.eye(len(beta)), False)
+        se = np.sqrt(self.hyper.sigma2 * np.sum(Rq_inv ** 2, axis=1))
+        return np.allclose(beta, self.hyper.beta, rtol=BETA_TOL, atol=BETA_TOL * se)
 
     @classmethod
     def load(cls, path) -> "FittedEmulator":
-        doc = read_json(path)
-        try:
-            return cls.from_dict(doc)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed emulator document "
-                            f"({type(exc).__name__}: {exc})") from None
+        return cls.from_dict(read_json(path), path)
+
+
+#: a loaded beta is re-solved, and a BLAS at another thread count moves it
+#: by up to 1.4e-5 of its standard error (0.2 relative) where R is near
+#: singular: the tolerance of the comparison, in standard errors
+BETA_TOL = 1e-3
+
+
+def _fields(doc) -> dict:
+    """``{dotted key: value}`` of a document's fields, two levels deep."""
+    return {f"{k}.{s}" if s else k: v for k, section in doc.items()
+            for s, v in (section.items() if isinstance(section, dict) else [("", section)])}
+
+
+_POSITIVE = _number(lambda v: 0 < v <= sys.float_info.max, "a finite number > 0")
+#: the lists whose lengths size the rest of the document
+_SIZES = _open({"training": _open({"y": _list(_FLOAT)}),
+                "kernel": _open({"omega": _list(_POSITIVE)})})
+
+
+def _document(m: int, d: int) -> dict:
+    """The schema of an emulator document of m training sites in d dimensions."""
+    floats = _list(_FLOAT)
+    return {
+        "version": _check(lambda v: type(v) is int and v == EMULATOR_FORMAT_VERSION,
+                          f"{EMULATOR_FORMAT_VERSION}, the supported format version"),
+        "trend": _variant("kind", dict.fromkeys(("known_constant", "constant", "linear"),
+                                                {"mu": _FLOAT})),
+        "kernel": {"kind": _choice(KERNEL_KINDS), "omega": _list(_POSITIVE, d),
+                   "p": _list(_number(lambda v: 0 <= v <= 2, "in [0, 2]"), d)},
+        "hyperparameters": {"beta": floats, "sigma2": _NONNEGATIVE, "omega": floats,
+                            "p": floats, "nugget": _list(_NONNEGATIVE, m)},
+        "scaling": {"scale_inputs": _BOOL, "standardize_outputs": _BOOL, "x_min": floats,
+                    "x_span": floats, "y_mean": _FLOAT, "y_scale": _FLOAT},
+        "training": {"x": _list(_list(_FLOAT, d), m), "y": _list(_FLOAT, m)},
+        "degenerate": _BOOL,
+    }
 
 
 def _multistart(loss, d: int, kernel: str, omega_bounds, n_restarts: int,

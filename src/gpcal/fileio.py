@@ -1,5 +1,6 @@
-"""File I/O: atomic writes, the CSV dialect and the JSON documents used
-everywhere. No other module reads or writes gpcal's files itself.
+"""File I/O: atomic writes, the CSV dialect, the JSON documents used
+everywhere and the one walker that checks a document against its declared
+schema. No other module reads or writes gpcal's files itself.
 
 CSV dialect: comma separator, '.' decimal, mandatory header row, UTF-8, LF
 line endings. Floats are emitted with 17 significant digits so values
@@ -12,6 +13,8 @@ from __future__ import annotations
 import io
 import json
 import os
+import reprlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -117,3 +120,123 @@ def read_numeric_csv(path) -> tuple[np.ndarray, list]:
                     f"{path}: malformed numeric cell at row {i}, "
                     f"column {j + 1} ({names[j]!r}): {cell!r}") from None
     return out, names
+
+
+class _Invalid(Exception):
+    """A value that breaks its schema, raised by :func:`checked` as ``error``."""
+
+
+def checked(doc, schema, error=DataError, source=None):
+    """``doc`` checked against ``schema``, with every default filled in. A
+    schema is a check, ``check(value, dotted_path)`` -> the value converted,
+    or a mapping of key -> check, nested schema or (either, default); a bare
+    entry or a _REQUIRED default must be given, an _ABSENT one may be left
+    out. A value that breaks it raises ``error`` naming its dotted path,
+    after ``source`` (its file) when given."""
+    try:
+        return _section(doc, schema, "")
+    except _Invalid as exc:
+        raise error(f"{source}: {exc}" if source else str(exc)) from None
+
+
+def read_checked(path, schema, error=DataError):
+    """The JSON document in a file, :func:`checked` against ``schema``."""
+    return checked(read_json(path, error), schema, error, path)
+
+
+def _section(d, schema, path):
+    if not isinstance(schema, dict):
+        return schema(d, path)
+    if not isinstance(d, dict):
+        raise _Invalid(f"{path or 'the top level'} {reprlib.repr(d)} is not a mapping")
+    prefix = f"{path}." if path else ""
+    for key in d:
+        if key not in schema:
+            raise _Invalid(f"unknown key {prefix}{key}")
+    out = {}
+    for key, entry in schema.items():
+        check, default = entry if isinstance(entry, tuple) else (entry, _REQUIRED)
+        value = d.get(key, default)
+        if value is _REQUIRED:
+            raise _Invalid(f"missing required field {prefix}{key}")
+        if value is None and default is None:
+            out[key] = None
+        elif value is not _ABSENT:
+            out[key] = _section(value, check, prefix + key)
+    return out
+
+
+def _check(ok, what, to=lambda v: v):
+    """A value check: ``to(value)`` if ``ok(value)``, else _Invalid."""
+    def check(value, path):
+        if not ok(value):
+            raise _Invalid(f"{path} {reprlib.repr(value)} is not {what}")
+        return to(value)
+    return check
+
+
+def _number(ok, what):
+    """A check of a number (an int or float, no bool) that ``ok`` admits."""
+    return _check(lambda v: type(v) in (int, float) and ok(v), what, float)
+
+
+def _at_least(n):
+    # type(), not isinstance(): a bool is no int here. An integral float
+    # becomes an int, so 11.0 hashes as 11 did.
+    return _check(lambda v: (type(v) is int or type(v) is float and v.is_integer())
+                  and v >= n, f"an integer >= {n}", int)
+
+
+def _choice(options):
+    return _check(lambda v: type(v) is str and v in options,
+                  f"one of {', '.join(options)}")
+
+
+def _list(item, size=None, distinct=False):
+    """A list of ``item``s, of ``size`` entries if given, none repeated if
+    ``distinct``."""
+    def check(value, path):
+        if not isinstance(value, list):
+            raise _Invalid(f"{path} {reprlib.repr(value)} is not a list")
+        if size is not None and len(value) != size:
+            raise _Invalid(f"{path} has {len(value)} entries, not {size}")
+        out = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        for i, v in enumerate(out if distinct else ()):
+            if v in out[:i]:
+                raise _Invalid(f"{path}[{i}] {v!r} repeats an earlier entry")
+        return out
+    return check
+
+
+def _variant(tag, schemas):
+    """A mapping whose ``tag`` key picks the schema of its other keys."""
+    choose = _choice(tuple(schemas))
+
+    def check(value, path):
+        kind = choose(value.get(tag), f"{path}.{tag}") if isinstance(value, dict) else None
+        return _section(value, {tag: choose, **schemas.get(kind, {})}, path)
+    return check
+
+
+def _open(schema):
+    """``schema``, but a key it does not name is left out, not an error."""
+    def check(value, path):
+        if isinstance(value, dict):
+            value = {k: v for k, v in value.items() if k in schema}
+        return _section(value, schema, path)
+    return check
+
+
+_REQUIRED, _ABSENT = object(), object()
+_NATURAL, _COUNT = _at_least(0), _at_least(1)
+# abs(v) <= max, not isfinite(v): a 400-digit int overflows isfinite
+_FLOAT = _number(lambda v: abs(v) <= sys.float_info.max, "a finite number")
+_NONNEGATIVE = _number(lambda v: 0 <= v <= sys.float_info.max, "a finite number >= 0")
+_BOOL = _check(lambda v: type(v) is bool, "true or false")
+_STR = _check(lambda v: type(v) is str, "a string")
+#: parameter names: CSV header cells, read back stripped and split at commas
+#: and line breaks, and parts of file names
+_NAMES = _list(_check(lambda v: type(v) is str and v == v.strip() != ""
+                      and not set(v) & set(",/\n\r"),
+                      "a nonempty name without surrounding spaces, ',', '/' "
+                      "or a line break"), distinct=True)

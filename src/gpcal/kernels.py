@@ -98,10 +98,6 @@ class KernelSpec:
     def to_dict(self) -> dict:
         return {"kind": self.kind, "omega": self.omega.tolist(), "p": self.p.tolist()}
 
-    @classmethod
-    def from_dict(cls, d) -> "KernelSpec":
-        return cls(d["kind"], d["omega"], d.get("p"))
-
 
 def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float) -> np.ndarray:
     """One-dimensional correlation R(h) for |h| >= 0, as a fresh array: each

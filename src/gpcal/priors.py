@@ -112,16 +112,6 @@ class Prior1D:
     def to_dict(self) -> dict:
         return {"dist": self.kind, "p1": self.p1, "p2": self.p2}
 
-    @classmethod
-    def from_dict(cls, d) -> "Prior1D":
-        """``{dist: <kind>, ...}`` with the keyword arguments of that kind's
-        constructor, e.g. ``{dist: normal, mean: 0, sd: 1}``."""
-        params = dict(d)
-        kind = params.pop("dist", None)
-        if kind not in _KINDS:
-            raise ConfigError(f"unknown prior dist {kind!r}; options: {_KINDS}")
-        return getattr(cls, kind)(**params)
-
 
 class PriorSpec:
     """Independent marginal priors for each calibration component, plus the

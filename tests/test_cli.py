@@ -255,6 +255,13 @@ def _drop_x_names(run):
     (run / "manifest.json").write_text(json.dumps(manifest))
 
 
+def _escape_header(run):
+    """chain.csv with a header cell that, as a file name, leaves the run."""
+    path = run / "chain.csv"
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text("x/../../../escaped," + header.split(",", 1)[1] + "\n" + rest)
+
+
 def _edit_gpcode(section, key, value):
     """An edit of a run that sets ``gpcode.json``'s ``section.key``."""
     def edit(run):
@@ -322,14 +329,19 @@ FAILURES = {
         lambda tmp, run: _report(tmp, run, lambda r: _truncate(r / "manifest.json")),
         2, "manifest.json: malformed JSON"),
     "report-manifest-without-x-names": (
-        lambda tmp, run: _report(tmp, run, _drop_x_names), 2, "missing x_names"),
+        lambda tmp, run: _report(tmp, run, _drop_x_names), 2,
+        "manifest.json: missing required field x_names"),
     "report-validation-without-residuals": (
         lambda tmp, run: _report(tmp, run, lambda r: (r / "validation_report.json")
                                  .write_text('{"rmse": 0.1}')),
-        2, "malformed run record (KeyError: 'residuals')"),
+        2, "validation_report.json: missing required field residuals"),
+    "report-chain-header-escapes-the-run": (
+        lambda tmp, run: _report(tmp, run, _escape_header), 2,
+        "chain.csv: header ['x/../../../escaped', 'offset'] is not the manifest's "
+        "theta_names ['slope', 'offset']"),
     "report-gpcode-sigma2-null": (
         lambda tmp, run: _report(tmp, run, _edit_gpcode("hyperparameters", "sigma2", None)),
-        2, "gpcode.json: hyperparameters.sigma2 None is not a finite nonnegative"),
+        2, "gpcode.json: hyperparameters.sigma2 None is not a finite number >= 0"),
     "report-gpcode-sigma2-negative": (
         lambda tmp, run: _report(tmp, run, _edit_gpcode("hyperparameters", "sigma2", -1.0)),
         2, "hyperparameters.sigma2 -1.0 is not"),

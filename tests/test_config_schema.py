@@ -1,4 +1,5 @@
-"""The CLI exit-code contract under mutated configs and experiments CSVs.
+"""The CLI exit-code contract under mutated configs, experiments CSVs, run
+records and training CSVs.
 
 One node of a small copy of the demo config is mutated at a time: a wrong
 type, NaN or infinity, a bool, a float for an int, a string, a list, a
@@ -6,14 +7,20 @@ missing key or an extra key. One cell or line of the demo's experiments CSV
 is mutated the same way: a byte that is not UTF-8, NaN or infinity, an empty
 cell, text, a missing or extra cell, a missing line, or only the header left.
 ``gpcal calibrate`` must return an exit code in 0-4 without raising, and
-print an ``error:`` line whenever it fails.
+print an ``error:`` line whenever it fails. So must ``gpcal report`` on a
+finished run with one node of one record file or one cell of its chain.csv
+mutated, and ``gpcal fit`` on a training CSV with one cell mutated.
 """
 
 import contextlib
 import copy
 import io
+import json
 import math
+import shutil
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 import yaml
@@ -31,9 +38,12 @@ BASE["mcmc"].update(samples=150, burn=50)
 BASE["validation"]["draws"] = 10
 CSV = (DEMO / "experiments.csv").read_bytes()
 
-#: (path, value, dotted path the error must name). All but the last ended
-#: in a traceback or loaded silently and changed the run before the config
-#: schema; the last holds the finite check to ints beyond float range.
+#: (path, value, dotted path the error must name). All but the last six
+#: ended in a traceback or loaded silently and changed the run before the
+#: config schema. The next five hold the name rules: a name is written as a
+#: CSV header cell and into file names, and a repeated calibration name
+#: collapses two posterior summaries into one. The last holds the finite
+#: check to ints beyond float range.
 CASES = [
     (("calibration", "priors"), {"a": {"dist": "uniform", "lower": 0, "upper": 1}},
      "calibration.priors"),
@@ -54,6 +64,11 @@ CASES = [
     (("mcmc", "samples"), 2.5, "mcmc.samples"),
     (("validation", "max_sim_evals"), -5, "validation.max_sim_evals"),
     (("emulator", "cv_folds"), 1, "emulator.cv_folds"),
+    (("calibration", "names"), ["slo,pe", "offset"], "calibration.names[0]"),
+    (("calibration", "names"), ["slope", "slope"], "calibration.names[1]"),
+    (("calibration", "names"), ["slope", ""], "calibration.names[1]"),
+    (("calibration", "names"), ["slope\noffset", "c"], "calibration.names[0]"),
+    (("design_space", "names"), ["x/../../escaped"], "design_space.names[0]"),
     (("thresholds", "q2_gate"), 10 ** 400, "thresholds.q2_gate"),
 ]
 
@@ -82,8 +97,8 @@ def _paths(node, path=()):
             yield from _paths(value, path + (i,))
 
 
-def _mutated(path, value):
-    cfg = copy.deepcopy(BASE)
+def _mutated(path, value, doc=BASE):
+    cfg = copy.deepcopy(doc)
     parent = cfg
     for key in path[:-1]:
         parent = parent[key]
@@ -106,11 +121,11 @@ def _mutated(path, value):
     return cfg
 
 
-def _mutated_csv(row, col, value):
+def _mutated_csv(row, col, value, csv=CSV):
     """The demo CSV with one cell of line ``row`` (0 is the header) replaced
     by ``value`` (bytes or text), dropped (MISSING) or repeated (EXTRA), or
     with that line dropped, or with only the header left."""
-    lines = [line.split(b",") for line in CSV.splitlines()]
+    lines = [line.split(b",") for line in csv.splitlines()]
     cells = lines[row]
     if value is HEADER_ONLY:
         del lines[1:]
@@ -125,16 +140,28 @@ def _mutated_csv(row, col, value):
     return b"".join(b",".join(line) + b"\n" for line in lines)
 
 
+def _exit(argv):
+    """(exit code, standard error) of one ``gpcal`` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _holds_the_contract(code, err):
+    event(f"exit code {code}")
+    assert isinstance(code, int) and 0 <= code <= 4
+    if code != 0:
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
+
+
 def _calibrate(tmp_path, cfg, csv=CSV):
     """(exit code, standard error, output directory) of one calibrate."""
     (tmp_path / "experiments.csv").write_bytes(csv)
     config = tmp_path / "config.yaml"
     config.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["calibrate", "--config", str(config), "--out", str(out)])
-    return code, err.getvalue(), out
+    return (*_exit(["calibrate", "--config", str(config), "--out", str(out)]), out)
 
 
 def _with_cases(test):
@@ -154,10 +181,7 @@ def _with_cases(test):
 @_with_cases
 def test_mutated_config_keeps_the_exit_code_contract(tmp_path_factory, path, value):
     code, err, _ = _calibrate(tmp_path_factory.mktemp("mutant"), _mutated(path, value))
-    event(f"exit code {code}")
-    assert isinstance(code, int) and 0 <= code <= 4
-    if code != 0:
-        assert any(line.startswith("error: ") for line in err.splitlines()), err
+    _holds_the_contract(code, err)
 
 
 @pytest.mark.parametrize("path, value, dotted", CASES,
@@ -181,7 +205,129 @@ def test_mutated_experiments_csv_keeps_the_exit_code_contract(
         tmp_path_factory, row, col, value):
     code, err, _ = _calibrate(tmp_path_factory.mktemp("mutant"), BASE,
                               _mutated_csv(row, col, value))
-    event(f"exit code {code}")
-    assert isinstance(code, int) and 0 <= code <= 4
-    if code != 0:
-        assert any(line.startswith("error: ") for line in err.splitlines()), err
+    _holds_the_contract(code, err)
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    code, err, out = _calibrate(tmp_path_factory.mktemp("finished"), BASE)
+    assert code == 0, err
+    return out
+
+
+def _report(tmp_path, run, edit):
+    """``gpcal report`` on a copy of ``run`` whose files ``edit`` changed."""
+    copy_dir = tmp_path / "run"
+    shutil.copytree(run, copy_dir)
+    edit(copy_dir)
+    return _exit(["report", "--run", str(copy_dir), "--bins", "5", "--grid", "5"])
+
+
+def _edit_json(name, path, value):
+    def edit(run):
+        doc = json.loads((run / name).read_text())
+        paths = list(_paths(doc))
+        where = path if isinstance(path, tuple) else paths[path % len(paths)]
+        (run / name).write_text(json.dumps(_mutated(where, value, doc)))
+    return edit
+
+
+RECORD = ("manifest.json", "gpcode.json", "gpbias.json", "posterior_summary.json",
+          "validation_report.json")
+
+#: (file, path, value, dotted key the error must name). gpcal report exited
+#: 0 on the first nine and 1, the config-error code, on the last four.
+PROBES = [
+    ("gpcode.json", ("hyperparameters", "omega", 0), PLUS_HALF, "hyperparameters.omega"),
+    ("gpcode.json", ("hyperparameters", "beta", 0), PLUS_HALF, "hyperparameters.beta"),
+    ("gpcode.json", ("scaling", "x_min", 0), PLUS_HALF, "scaling.x_min"),
+    ("gpcode.json", ("scaling", "y_scale"), PLUS_HALF, "scaling.y_scale"),
+    ("gpcode.json", ("degenerate",), True, "degenerate"),
+    # a known constant has no beta: the stored one is what disagrees
+    ("gpcode.json", ("trend", "kind"), "known_constant", "hyperparameters.beta"),
+    ("manifest.json", ("config_hash",), 5, "config_hash"),
+    ("manifest.json", ("created",), None, "created"),
+    ("manifest.json", ("stage_seconds",), "fast", "stage_seconds"),
+    ("gpcode.json", ("kernel", "kind"), "foo", "kernel.kind"),
+    ("gpcode.json", ("kernel", "omega"), [1, -1, 2], "kernel.omega[1]"),
+    ("gpcode.json", ("trend", "kind"), "custom", "trend.kind"),
+    ("gpcode.json", ("trend", "kind"), "cubic", "trend.kind"),
+]
+
+
+def _with_probes(test):
+    for name, path, value, _ in PROBES:
+        test = example(name=name, path=path, value=value)(test)
+    return test
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(name=st.sampled_from(RECORD), path=st.integers(0, 10 ** 6),
+       value=st.one_of(
+           st.sampled_from([MISSING, EXTRA, AS_FLOAT, PLUS_HALF, None,
+                            math.nan, math.inf, -math.inf]),
+           st.booleans(), st.text(max_size=6),
+           st.lists(st.integers(-2, 25), max_size=3),
+           st.dictionaries(st.text(max_size=3), st.integers(), max_size=1)))
+@_with_probes
+def test_mutated_run_record_keeps_the_exit_code_contract(tmp_path_factory,
+                                                         finished_run, name, path,
+                                                         value):
+    event(name)
+    _holds_the_contract(*_report(tmp_path_factory.mktemp("mutant"), finished_run,
+                                 _edit_json(name, path, value)))
+
+
+@pytest.mark.parametrize("name, path, value, dotted", PROBES,
+                         ids=[f"{n}:{d}={v!r}" for n, _, v, d in PROBES])
+def test_run_record_error_names_its_file_and_key(tmp_path, finished_run, name, path,
+                                                 value, dotted):
+    code, err = _report(tmp_path, finished_run, _edit_json(name, path, value))
+    assert code == 2
+    assert err.startswith("error: ") and f"{name}: {dotted} " in err, err
+    assert not (tmp_path / "run" / "report").exists()
+
+
+def _edit_chain(row, col, value):
+    def edit(run):
+        path = run / "chain.csv"
+        path.write_bytes(_mutated_csv(row, col, value, path.read_bytes()))
+    return edit
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(row=st.integers(0, 20), col=st.integers(0, 1),
+       value=st.one_of(
+           st.sampled_from([MISSING, EXTRA, DROP_LINE, HEADER_ONLY, b"\xe9",
+                            "nan", "inf", "-inf", "", " ", "1e400", "0"]),
+           st.text(max_size=6)))
+@example(row=0, col=0, value="x/../../../escaped")
+def test_mutated_chain_csv_keeps_the_exit_code_contract(tmp_path_factory,
+                                                        finished_run, row, col, value):
+    tmp = tmp_path_factory.mktemp("mutant")
+    _holds_the_contract(*_report(tmp, finished_run, _edit_chain(row, col, value)))
+    assert not list(tmp.glob("**/escaped*"))
+
+
+def _training_csv():
+    x = np.linspace(0.0, 1.0, 12)
+    rows = [f"{a},{b},{math.sin(4 * a) + b}"
+            for a, b in zip(x.tolist(), x[::-1].tolist())]
+    return ("x1,x2,y\n" + "\n".join(rows) + "\n").encode()
+
+
+TRAINING = _training_csv()
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(row=st.integers(0, TRAINING.count(b"\n") - 1), col=st.integers(0, 2),
+       value=st.one_of(
+           st.sampled_from([MISSING, EXTRA, DROP_LINE, HEADER_ONLY, b"\xe9",
+                            "nan", "inf", "-inf", "", " ", "1e400", "0"]),
+           st.text(max_size=6)))
+def test_mutated_training_csv_keeps_the_exit_code_contract(tmp_path_factory, row, col,
+                                                           value):
+    tmp = tmp_path_factory.mktemp("mutant")
+    (tmp / "train.csv").write_bytes(_mutated_csv(row, col, value, TRAINING))
+    _holds_the_contract(*_exit(["fit", "--training", str(tmp / "train.csv"),
+                                "--restarts", "1", "--out", str(tmp / "e.json")]))

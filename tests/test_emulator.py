@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import warnings
@@ -920,26 +921,36 @@ def test_load_maps_a_malformed_document_to_a_data_error(tmp_path, rng):
     good = random_instance(rng).to_dict()
     no_scaling = {k: v for k, v in good.items() if k != "scaling"}
     bad_x = {**good, "training": {"x": "abc", "y": good["training"]["y"]}}
-    for doc in (no_scaling, bad_x, [1, 2]):
+    for doc, message in ((no_scaling, "missing required field scaling"),
+                         (bad_x, "training.x 'abc' is not a list"),
+                         ([1, 2], r"the top level \[1, 2\] is not a mapping")):
         path = tmp_path / "emulator.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="malformed emulator document"):
+        with pytest.raises(DataError, match=f"emulator.json: {message}"):
             FittedEmulator.load(path)
 
 
 def test_written_records_load_with_their_sigma2_and_scaling(rng):
+    """Every kind of record the fits write loads back as the same emulator:
+    each kernel kind, each serializable trend, scaled and unscaled training,
+    degenerate outputs, MLE and CV."""
     x = rng.uniform(0, 2, (12, 2))
     y = np.sin(x[:, 0]) * x[:, 1] + 5.0
-    written = [fit(TrainingSet(x, y), TrendSpec("constant"), "matern_5_2",
-                   n_restarts=2, seed=4) for fit in (fit_mle, fit_cv)]
-    written.append(fit_mle(TrainingSet(x, np.full(12, 3.0)), TrendSpec("constant")))
-    written.append(FittedEmulator(raw_training(x, y), TrendSpec("linear"),
-                                  KernelSpec("gaussian", [0.5, 0.8])))
+    trainings = (TrainingSet(x, y), raw_training(x, y),
+                 TrainingSet(x, np.full(12, 3.0)))
+    trends = (TrendSpec("known_constant", mu=5.0), TrendSpec("constant"),
+              TrendSpec("linear"))
+    # the 12 (kind, fit) pairs cycle through the 9 (training, trend) pairs
+    cases = zip(itertools.product(KERNEL_KINDS, (fit_mle, fit_cv)),
+                itertools.cycle(itertools.product(trainings, trends)))
+    written = [fit(training, trend, kind, n_restarts=1, seed=4)
+               for (kind, fit), (training, trend) in cases]
+    assert {em.degenerate for em in written} == {False, True}
     for em in written:
         doc = json.loads(json.dumps(em.to_dict()))
         loaded = FittedEmulator.from_dict(doc)
+        assert loaded.to_dict() == doc
         assert loaded.hyper.sigma2 == em.hyper.sigma2
-        assert loaded.degenerate == em.degenerate
         assert (loaded.training.scale_inputs, loaded.training.standardize_outputs) \
             == (em.training.scale_inputs, em.training.standardize_outputs)
 
@@ -953,7 +964,7 @@ def test_from_dict_rejects_untyped_sigma2_and_scaling_flags(section, key, value,
                                                             tmp_path, rng):
     doc = random_instance(rng).to_dict()
     doc[section][key] = value
-    with pytest.raises(DataError, match=f"{section}.{key} "):
+    with pytest.raises(DataError, match=f"emulator document: {section}.{key} "):
         FittedEmulator.from_dict(doc)
     path = tmp_path / "emulator.json"
     path.write_text(json.dumps(doc))

@@ -36,7 +36,7 @@ def test_spec_validation():
 
 def test_spec_json_roundtrip():
     spec = KernelSpec("power_exponential", [0.5, 2.0], [1.0, 1.8])
-    back = KernelSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    back = KernelSpec(**json.loads(json.dumps(spec.to_dict())))
     assert back.kind == spec.kind
     assert np.array_equal(back.omega, spec.omega)
     assert np.array_equal(back.p, spec.p)
