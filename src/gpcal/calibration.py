@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import lhs_design, maximin_lhs
-from .diagnostics import ValidationReport, _z_value, interval_covered, q2_loocv
+from .diagnostics import Z_95, ValidationReport, interval_covered, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
 from .errors import ConfigError, DataError, GateError, GpcalError, NumericalError
 from .fileio import read_numeric_csv
@@ -37,45 +37,37 @@ from .spaces import ParameterSpace
 
 class ExperimentData:
     """Measured QoI values at known design-variable settings with reported
-    observation noise (per-row variance or a full covariance matrix)."""
+    observation noise, one variance per row."""
 
-    def __init__(self, x, y, sigma2, domain_tag=None):
+    def __init__(self, x, y, sigma2):
         self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.y = np.asarray(y, dtype=float).reshape(-1)
         q = self.y.size
         if self.x.shape[0] != q:
             raise DataError(f"{self.x.shape[0]} design rows but {q} observations")
         sigma2 = np.asarray(sigma2, dtype=float)
-        if sigma2.ndim == 0:
-            sigma2 = np.full(q, float(sigma2))
-        if sigma2.ndim == 1:
-            if sigma2.size != q:
-                raise DataError(f"{sigma2.size} noise variances for {q} rows")
-            if np.any(sigma2 < 0):
-                raise DataError("noise variances must be nonnegative")
-        elif sigma2.shape != (q, q):
-            raise DataError(f"noise covariance must be ({q}, {q}), got {sigma2.shape}")
+        if sigma2.shape != (q,):
+            raise DataError(f"{sigma2.size} noise variances for {q} rows")
+        if np.any(sigma2 < 0):
+            raise DataError("noise variances must be nonnegative")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))
                 and np.all(np.isfinite(sigma2))):
             raise DataError("experiment data contains non-finite values")
         self.sigma2 = sigma2
-        self.domain_tag = domain_tag
 
     @property
     def n(self) -> int:
         return self.y.size
 
     def covariance(self) -> np.ndarray:
-        return np.diag(self.sigma2) if self.sigma2.ndim == 1 else self.sigma2.copy()
+        return np.diag(self.sigma2)
 
     def noise_variances(self) -> np.ndarray:
-        return self.sigma2.copy() if self.sigma2.ndim == 1 else np.diag(self.sigma2)
+        return self.sigma2.copy()
 
-    def subset(self, idx, tag=None) -> "ExperimentData":
+    def subset(self, idx) -> "ExperimentData":
         idx = np.asarray(idx, dtype=int)
-        s2 = (self.sigma2[idx] if self.sigma2.ndim == 1
-              else self.sigma2[np.ix_(idx, idx)])
-        return ExperimentData(self.x[idx], self.y[idx], s2, domain_tag=tag)
+        return ExperimentData(self.x[idx], self.y[idx], self.sigma2[idx])
 
     @classmethod
     def from_csv(cls, path, x_names) -> "ExperimentData":
@@ -130,7 +122,7 @@ def split_experiments(data: ExperimentData, iuq_indices=None, val_indices=None,
         val = np.sort(order[n_iuq:])
     else:
         raise ConfigError("split needs explicit index lists or fraction + seed")
-    return data.subset(iuq, "IUQ"), data.subset(val, "VAL")
+    return data.subset(iuq), data.subset(val)
 
 
 class DiscrepancyModel:
@@ -346,18 +338,16 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
 
 
 def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
-                       n_draws: int = 200, seed: int = 0,
-                       level: float = 0.95) -> ValidationReport:
+                       n_draws: int = 200, seed: int = 0) -> ValidationReport:
     """Compare simulator output at posterior samples against validation data.
 
     A deterministic subsample of the post-burn-in chain is pushed through the
     simulator at the validation settings; predictive draws add measurement
-    noise. Metrics: RMSE of the predictive mean and coverage of the
-    mean +/- z * sd interval. The discrepancy model plays no role here: the
+    noise. Metrics: RMSE of the predictive mean and coverage of the 95%
+    interval mean +/- 1.96 * sd. The discrepancy model plays no role here: the
     posterior is validated on the raw simulator, precisely to avoid
     extrapolating the discrepancy.
     """
-    z = _z_value(level)
     kept = chain.post_burn
     if kept.shape[0] == 0:
         raise DataError("posterior chain has no post-burn-in samples")
@@ -374,14 +364,14 @@ def validate_posterior(sim, chain: PosteriorChain, val_set: ExperimentData,
     draws = sims + rng.standard_normal(sims.shape) * noise_sd
     pred_mean = sims.mean(axis=0)
     pred_sd = draws.std(axis=0)
-    covered = interval_covered(val_set.y, pred_mean, z * pred_sd)
+    covered = interval_covered(val_set.y, pred_mean, Z_95 * pred_sd)
     report = ValidationReport(n_points=val_set.n)
     report.rmse = float(np.sqrt(np.mean((pred_mean - val_set.y) ** 2)))
     report.coverage_95 = float(np.mean(covered))
     report.residuals = [(float(mu), float(sd), float(y))
                         for mu, sd, y in zip(pred_mean, pred_sd, val_set.y)]
     report.extra = {"n_posterior_draws": int(thetas.shape[0]),
-                    "interval_level": level}
+                    "interval_level": 0.95}
     return report
 
 

@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, GpcalError
 from .fileio import (_ABSENT, _COUNT, _FLOAT, _NAMES, _NATURAL, _NONNEGATIVE, _STR,
                      _Invalid, _at_least, _check, _list, _open, make_dir, read_checked,
                      read_numeric_csv, write_csv, write_json)
-from .kernels import KERNEL_KINDS
+from .kernels import DEFAULT_NUGGET, KERNEL_KINDS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,7 +91,8 @@ def _cmd_fit(args) -> int:
             "q2_loocv": q2,
             "loocv_error": loocv_error(emulator),
             "estimation": args.method,
-            "cv_folds": args.cv_folds if args.method == "cv" else None,
+            "cv_folds": (min(args.cv_folds, training.m)
+                         if args.method == "cv" and not emulator.degenerate else None),
             "n_points": training.m,
             "kernel": emulator.kernel.to_dict(),
             "process_variance": emulator.process_variance,
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=_arg(int, _at_least(2)), default=10)
     p.add_argument("--restarts", type=_arg(int, _COUNT), default=4)
     p.add_argument("--seed", type=_arg(int, _NATURAL), default=0)
-    p.add_argument("--nugget", type=_arg(float, _NONNEGATIVE), default=1e-10)
+    p.add_argument("--nugget", type=_arg(float, _NONNEGATIVE), default=DEFAULT_NUGGET)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None, help="optional report JSON path")
     p.set_defaults(fn=_cmd_fit)

@@ -13,21 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .emulator import FittedEmulator
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .fileio import write_json
 
 #: 95% intervals use the conventional 1.96 factor exactly
 Z_95 = 1.96
-
-
-def _z_value(level: float) -> float:
-    if not 0 < level < 1:
-        raise ConfigError(f"confidence level must be in (0, 1), got {level}")
-    # ndtri is scipy.stats.norm.ppf bit for bit, without importing scipy.stats
-    return Z_95 if level == 0.95 else float(ndtri(0.5 * (1.0 + level)))
 
 
 def cross_validated_predictions(emulator: FittedEmulator):
@@ -82,16 +74,15 @@ def interval_covered(y, mean, half) -> np.ndarray:
         np.asarray(half, float) + 1e-12 * (1.0 + np.abs(y)))
 
 
-def coverage_report(emulator: FittedEmulator, test_x, test_y,
-                    level: float = 0.95) -> float:
+def coverage_report(emulator: FittedEmulator, test_x, test_y) -> float:
     """Fraction of test points whose observation falls inside the symmetric
-    predictive interval mean +/- z * sqrt(mse)."""
+    95% predictive interval mean +/- 1.96 * sqrt(mse)."""
     test_x = np.atleast_2d(np.asarray(test_x, float))
     test_y = np.asarray(test_y, float).reshape(-1)
     if test_y.size < 1:
         raise DataError("coverage_report requires at least 1 test point")
     mean, mse = emulator.predict_batch(test_x, warn_extrapolation=False)
-    half = _z_value(level) * np.sqrt(mse)
+    half = Z_95 * np.sqrt(mse)
     return float(np.mean(interval_covered(test_y, mean, half)))
 
 

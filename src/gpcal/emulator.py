@@ -1,7 +1,7 @@
 """Gaussian-process (Kriging) emulators.
 
 Supports Simple Kriging (known constant mean), Ordinary Kriging (estimated
-constant), Universal Kriging (linear or custom trend basis), hyperparameter
+constant), Universal Kriging (linear trend basis), hyperparameter
 estimation by concentrated maximum likelihood or K-fold cross validation, and
 BLUP prediction with mean-square error.
 
@@ -53,23 +53,17 @@ class TrendSpec:
                       zero estimated coefficients
       constant        Ordinary Kriging; single basis f(x) = 1
       linear          Universal Kriging; basis [1, x_1, ..., x_d] on scaled inputs
-      custom          user-supplied basis callables, each mapping an (m, d)
-                      scaled input array to m values
     """
 
     kind: str = "constant"
     mu: float = 0.0
-    basis: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in ("known_constant", "constant", "linear", "custom"):
+        if self.kind not in ("known_constant", "constant", "linear"):
             raise ConfigError(f"unknown trend kind {self.kind!r}")
-        if self.kind == "custom" and not self.basis:
-            raise ConfigError("custom trend requires at least one basis callable")
 
     def n_basis(self, d: int) -> int:
-        return {"known_constant": 0, "constant": 1,
-                "linear": d + 1}.get(self.kind, len(self.basis))
+        return {"known_constant": 0, "constant": 1, "linear": d + 1}[self.kind]
 
     def build_matrix(self, Xs: np.ndarray) -> np.ndarray:
         """Evaluate basis functions at scaled inputs; (m, n) matrix."""
@@ -78,17 +72,9 @@ class TrendSpec:
             return np.empty((m, 0))
         if self.kind == "constant":
             return np.ones((m, 1))
-        if self.kind == "linear":
-            return np.hstack([np.ones((m, 1)), Xs])
-        F = np.column_stack([np.asarray(f(Xs), dtype=float).reshape(m)
-                             for f in self.basis])
-        if not np.isfinite(F).all():             # the solves do not check
-            raise DataError("custom trend basis returned a non-finite value")
-        return F
+        return np.hstack([np.ones((m, 1)), Xs])
 
     def to_dict(self) -> dict:
-        if self.kind == "custom":
-            raise ConfigError("custom trend bases are not serializable")
         return {"kind": self.kind, "mu": self.mu}
 
 
@@ -531,23 +517,23 @@ def _document(m: int, d: int) -> dict:
     }
 
 
-def _multistart(loss, d: int, kernel: str, omega_bounds, n_restarts: int,
-                seed: int, what: str):
+#: the box every hyperparameter fit searches the length-scales omega in
+OMEGA_BOUNDS = (1e-3, 1e3)
+
+
+def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str):
     """Minimize ``loss(spec)`` over log(omega) by L-BFGS-B from
-    ``n_restarts`` LHS-distributed starts in the bound box; a
+    ``n_restarts`` LHS-distributed starts in the :data:`OMEGA_BOUNDS` box; a
     power-exponential kind keeps p = 2.
 
     A candidate whose loss raises a numerical error or is not finite scores
     ``_BIG``. Returns every restart's ``(value, spec)`` in start order;
     raises :class:`FitError` if none is finite.
     """
-    lo, hi = float(omega_bounds[0]), float(omega_bounds[1])
-    if not 0 < lo < hi:
-        raise ConfigError(f"invalid omega bounds ({lo}, {hi})")
     if n_restarts < 1:
         raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
-    lb = np.full(d, math.log(lo))
-    ub = np.full(d, math.log(hi))
+    lb = np.full(d, math.log(OMEGA_BOUNDS[0]))
+    ub = np.full(d, math.log(OMEGA_BOUNDS[1]))
 
     def unpack(t):
         return KernelSpec(kernel, np.exp(t))
@@ -577,14 +563,13 @@ def _multistart(loss, d: int, kernel: str, omega_bounds, n_restarts: int,
 
 
 def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
-            omega_bounds=(1e-3, 1e3), n_restarts: int = 5, seed: int = 0,
-            nugget=DEFAULT_NUGGET) -> FittedEmulator:
+            n_restarts: int = 5, seed: int = 0, nugget=DEFAULT_NUGGET) -> FittedEmulator:
     """Maximum-likelihood fit: multistart bounded minimization of the
     concentrated negative log-likelihood over log(omega).
 
-    Restart starting points are drawn by Latin hypercube over the bound box;
-    ties between equally good optima go to the first-found candidate. Same
-    data and seed reproduce the fit bit-for-bit.
+    Restart starting points are drawn by Latin hypercube over the
+    :data:`OMEGA_BOUNDS` box; ties between equally good optima go to the
+    first-found candidate. Same data and seed reproduce the fit bit-for-bit.
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
@@ -594,7 +579,7 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     sites = SiteDistances(training.X)
     results = _multistart(
         lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
-        training.dim, kernel, omega_bounds, n_restarts, seed, "MLE")
+        training.dim, kernel, n_restarts, seed, "MLE")
     del sites  # freed before the final conditioning, to keep peak memory down
     best = min(results, key=lambda r: r[0])[1]
     return FittedEmulator(training, trend, best, nugget=nugget)
@@ -675,8 +660,8 @@ def _cv_means(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
 
 
 def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
-           k_folds: int = 10, omega_bounds=(1e-3, 1e3), n_restarts: int = 5,
-           seed: int = 0, nugget=DEFAULT_NUGGET) -> FittedEmulator:
+           k_folds: int = 10, n_restarts: int = 5, seed: int = 0,
+           nugget=DEFAULT_NUGGET) -> FittedEmulator:
     """Cross-validation fit: length-scales minimize the sum of squared
     held-out prediction errors over K folds (K = m gives LOOCV); the process
     variance is then the mean of squared predictive-sd-standardized held-out
@@ -699,8 +684,7 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
         mu_cv = _cv_means(training, trend, spec, nugget, fold_labels, sites)
         return float(np.sum((training.y - mu_cv) ** 2))
 
-    results = _multistart(loss, training.dim, kernel, omega_bounds, n_restarts,
-                          seed, "CV")
+    results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV")
     best_val = min(v for v, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
     tied = [spec for v, spec in results if v <= best_val + tol]

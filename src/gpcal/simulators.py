@@ -8,11 +8,11 @@ length-q output vector, deterministically.
 Subprocess protocol: the configured command is invoked with two extra
 arguments, the path of an input CSV (header row with column names, one input
 row per line) and the path where it must write an output CSV (header ``y``,
-one output row per input row), exiting 0 on success. A nonzero exit status,
-output that is not UTF-8, a malformed cell or a row-count mismatch is a
-binding error that names the offending rows. Batches can be split across
-``GPCAL_WORKERS`` parallel invocations; outputs are reassembled in input
-order.
+one output row per input row), exiting 0 on success. A command that cannot
+be started, a nonzero exit status, output that is not UTF-8, a malformed
+cell or a row-count mismatch is a binding error that names the offending
+rows. Batches can be split across ``GPCAL_WORKERS`` parallel invocations;
+outputs are reassembled in input order.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ def _linear(x, theta):
     return theta[:, 0] * x[:, 0] + theta[:, 1]
 
 
-def _smooth_1d(x, theta):
-    return x[:, 0] * np.sin(x[:, 0])
-
-
 def _linear_biased(x, theta):
     return theta[:, 0] * x[:, 0] + theta[:, 1] + 0.5 * np.sin(x[:, 0])
 
@@ -72,7 +68,6 @@ def _linear_biased(x, theta):
 #: name -> (n_x, n_theta, vectorized callable)
 BUILTIN_SIMULATORS = {
     "linear": (1, 2, _linear),
-    "smooth_1d": (1, 0, _smooth_1d),
     "linear_biased": (1, 2, _linear_biased),
 }
 
@@ -124,8 +119,12 @@ class SubprocessSimulator(SimulatorBinding):
             in_path = Path(tmp) / "inputs.csv"
             out_path = Path(tmp) / "outputs.csv"
             write_csv(in_path, self.columns, chunk)
-            proc = subprocess.run(self.command + [str(in_path), str(out_path)],
-                                  capture_output=True, cwd=self.workdir)
+            try:
+                proc = subprocess.run(self.command + [str(in_path), str(out_path)],
+                                      capture_output=True, cwd=self.workdir)
+            except OSError as exc:
+                raise SimulatorError(f"{self.name} could not be started on "
+                                     f"{rows_at}: {exc}") from None
             if proc.returncode != 0:
                 raise SimulatorError(
                     f"{self.name} exited with status {proc.returncode} on "
@@ -168,25 +167,34 @@ class SubprocessSimulator(SimulatorBinding):
         return np.concatenate(parts)
 
 
+#: table inputs and looked-up rows match when equal rounded to this many digits
+_KEY_DIGITS = 12
+
+
 class TableSimulator(SimulatorBinding):
     """Replay of precomputed runs: exact row lookup in a CSV whose columns are
     the inputs followed by a final output column."""
 
-    def __init__(self, path, n_x: int, n_theta: int, decimals: int = 12):
+    def __init__(self, path, n_x: int, n_theta: int):
         self.name = f"table:{path}"
         self.n_x = int(n_x)
         self.n_theta = int(n_theta)
-        self.decimals = decimals
         values, _ = read_numeric_csv(path)
         want = self.n_x + self.n_theta + 1
         if values.shape[1] != want:
             raise ConfigError(
                 f"{self.name}: table has {values.shape[1]} columns, expected "
                 f"{want} (inputs + one output)")
-        self._table = {self._key(row[:-1]): float(row[-1]) for row in values}
+        self._table = {}  # input key -> (CSV row number, output)
+        for i, row in enumerate(values, start=2):  # row 1 is the header
+            first, y = self._table.setdefault(self._key(row[:-1]), (i, float(row[-1])))
+            if y != row[-1]:
+                raise ConfigError(
+                    f"{self.name}: rows {first} and {i} give different outputs "
+                    f"({y!r}, {float(row[-1])!r}) for the inputs {row[:-1].tolist()}")
 
     def _key(self, row) -> tuple:
-        return tuple(np.round(np.asarray(row, dtype=float), self.decimals))
+        return tuple(np.round(np.asarray(row, dtype=float), _KEY_DIGITS))
 
     def run(self, inputs) -> np.ndarray:
         inputs = self._check_inputs(inputs)
@@ -197,7 +205,7 @@ class TableSimulator(SimulatorBinding):
                 raise SimulatorError(
                     f"{self.name}: no precomputed output for input row {i + 1}: "
                     f"{row.tolist()}")
-            out[i] = self._table[key]
+            out[i] = self._table[key][1]
         return out
 
 

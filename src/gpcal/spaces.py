@@ -51,11 +51,6 @@ class ParameterSpace:
     def dim(self) -> int:
         return len(self.names)
 
-    def scale(self, x_phys: np.ndarray) -> np.ndarray:
-        """Map physical coordinates into the unit cube."""
-        x_phys = np.asarray(x_phys, dtype=float)
-        return (x_phys - self.lower) / (self.upper - self.lower)
-
     def unscale(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube coordinates to physical units."""
         u = np.asarray(u, dtype=float)

@@ -21,14 +21,14 @@ from gpcal.mcmc import PosteriorChain
 
 
 def linear_experiments(n, seed, theta=(2.0, 1.0), sigma=0.05, bias=False,
-                       x_range=(0.0, 10.0), tag=None):
+                       x_range=(0.0, 10.0)):
     rng = np.random.default_rng(seed)
     x = np.linspace(x_range[0], x_range[1], n).reshape(-1, 1)
     y = theta[0] * x[:, 0] + theta[1]
     if bias:
         y = y + 0.5 * np.sin(x[:, 0])
     y = y + rng.normal(0.0, sigma, n)
-    return ExperimentData(x, y, np.full(n, sigma ** 2), domain_tag=tag)
+    return ExperimentData(x, y, np.full(n, sigma ** 2))
 
 
 def linear_prior():
@@ -57,7 +57,6 @@ def test_split_explicit_lists():
     data = linear_experiments(4, seed=0)
     iuq, val = split_experiments(data, iuq_indices=[0, 2], val_indices=[1, 3])
     assert iuq.n == 2 and val.n == 2
-    assert iuq.domain_tag == "IUQ" and val.domain_tag == "VAL"
     assert np.allclose(iuq.x[:, 0], data.x[[0, 2], 0])
 
 
@@ -184,7 +183,7 @@ def test_discrepancy_heteroscedastic_nuggets_stored():
     x = np.linspace(0, 10, 6).reshape(-1, 1)
     y = 2 * x[:, 0] + 1 + rng.normal(0, 0.1, 6)
     sigma2 = np.array([0.01, 0.04, 0.09, 0.01, 0.25, 0.16])
-    val = ExperimentData(x, y, sigma2, domain_tag="VAL")
+    val = ExperimentData(x, y, sigma2)
     model = build_discrepancy_emulator(BuiltinSimulator("linear"), val,
                                        theta0=[2.0, 1.0], seed=1)
     nug = np.asarray(model.emulator.hyper.nugget)
@@ -428,17 +427,11 @@ def literal_log_posterior(theta, gp_code, discrepancy, iuq, prior):
 
 
 @pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
-@pytest.mark.parametrize("full_noise", [False, True], ids=["diag", "full"])
-def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias,
-                                                             full_noise):
+def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias):
     sim = BuiltinSimulator("linear")
     prior = linear_prior()
     iuq = linear_experiments(6, seed=4, sigma=0.05, bias=True,
                              x_range=(0.5, 5.5))
-    if full_noise:
-        idx = np.arange(iuq.n)
-        cov = 0.05 ** 2 * 0.4 ** np.abs(idx[:, None] - idx[None, :])
-        iuq = ExperimentData(iuq.x, iuq.y, cov)
     model = None
     if with_bias:
         val = linear_experiments(8, seed=9, sigma=1e-3, bias=True,
@@ -469,7 +462,7 @@ def test_validate_posterior_collapsed_chain_exact():
     sim = BuiltinSimulator("linear")
     x = np.linspace(0, 10, 6).reshape(-1, 1)
     y = sim.run_at(x, np.array([2.0, 1.0]))
-    val = ExperimentData(x, y, np.zeros(6), domain_tag="VAL")
+    val = ExperimentData(x, y, np.zeros(6))
     report = validate_posterior(sim, _collapsed_chain([2.0, 1.0]), val, seed=1)
     assert report.rmse == 0.0
     assert report.coverage_95 == 1.0
@@ -488,8 +481,7 @@ def test_validate_posterior_runs_simulator_once():
 
     sim = BuiltinSimulator("linear")
     x = np.linspace(0, 10, 6).reshape(-1, 1)
-    val = ExperimentData(x, sim.run_at(x, np.array([2.0, 1.0])), np.zeros(6),
-                         domain_tag="VAL")
+    val = ExperimentData(x, sim.run_at(x, np.array([2.0, 1.0])), np.zeros(6))
     counting = Counting(sim)
     report = validate_posterior(counting, _collapsed_chain([2.0, 1.0]), val, seed=1)
     assert counting.calls == 1
@@ -498,7 +490,7 @@ def test_validate_posterior_runs_simulator_once():
     rng = np.random.default_rng(4)
     chain = _collapsed_chain([2.0, 1.0], n=80)
     chain.samples = chain.samples + rng.normal(0, 0.1, chain.samples.shape)
-    noisy = linear_experiments(5, seed=3, sigma=0.2, tag="VAL")
+    noisy = linear_experiments(5, seed=3, sigma=0.2)
     counting = Counting(sim)
     report = validate_posterior(counting, chain, noisy, n_draws=25, seed=2)
     assert counting.calls == 1
@@ -513,25 +505,16 @@ def test_validate_posterior_runs_simulator_once():
 
 def test_validate_posterior_empty_chain_rejected():
     sim = BuiltinSimulator("linear")
-    val = linear_experiments(4, seed=0, tag="VAL")
+    val = linear_experiments(4, seed=0)
     chain = _collapsed_chain([2.0, 1.0], n=10)
     chain.n_burn = 10  # nothing left after burn-in
     with pytest.raises(DataError):
         validate_posterior(sim, chain, val)
 
 
-@pytest.mark.parametrize("level", [1.5, -0.2, 0.0])
-def test_validate_posterior_rejects_invalid_level(level):
-    # an out-of-range level once gave a NaN z and reported coverage 0.0
-    sim = BuiltinSimulator("linear")
-    val = linear_experiments(4, seed=0, tag="VAL")
-    with pytest.raises(ConfigError, match="confidence level"):
-        validate_posterior(sim, _collapsed_chain([2.0, 1.0]), val, level=level)
-
-
 def test_validate_posterior_never_touches_discrepancy():
     sim = BuiltinSimulator("linear")
-    val = linear_experiments(6, seed=2, tag="VAL")
+    val = linear_experiments(6, seed=2)
     model = build_discrepancy_emulator(sim, val, theta0=[2.0, 1.0], seed=1)
     count_before = model.eval_count
     validate_posterior(sim, _collapsed_chain([2.0, 1.0]), val, seed=3)

@@ -99,16 +99,24 @@ def test_cli_fit_malformed_cell(tmp_path, capsys):
     assert "row 3" in err and "column 2" in err
 
 
-def test_cli_fit_cv_records_fold_count(tmp_path):
+@pytest.mark.parametrize("asked, constant, ran",
+                         [(5, False, 5), (50, False, 15), (5, True, None)])
+def test_cli_fit_cv_records_fold_count(tmp_path, asked, constant, ran):
+    # 50 folds on 15 rows run 15 (leave-one-out), and constant outputs fit
+    # no folds at all; the report once said 50 and 5
     train = tmp_path / "train.csv"
-    make_training_csv(train)
+    make_training_csv(train, m=15)
+    if constant:
+        values, names = read_numeric_csv(train)
+        values[:, -1] = 2.0
+        write_csv(train, names, values)
     report = tmp_path / "report.json"
     code = main(["fit", "--training", str(train), "--method", "cv",
-                 "--cv-folds", "5", "--seed", "1",
+                 "--cv-folds", str(asked), "--seed", "1",
                  "--out", str(tmp_path / "e.json"), "--report", str(report)])
     assert code == 0
     doc = json.loads(report.read_text())
-    assert doc["cv_folds"] == 5
+    assert doc["cv_folds"] == ran
     assert doc["estimation"] == "cv"
 
 
@@ -288,6 +296,27 @@ def _calibrate_non_utf8_simulator(tmp_path):
     raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, str(script)]}
     config.write_text(yaml.safe_dump(raw))
     return ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("start", ["missing", "not-executable"])
+def test_cli_simulator_that_cannot_start_exits_2(tmp_path, capsys, monkeypatch,
+                                                 start, workers):
+    # each once ended in a FileNotFoundError or PermissionError traceback
+    command = tmp_path / "sim"
+    if start == "not-executable":
+        command.write_text("#!/bin/sh\n")
+        command.chmod(0o644)
+    config = write_config(tmp_path, samples=300, burn=100)
+    raw = yaml.safe_load(config.read_text())
+    raw["simulator"] = {"kind": "subprocess", "command": [str(command)]}
+    config.write_text(yaml.safe_dump(raw))
+    monkeypatch.setenv("GPCAL_WORKERS", workers)
+    argv = ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"subprocess:{command} could not be started on rows 1.." in err
+    assert ("No such file" if start == "missing" else "Permission denied") in err
 
 
 #: id -> (argv from (tmp_path, finished run directory), exit code, text the

@@ -423,20 +423,6 @@ def test_row_permutation_invariance(rng):
     assert np.allclose(v1, v2, rtol=1e-10, atol=1e-13)
 
 
-def test_ordinary_kriging_equals_universal_with_constant_basis(rng):
-    x = rng.uniform(0, 1, (8, 1))
-    y = np.exp(x[:, 0])
-    spec = KernelSpec("gaussian", [0.5])
-    em1 = FittedEmulator(TrainingSet(x, y), TrendSpec("constant"), spec)
-    basis = (lambda X: np.ones(X.shape[0]),)
-    em2 = FittedEmulator(TrainingSet(x, y), TrendSpec("custom", basis=basis), spec)
-    pts = rng.uniform(0, 1, (7, 1))
-    m1, v1 = em1.predict_batch(pts, warn_extrapolation=False)
-    m2, v2 = em2.predict_batch(pts, warn_extrapolation=False)
-    assert np.allclose(m1, m2, rtol=0, atol=1e-12)
-    assert np.allclose(v1, v2, rtol=1e-12, atol=1e-15)
-
-
 def literal_conditioning(training, trend, kernel, nugget, x_star):
     """beta, sigma2 and the predict_batch mean/MSE/covariance of a conditioned
     GP, written out expression for expression as they stood before the GLS
@@ -485,11 +471,7 @@ def literal_conditioning(training, trend, kernel, nugget, x_star):
 
 @pytest.mark.parametrize("trend", [
     TrendSpec("known_constant", mu=0.3), TrendSpec("constant"),
-    TrendSpec("linear"),
-    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
-                               lambda X: X[:, 0] * X[:, 1],
-                               lambda X: np.sin(3.0 * X[:, 1])))],
-    ids=["known_constant", "constant", "linear", "custom"])
+    TrendSpec("linear")], ids=["known_constant", "constant", "linear"])
 def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
     x = rng.uniform(0, 2, (18, 2))
     tr = TrainingSet(x, np.sin(2.0 * x[:, 0]) + x[:, 0] * x[:, 1] + 4.0)
@@ -512,11 +494,7 @@ def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
 
 
 @pytest.mark.parametrize("trend", [
-    TrendSpec("constant"), TrendSpec("linear"),
-    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
-                               lambda X: X[:, 0] * X[:, 1],
-                               lambda X: np.sin(3.0 * X[:, 1])))],
-    ids=["constant", "linear", "custom"])
+    TrendSpec("constant"), TrendSpec("linear")], ids=["constant", "linear"])
 def test_tri_solve_on_the_trend_qr_factor_matches_solve_triangular(trend, rng):
     # Rq from np.linalg.qr is C-ordered (1 x 1 for the constant trend, so
     # also F-ordered): beta solves with Rq, predict with the F-ordered Rq.T
@@ -533,7 +511,7 @@ def test_tri_solve_on_the_trend_qr_factor_matches_solve_triangular(trend, rng):
                               solve_triangular(Rq.T, rhs, lower=True))
 
 
-def test_non_finite_points_and_basis_values_are_data_errors(rng):
+def test_non_finite_points_are_data_errors(rng):
     # the solves no longer scan their right-hand sides, so the inputs that
     # reach them from outside are checked where they come in
     x = rng.uniform(0, 2, (18, 2))
@@ -543,9 +521,6 @@ def test_non_finite_points_and_basis_values_are_data_errors(rng):
     for bad in (np.nan, np.inf):
         with pytest.raises(DataError, match="must be finite"):
             em.predict_batch([[1.0, 1.0], [bad, 1.0]], warn_extrapolation=False)
-    trend = TrendSpec("custom", basis=(lambda X: np.where(X[:, 0] > 0.5, np.inf, 1.0),))
-    with pytest.raises(DataError, match="non-finite"):
-        FittedEmulator(tr, trend, kernel)
 
 
 # ------------------------------------------------- fixed-row predictor
@@ -565,10 +540,7 @@ _KERNELS += [("power_exponential", 0.5), ("power_exponential", 2.0)]
                          ids=[f"{k}-{p}" if p else k for k, p in _KERNELS])
 @pytest.mark.parametrize("trend", [
     TrendSpec("known_constant", mu=0.3), TrendSpec("constant"),
-    TrendSpec("linear"),
-    TrendSpec("custom", basis=(lambda X: np.ones(X.shape[0]),
-                               lambda X: X[:, 0] * X[:, -1]))],
-    ids=["known_constant", "constant", "linear", "custom"])
+    TrendSpec("linear")], ids=["known_constant", "constant", "linear"])
 def test_fixed_rows_predictor_is_bit_identical_to_predict_batch(kind, p, trend,
                                                                 rng):
     for dx, dt in ((1, 1), (1, 3), (2, 1), (2, 3)):
@@ -853,15 +825,6 @@ def test_fit_cv_fold_count_validation(rng):
         fit_cv(tr, TrendSpec("constant"), k_folds=6)
     with pytest.raises(DataError):
         fit_cv(tr, TrendSpec("constant"), k_folds=1)
-
-
-@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
-@pytest.mark.parametrize("bounds", [(0.0, 1.0), (-1.0, 1.0), (10.0, 1.0)])
-def test_fits_reject_invalid_omega_bounds(fit, bounds, rng):
-    x = rng.uniform(0, 1, (10, 1))
-    tr = TrainingSet(x, np.sin(5.0 * x[:, 0]))
-    with pytest.raises(ConfigError, match="omega bounds"):
-        fit(tr, TrendSpec("constant"), omega_bounds=bounds, n_restarts=1)
 
 
 @pytest.mark.parametrize("fit", [fit_mle, fit_cv])

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import lognorm, norm
 
 from gpcal import ConfigError, Prior1D, PriorSpec
-from gpcal.diagnostics import _z_value
 
 #: the closed forms are held to scipy.stats bit for bit, not to a tolerance
 N_RANDOM = 2000
@@ -89,17 +88,6 @@ def test_closed_form_logpdf_matches_scipy_at_the_support_edges(prior):
         assert prior.logpdf(0.0) == prior.logpdf(-1.0) == -math.inf
     # nan lies outside every support: a proposal there is rejected
     assert prior.logpdf(math.nan) == -math.inf
-
-
-def test_z_value_matches_scipy_norm_ppf():
-    assert _z_value(0.95) == 1.96
-    levels = [0.5, 0.6827, 0.9, 0.99, 0.999999, 1e-9, *np.random.default_rng(3)
-              .uniform(size=N_RANDOM)]
-    for level in levels:
-        assert _z_value(level) == float(norm.ppf(0.5 * (1.0 + level))), level
-    for bad in (0.0, 1.0, -0.5, 1.5):
-        with pytest.raises(ConfigError):
-            _z_value(bad)
 
 
 def test_prior_validation():

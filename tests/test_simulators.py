@@ -18,10 +18,7 @@ def test_builtin_linear():
     assert np.allclose(out2, [7.0, 2.5])
 
 
-def test_builtin_smooth_and_biased():
-    smooth = BuiltinSimulator("smooth_1d")
-    x = np.array([[0.0], [1.5]])
-    assert np.allclose(smooth.run(x), x[:, 0] * np.sin(x[:, 0]))
+def test_builtin_linear_biased():
     biased = BuiltinSimulator("linear_biased")
     got = biased.run(np.array([[2.0, 3.0, 1.0]]))
     assert got[0] == pytest.approx(7.0 + 0.5 * np.sin(2.0))
@@ -112,6 +109,18 @@ def test_table_simulator(tmp_path):
     assert np.allclose(out, [7.0, 5.0])
     with pytest.raises(SimulatorError, match="row 1"):
         sim.run(np.array([[0.5, 0.5]]))
+
+
+def test_table_with_two_outputs_for_one_input_row_is_rejected(tmp_path):
+    # the later row once won without a word
+    path = tmp_path / "table.csv"
+    path.write_text("x,a,b,y\n1,2,3,10\n0,0,0,1\n1,2,3,99\n")
+    with pytest.raises(ConfigError, match=r"rows 2 and 4 give different outputs "
+                                          r"\(10.0, 99.0\) for the inputs \[1.0, 2.0, 3.0\]"):
+        TableSimulator(path, n_x=1, n_theta=2)
+    path.write_text("x,a,b,y\n1,2,3,10\n0,0,0,1\n1,2,3,10\n")
+    sim = TableSimulator(path, n_x=1, n_theta=2)
+    assert sim.run(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])).tolist() == [10.0, 1.0]
 
 
 def test_simulator_from_config(tmp_path):

@@ -163,23 +163,6 @@ def test_subprocess_simulator_budget_cap(tmp_path):
     assert result.validation.n_points == 10
 
 
-def test_full_noise_covariance_accepted():
-    from gpcal import (BuiltinSimulator, ExperimentData, Prior1D, PriorSpec,
-                       make_log_posterior)
-    from test_calibration import ExactStub
-    x = np.linspace(0, 10, 5).reshape(-1, 1)
-    y = 2 * x[:, 0] + 1
-    diag = ExperimentData(x, y, np.full(5, 0.01))
-    full = ExperimentData(x, y, np.diag(np.full(5, 0.01)))
-    prior = PriorSpec([Prior1D.uniform(0, 4), Prior1D.uniform(-1, 3)],
-                      nominal=[2.0, 1.0])
-    stub = ExactStub(BuiltinSimulator("linear"))
-    lp_diag = make_log_posterior(stub, None, diag, prior)
-    lp_full = make_log_posterior(stub, None, full, prior)
-    for th in ([2.0, 1.0], [1.8, 1.4]):
-        assert lp_diag(th) == pytest.approx(lp_full(th), abs=1e-12)
-
-
 def test_monotone_information_across_iuq_sizes(tmp_path):
     # posterior std non-increasing over {5, 10, 20} IUQ rows; statistical,
     # allow one inversion across 10 replicate seeds
