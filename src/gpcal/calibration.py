@@ -47,7 +47,7 @@ class ExperimentData:
             raise DataError(f"{self.x.shape[0]} design rows but {q} observations")
         sigma2 = np.asarray(sigma2, dtype=float)
         if sigma2.shape != (q,):
-            raise DataError(f"{sigma2.size} noise variances for {q} rows")
+            raise DataError(f"{q} rows need {q} noise variances, got {sigma2.shape}")
         if np.any(sigma2 < 0):
             raise DataError("noise variances must be nonnegative")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))

@@ -17,6 +17,7 @@ from gpcal import (BuiltinSimulator, ConfigError, DataError, ExperimentData,
                    build_discrepancy_emulator, make_log_posterior,
                    split_experiments, validate_posterior)
 from gpcal.calibration import _chol_logdet_solve
+from gpcal.diagnostics import Z_95
 from gpcal.mcmc import PosteriorChain
 
 
@@ -52,6 +53,27 @@ class ExactStub:
 
 
 # ------------------------------------------------------------------ split
+
+@pytest.mark.parametrize("sigma2", [0.01, np.diag(np.full(4, 0.01)), np.full(3, 0.01),
+                                    np.full(5, 0.01)],
+                         ids=["scalar", "matrix", "short", "long"])
+def test_experiment_noise_is_one_variance_per_row(sigma2):
+    x = np.linspace(0, 1, 4).reshape(-1, 1)
+    with pytest.raises(DataError, match=r"4 rows need 4 noise variances, got \("):
+        ExperimentData(x, np.ones(4), sigma2)
+
+
+def test_experiment_subset_keeps_each_rows_noise():
+    data = ExperimentData(np.arange(4.0).reshape(-1, 1), 2.0 * np.arange(4.0),
+                          [0.1, 0.2, 0.3, 0.4])
+    sub = data.subset([3, 1])
+    assert sub.x[:, 0].tolist() == [3.0, 1.0] and sub.y.tolist() == [6.0, 2.0]
+    assert sub.sigma2.tolist() == [0.4, 0.2]
+    assert np.array_equal(sub.covariance(), np.diag([0.4, 0.2]))
+    variances = sub.noise_variances()
+    variances[0] = 9.0
+    assert sub.sigma2.tolist() == [0.4, 0.2]
+
 
 def test_split_explicit_lists():
     data = linear_experiments(4, seed=0)
@@ -501,6 +523,26 @@ def test_validate_posterior_runs_simulator_once():
                     * np.sqrt(noisy.noise_variances()))
     assert [r[0] for r in report.residuals] == list(sims.mean(axis=0))
     assert [r[1] for r in report.residuals] == list(draws.std(axis=0))
+
+
+def test_validate_posterior_uses_the_95_percent_interval(monkeypatch):
+    halves = []
+    real = gpcal.calibration.interval_covered
+
+    def spy(y, mean, half):
+        halves.append(np.array(half))
+        return real(y, mean, half)
+
+    monkeypatch.setattr(gpcal.calibration, "interval_covered", spy)
+    rng = np.random.default_rng(4)
+    chain = _collapsed_chain([2.0, 1.0], n=80)
+    chain.samples = chain.samples + rng.normal(0, 0.1, chain.samples.shape)
+    noisy = linear_experiments(5, seed=3, sigma=0.2)
+    report = validate_posterior(BuiltinSimulator("linear"), chain, noisy,
+                                n_draws=25, seed=2)
+    sd = np.array([s for _, s, _ in report.residuals])
+    assert len(halves) == 1 and np.array_equal(halves[0], Z_95 * sd)
+    assert report.extra["interval_level"] == 0.95
 
 
 def test_validate_posterior_empty_chain_rejected():

@@ -99,11 +99,7 @@ def test_cli_fit_malformed_cell(tmp_path, capsys):
     assert "row 3" in err and "column 2" in err
 
 
-@pytest.mark.parametrize("asked, constant, ran",
-                         [(5, False, 5), (50, False, 15), (5, True, None)])
-def test_cli_fit_cv_records_fold_count(tmp_path, asked, constant, ran):
-    # 50 folds on 15 rows run 15 (leave-one-out), and constant outputs fit
-    # no folds at all; the report once said 50 and 5
+def _fit_cv_report(tmp_path, folds, constant=False):
     train = tmp_path / "train.csv"
     make_training_csv(train, m=15)
     if constant:
@@ -112,10 +108,24 @@ def test_cli_fit_cv_records_fold_count(tmp_path, asked, constant, ran):
         write_csv(train, names, values)
     report = tmp_path / "report.json"
     code = main(["fit", "--training", str(train), "--method", "cv",
-                 "--cv-folds", str(asked), "--seed", "1",
+                 "--cv-folds", str(folds), "--seed", "1",
                  "--out", str(tmp_path / "e.json"), "--report", str(report)])
     assert code == 0
-    doc = json.loads(report.read_text())
+    return json.loads(report.read_text())
+
+
+def test_cli_fit_cv_records_fold_count(tmp_path):
+    doc = _fit_cv_report(tmp_path, 5)
+    assert doc["cv_folds"] == 5
+    assert doc["estimation"] == "cv"
+
+
+@pytest.mark.parametrize("asked, constant, ran", [(50, False, 15), (5, True, None)])
+def test_cli_fit_cv_report_records_the_folds_that_ran(tmp_path, asked, constant,
+                                                      ran):
+    # 50 folds on 15 rows run 15 (leave-one-out), and constant outputs fit
+    # no folds at all; the report once said 50 and 5
+    doc = _fit_cv_report(tmp_path, asked, constant)
     assert doc["cv_folds"] == ran
     assert doc["estimation"] == "cv"
 

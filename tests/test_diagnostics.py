@@ -139,6 +139,18 @@ def test_coverage_training_set_interpolation():
     assert coverage_report(em_const, x, np.full(5, 3.0)) == 1.0
 
 
+def test_coverage_interval_is_mean_plus_minus_1_96_sd():
+    em = make_demo_emulator(m=8, seed=3)
+    x = np.array([[0.13], [0.47], [0.81]])
+    mean, mse = em.predict_batch(x, warn_extrapolation=False)
+    sd = np.sqrt(mse)
+    assert np.all(sd > 1e-6)
+    assert coverage_report(em, x, mean + 1.96 * sd) == 1.0
+    assert coverage_report(em, x, mean - 1.96 * sd) == 1.0
+    assert coverage_report(em, x, mean + 1.97 * sd) == 0.0
+    assert coverage_report(em, x, mean - 1.97 * sd) == 0.0
+
+
 def synthetic_gp_coverage(master_seed, n_draws=25, m_train=8, n_test=40,
                           omega=0.08, sigma=1.5, sigma2_mult=1.0):
     """Pooled 95%-CI coverage over independent draws from a known GP, with

@@ -423,6 +423,27 @@ def test_row_permutation_invariance(rng):
     assert np.allclose(v1, v2, rtol=1e-10, atol=1e-13)
 
 
+@pytest.mark.parametrize("kind", ["custom", "quadratic", "Constant"])
+def test_trend_spec_rejects_an_unknown_kind(kind):
+    with pytest.raises(ConfigError, match="unknown trend kind"):
+        TrendSpec(kind)
+
+
+@pytest.mark.parametrize("kind, columns", [
+    ("known_constant", lambda X: np.empty((X.shape[0], 0))),
+    ("constant", lambda X: np.ones((X.shape[0], 1))),
+    ("linear", lambda X: np.column_stack([np.ones(X.shape[0]), X]))],
+    ids=["known_constant", "constant", "linear"])
+def test_trend_basis_matrix(kind, columns, rng):
+    trend = TrendSpec(kind)
+    for d in (1, 3):
+        Xs = rng.uniform(0, 1, (6, d))
+        F = trend.build_matrix(Xs)
+        assert F.shape == (6, trend.n_basis(d))
+        assert np.array_equal(F, columns(Xs))
+    assert trend.to_dict() == {"kind": kind, "mu": 0.0}
+
+
 def literal_conditioning(training, trend, kernel, nugget, x_star):
     """beta, sigma2 and the predict_batch mean/MSE/covariance of a conditioned
     GP, written out expression for expression as they stood before the GLS
@@ -825,6 +846,32 @@ def test_fit_cv_fold_count_validation(rng):
         fit_cv(tr, TrendSpec("constant"), k_folds=6)
     with pytest.raises(DataError):
         fit_cv(tr, TrendSpec("constant"), k_folds=1)
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
+@pytest.mark.parametrize("box", [None, (0.5, 2.0)], ids=["default", "narrow"])
+def test_fits_search_omega_in_the_module_box(fit, box, rng, monkeypatch):
+    # every start and every L-BFGS-B bound lies in OMEGA_BOUNDS, read when
+    # the fit runs, and so does the fitted length-scale
+    if box is not None:
+        monkeypatch.setattr(gpcal.emulator, "OMEGA_BOUNDS", box)
+    lo, hi = gpcal.emulator.OMEGA_BOUNDS
+    calls = []
+    real = gpcal.emulator.minimize
+
+    def spy(fun, x0, **kwargs):
+        calls.append((np.array(x0), kwargs["bounds"]))
+        return real(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpcal.emulator, "minimize", spy)
+    x = rng.uniform(0, 1, (10, 1))
+    em = fit(TrainingSet(x, np.sin(5.0 * x[:, 0])), TrendSpec("constant"),
+             n_restarts=3, seed=2)
+    assert len(calls) == 3
+    for x0, bounds in calls:
+        assert bounds == [(math.log(lo), math.log(hi))]
+        assert math.log(lo) <= x0[0] <= math.log(hi)
+    assert lo <= em.kernel.omega[0] <= hi
 
 
 @pytest.mark.parametrize("fit", [fit_mle, fit_cv])

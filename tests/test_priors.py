@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import lognorm, norm
 
 from gpcal import ConfigError, Prior1D, PriorSpec
+from gpcal.diagnostics import Z_95
 
 #: the closed forms are held to scipy.stats bit for bit, not to a tolerance
 N_RANDOM = 2000
@@ -88,6 +89,13 @@ def test_closed_form_logpdf_matches_scipy_at_the_support_edges(prior):
         assert prior.logpdf(0.0) == prior.logpdf(-1.0) == -math.inf
     # nan lies outside every support: a proposal there is rejected
     assert prior.logpdf(math.nan) == -math.inf
+
+
+def test_z_value_matches_scipy_norm_ppf():
+    # every interval is 95%; its factor is the two-sided 0.975 quantile
+    # rounded to the conventional two decimals
+    assert Z_95 == 1.96 == round(float(norm.ppf(0.975)), 2)
+    assert abs(Z_95 - float(norm.ppf(0.975))) < 4e-5
 
 
 def test_prior_validation():

@@ -32,6 +32,12 @@ def test_builtin_validation():
         sim.run(np.zeros((2, 2)))
 
 
+def test_builtin_smooth_1d_is_not_offered():
+    # it took no calibration inputs, and a prior needs at least one
+    with pytest.raises(ConfigError, match=r"options: \['linear', 'linear_biased'\]"):
+        BuiltinSimulator("smooth_1d")
+
+
 def _write_script(tmp_path, body):
     script = tmp_path / "sim.py"
     script.write_text(textwrap.dedent(body))
@@ -121,6 +127,18 @@ def test_table_with_two_outputs_for_one_input_row_is_rejected(tmp_path):
     path.write_text("x,a,b,y\n1,2,3,10\n0,0,0,1\n1,2,3,10\n")
     sim = TableSimulator(path, n_x=1, n_theta=2)
     assert sim.run(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])).tolist() == [10.0, 1.0]
+
+
+def test_table_lookup_matches_inputs_at_12_digits(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,t,y\n0.1,0.2,5\n0.1000000000000001,0.2,5\n")
+    sim = TableSimulator(path, n_x=1, n_theta=1)
+    assert sim.run(np.array([[0.1 + 1e-14, 0.2]])).tolist() == [5.0]
+    with pytest.raises(SimulatorError, match="no precomputed output"):
+        sim.run(np.array([[0.1 + 1e-9, 0.2]]))
+    path.write_text("x,t,y\n0.1,0.2,5\n0.1000000000000001,0.2,6\n")
+    with pytest.raises(ConfigError, match="rows 2 and 3 give different outputs"):
+        TableSimulator(path, n_x=1, n_theta=1)
 
 
 def test_simulator_from_config(tmp_path):
