@@ -550,12 +550,9 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     starts = lb + u * (ub - lb)
     results = []
     for t0 in starts:
-        try:
-            res = minimize(objective, t0, method="L-BFGS-B",
-                           bounds=list(zip(lb, ub)))
-            results.append((float(res.fun), unpack(res.x)))
-        except (np.linalg.LinAlgError, FloatingPointError):
-            results.append((_BIG, unpack(t0)))
+        res = minimize(objective, t0, method="L-BFGS-B",
+                       bounds=list(zip(lb, ub)))
+        results.append((float(res.fun), unpack(res.x)))
     if min(v for v, _ in results) >= _BIG:
         raise FitError(f"all {n_restarts} {what} restarts failed to produce a "
                        "finite objective; check the data and kernel choice")
@@ -575,7 +572,7 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     if training.degenerate:
         return FittedEmulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim)))
-    # distances and buffers for every restart of this fit only
+    # the training distances, shared by every restart of this fit only
     sites = SiteDistances(training.X)
     results = _multistart(
         lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
@@ -615,8 +612,6 @@ def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
         te = fold_labels == k
         tr_idx = np.nonzero(~te)[0]
         te_idx = np.nonzero(te)[0]
-        if tr_idx.size == 0 or te_idx.size == 0:
-            raise DataError("cross-validation fold is empty")
         Rk = _factor(R[np.ix_(tr_idx, tr_idx)], nug[tr_idx], spec,
                      auto_escalate=False)
         gls = _GLS(Rk, trend.build_matrix(training.X[tr_idx]),
@@ -677,7 +672,7 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
         return FittedEmulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim)))
     fold_labels = make_folds(training.m, k_folds, seed)
-    # distances and buffers for every restart of this fit only
+    # the training distances, shared by every restart of this fit only
     sites = SiteDistances(training.X)
 
     def loss(spec):

@@ -97,29 +97,36 @@ def read_json(path, error=DataError):
 def read_numeric_csv(path) -> tuple[np.ndarray, list]:
     """Read a headered all-numeric CSV. Malformed cells are reported with
     their 1-based row and column position, and a file that is not UTF-8 is a
-    :class:`DataError` too."""
+    :class:`DataError` too. Row N is line N of the file, blank lines counted.
+    """
+    values, names, _ = read_numeric_rows(path)
+    return values, names
+
+
+def read_numeric_rows(path) -> tuple[np.ndarray, list, list]:
+    """:func:`read_numeric_csv`, plus the line of the file each row is on."""
     text = read_text(path)
     # universal newlines, as text-mode open() reads them
-    lines = [ln.rstrip("\n") for ln in io.StringIO(text, newline=None)
-             if ln.strip()]
+    lines = [(n, ln.rstrip("\n")) for n, ln in
+             enumerate(io.StringIO(text, newline=None), start=1) if ln.strip()]
     if not lines:
         raise DataError(f"empty CSV: {path}")
-    names = [c.strip() for c in lines[0].split(",")]
+    names = [c.strip() for c in lines[0][1].split(",")]
     ncol = len(names)
     out = np.empty((len(lines) - 1, ncol), dtype=float)
-    for i, line in enumerate(lines[1:], start=2):
+    for i, (n, line) in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != ncol:
             raise DataError(
-                f"{path}: row {i} has {len(cells)} cells, expected {ncol}")
+                f"{path}: row {n} has {len(cells)} cells, expected {ncol}")
         for j, cell in enumerate(cells):
             try:
-                out[i - 2, j] = float(cell)
+                out[i, j] = float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: malformed numeric cell at row {i}, "
+                    f"{path}: malformed numeric cell at row {n}, "
                     f"column {j + 1} ({names[j]!r}): {cell!r}") from None
-    return out, names
+    return out, names, [n for n, _ in lines[1:]]
 
 
 class _Invalid(Exception):

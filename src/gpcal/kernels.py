@@ -19,18 +19,17 @@ multiplied in dimension order into ones. A one-shot matrix
 evaluates them entry by entry (:func:`_product_corr`). A hyperparameter fit,
 MLE or CV, instead keeps a :class:`SiteDistances` of its training sites: it
 evaluates each kernel factor once per distinct distance and gathers the
-values into the matrix, and it owns the buffers the MLE objective's Cholesky
-factor is computed in, so an objective call allocates one m x m array. A CV
-objective assembles the full training matrix once and slices every fold's
-training and held-out blocks from it: a kernel entry depends only on its two
-sites, so the slices equal the fold's own assembly bit for bit. Bit-identity
-is a contract, not a nicety: the multistart L-BFGS-B in the emulator fits
-follows the objective's last bits, so any change in rounding moves the
-fitted optimum.
+values into the matrix. A CV objective assembles the full training matrix
+once and slices every fold's training and held-out blocks from it: a kernel
+entry depends only on its two sites, so the slices equal the fold's own
+assembly bit for bit. Every :class:`CorrelationMatrix` computes its factor in
+arrays of its own. Bit-identity is a contract, not a nicety: the multistart
+L-BFGS-B in the emulator fits follows the objective's last bits, so any
+change in rounding moves the fitted optimum.
 
 One step departs from the plain matrix, and only inside the factorization:
 every correlation below ``eps**2`` (4.9e-32) is zeroed in the working copy
-handed to ``dpotrf`` (:func:`_factor_into`). At small length-scales the
+handed to ``dpotrf`` (:class:`CorrelationMatrix`). At small length-scales the
 product kernels underflow to thousands of entries below 1e-300, and a
 Cholesky over subnormal numbers runs about ten times slower. The zeroed
 entries lie far below the rounding of any sum they enter, so only negligible
@@ -152,20 +151,14 @@ def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndar
 
 
 class SiteDistances:
-    """The distances between one set of m sites, as distinct values, and the
-    buffers a hyperparameter fit reuses to assemble and factor their
-    correlation matrix.
+    """The distances between one set of m sites, as distinct values.
 
     For each dimension k it keeps the distinct values ``u_k`` of
     |x_i,k - x_j,k| and an m x m index ``inv_k`` with |x_i,k - x_j,k| =
     u_k[inv_k[i, j]], so :meth:`correlation` evaluates each kernel factor on
-    ``u_k`` alone. It owns an m x m buffer the factors are gathered into, and
-    an F-ordered and a C-ordered m x m buffer that :func:`correlation_matrix`
-    factors into when given the instance in place of the sites. A fit
-    (``fit_mle`` or ``fit_cv``) makes one for its training inputs and drops it
-    when it returns. Its buffers make it unsafe to share between threads, and
-    a factor that borrows them is valid only until the next factorization
-    from the same instance.
+    ``u_k`` alone. A fit (``fit_mle`` or ``fit_cv``) makes one for its
+    training inputs and drops it when it returns. Nothing in it changes after
+    construction, so it is safe to share between threads.
     """
 
     def __init__(self, X):
@@ -178,44 +171,45 @@ class SiteDistances:
                                return_inverse=True)
             self._distinct.append(u)
             self._inverse.append(inv.reshape(m, m))
-        # untouched until first used, so a CV fit never maps the factor pair
-        self._gather = np.empty((m, m)) if d > 1 else None
-        self._factor_buffers = (np.empty((m, m), order="F"), np.empty((m, m)))
 
     def correlation(self, spec: KernelSpec) -> np.ndarray:
         """The sites' correlation matrix, without nugget, in a fresh array:
         each kernel factor is evaluated once per distinct distance, gathered,
         and multiplied in dimension order as :func:`_product_corr` does."""
-        m = self.points.shape[0]
-        out = np.empty((m, m))
-        if not self._inverse:
-            out.fill(1.0)
+        out = None
         for k, (u, inv) in enumerate(zip(self._distinct, self._inverse)):
             f = _corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
             # mode="clip" takes no bounds-checking copy; inv is in range
-            if k == 0:
-                np.take(f, inv, out=out, mode="clip")
+            g = np.take(f, inv, mode="clip")
+            if out is None:
+                out = g
             else:
-                out *= np.take(f, inv, out=self._gather, mode="clip")
-        return out
+                out *= g
+        return np.ones((self.points.shape[0],) * 2) if out is None else out
 
 
 class CorrelationMatrix:
     """Nugget-augmented correlation matrix with a cached Cholesky factor.
 
-    ``values`` must be exactly symmetric. The factor is computed once in the
-    constructor. By default it lives in fresh arrays and the instance is
-    immutable and shareable across threads. Given ``buffers``, an
-    (F-ordered, C-ordered) pair of m x m arrays owned by a
-    :class:`SiteDistances`, the factor is computed into them instead: the
-    same bits without fresh m x m allocations, but the instance is valid only
-    until the buffers' next use, so it must not outlive one objective
-    evaluation of a fit.
+    ``values`` must be exactly symmetric and is kept as given. The factor is
+    computed once in the constructor, in fresh arrays, so the instance is
+    immutable and safe to share between threads. It is ``cho_factor(values,
+    lower=True)`` of ``values`` with its entries below ``eps**2`` zeroed: the
+    same LAPACK call on the same F-ordered input, so the same bits, and the
+    same errors. ``values`` is copied in through its transpose, a contiguous
+    copy. The zeroing (every kernel kind is nonnegative, so the entry itself
+    is compared) keeps ``dpotrf`` out of the subnormal numbers an underflowing
+    kernel leaves, whose gradual-underflow arithmetic costs about ten times a
+    clean factorization. The factor differs from that of ``values`` only in
+    entries far below the rounding of the sums they enter; the tests check
+    that ``logdet`` and the solves keep the plain factor's bits.
 
-    ``values`` is kept as given. The factor is that of ``values`` with its
-    entries below ``eps**2`` zeroed (see :func:`_factor_into`). It differs
-    from the plain matrix's factor only in negligible entries; ``logdet`` and
-    the solves are tested to equal the plain factor's bit for bit.
+    ``_L`` is a C-ordered copy of the factor. It looks redundant
+    (:func:`_tri_solve` ignores the upper triangle) but selects the
+    transposed LAPACK triangular-solve path; solving with the F-ordered
+    factor itself changes half_solve's last bits, and with them the optimum
+    that MLE fits reach. Only the layout matters: zeroing the upper triangle
+    (np.tril) changes no bit.
 
     Finiteness is checked once, on ``values``, before the factorization: a
     finite positive-definite matrix has a finite factor, so the solves call
@@ -223,15 +217,19 @@ class CorrelationMatrix:
     finite; nothing here checks them.
     """
 
-    def __init__(self, values: np.ndarray, nugget, *, buffers=None):
+    def __init__(self, values: np.ndarray, nugget):
+        if not np.isfinite(values).all():            # cho_factor's check_finite
+            raise ValueError("array must not contain infs or NaNs")
+        work = values.T.copy(order="F")
+        np.copyto(work, 0.0, where=work < _NEGLIGIBLE)
+        c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
+        if info:                                     # only > 0 for a fresh copy
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite")
         self.values = values
         self.nugget = nugget
-        m = values.shape[0]
-        work, L = (buffers if buffers is not None else
-                   (np.empty((m, m), order="F"), np.empty((m, m))))
-        c, L = _factor_into(values, work, L)
         self._cho = (c, True)
-        self._L = L
+        self._L = np.ascontiguousarray(c)
         self.logdet = 2.0 * float(np.sum(np.log(np.diag(c))))
 
     @property
@@ -294,47 +292,13 @@ def _cholesky(a: np.ndarray):
     return c if info == 0 else None
 
 
-def _factor_into(values: np.ndarray, work: np.ndarray, L: np.ndarray):
-    """``cho_factor(values, lower=True)`` of ``values`` with its entries below
-    ``_NEGLIGIBLE`` zeroed, and a C-ordered copy of it, computed in the
-    F-ordered ``work`` and the C-ordered ``L``: the same LAPACK call on the
-    same F-ordered input, so the same bits, and the same errors.
-
-    ``values`` must be exactly symmetric: it is copied in through the
-    transposed view ``work.T``, a contiguous copy. The zeroing (every kernel
-    kind is nonnegative, so the entry itself is compared) keeps ``dpotrf`` out
-    of the subnormal numbers an underflowing kernel leaves, whose
-    gradual-underflow arithmetic costs about ten times a clean factorization.
-    The factor differs from that of ``values`` only in entries far below the
-    rounding of the sums they enter; the tests check that logdet and the
-    solves keep the plain factor's bits. The boolean mask is the only m x m
-    allocation.
-
-    The C-ordered copy looks redundant (:func:`_tri_solve` ignores the upper
-    triangle) but selects the transposed LAPACK triangular-solve path;
-    solving with the F-ordered factor itself changes half_solve's last bits,
-    and with them the optimum that MLE fits reach. Only the layout matters:
-    zeroing the upper triangle (np.tril) changes no bit.
-    """
-    if not np.isfinite(values).all():            # cho_factor's check_finite
-        raise ValueError("array must not contain infs or NaNs")
-    np.copyto(work.T, values)
-    np.copyto(work, 0.0, where=work < _NEGLIGIBLE)
-    c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
-    if info:                                     # only > 0 for valid buffers
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    np.copyto(L, c)
-    return c, L
-
-
 def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                        auto_escalate: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
     ``X`` holds the design sites, or is a :class:`SiteDistances` of them to
-    reuse its distances and buffers: the factor is then computed in the
-    instance's buffers and is valid only until the next call with it.
+    assemble from its distinct distances. Either way the result owns its
+    matrix and factor.
     ``nugget`` may be a scalar or a per-point vector (heteroscedastic noise).
     If the Cholesky factorization fails, the nugget is escalated by factors of
     10 from max(nugget, 1e-10) up to 1e-4 before giving up; duplicate design
@@ -355,9 +319,10 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
         raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
     nug = _nugget_vector(nugget, m)
     if isinstance(X, SiteDistances):
-        return _factor(X.correlation(spec), nug, spec, auto_escalate,
-                       X._factor_buffers)
-    return _factor(_product_corr(pts, pts, spec), nug, spec, auto_escalate)
+        R = X.correlation(spec)
+    else:
+        R = _product_corr(pts, pts, spec)
+    return _factor(R, nug, spec, auto_escalate)
 
 
 def _nugget_vector(nugget, m: int) -> np.ndarray:
@@ -373,7 +338,7 @@ def _nugget_vector(nugget, m: int) -> np.ndarray:
 
 
 def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
-            auto_escalate: bool, buffers=None) -> CorrelationMatrix:
+            auto_escalate: bool) -> CorrelationMatrix:
     """Factorize a C-ordered m x m kernel matrix ``R`` of m sites, in place.
 
     The factor step of :func:`correlation_matrix`, which the CV fits also
@@ -381,28 +346,27 @@ def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
     overwritten with 1 + nugget, so it need not hold 1; ``nug`` is a checked
     vector (:func:`_nugget_vector`). Rejects duplicate sites under a zero
     nugget, warns on the indefinite-prone linear product kernel, and escalates
-    the nugget if asked (see :func:`correlation_matrix`). ``buffers`` are
-    passed on to :class:`CorrelationMatrix`; every escalation step recopies
-    ``R`` into them.
+    the nugget if asked (see :func:`correlation_matrix`). Only a zero nugget
+    pays for the duplicate-site scan over R.
     """
     m = R.shape[0]
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
-    diag[:] = 0.0                                # R.max(): off-diagonal only
-    if m > 1 and R.max() >= 1.0:
-        if np.all(nug == 0):
+    if np.all(nug == 0):
+        diag[:] = 0.0                            # R.max(): off-diagonal only
+        if m > 1 and R.max() >= 1.0:
             raise IllConditionedError(
                 "duplicate design sites make the correlation matrix singular; "
                 "deduplicate the design or use a positive nugget")
-    if spec.kind == "linear" and spec.dim > 1 and np.all(nug == 0):
-        warnings.warn(
-            "tensor-product linear kernel in d > 1 can be numerically "
-            "indefinite; a positive nugget is recommended", NumericalWarning)
+        if spec.kind == "linear" and spec.dim > 1:
+            warnings.warn(
+                "tensor-product linear kernel in d > 1 can be numerically "
+                "indefinite; a positive nugget is recommended", NumericalWarning)
 
     extra = 0.0
     while True:
         diag[:] = 1.0 + (nug + extra)
         try:
-            return CorrelationMatrix(R, nug + extra, buffers=buffers)
+            return CorrelationMatrix(R, nug + extra)
         except np.linalg.LinAlgError:
             pass
         if not auto_escalate:

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SimulatorError
-from .fileio import read_numeric_csv, read_text, write_csv
+from .fileio import read_numeric_rows, read_text, write_csv
 
 
 class SimulatorBinding:
@@ -179,14 +179,14 @@ class TableSimulator(SimulatorBinding):
         self.name = f"table:{path}"
         self.n_x = int(n_x)
         self.n_theta = int(n_theta)
-        values, _ = read_numeric_csv(path)
+        values, _, lines = read_numeric_rows(path)
         want = self.n_x + self.n_theta + 1
         if values.shape[1] != want:
             raise ConfigError(
                 f"{self.name}: table has {values.shape[1]} columns, expected "
                 f"{want} (inputs + one output)")
-        self._table = {}  # input key -> (CSV row number, output)
-        for i, row in enumerate(values, start=2):  # row 1 is the header
+        self._table = {}  # input key -> (line of the file, output)
+        for i, row in zip(lines, values):
             first, y = self._table.setdefault(self._key(row[:-1]), (i, float(row[-1])))
             if y != row[-1]:
                 raise ConfigError(

@@ -223,9 +223,9 @@ def test_fit_mle_path_nll_is_bit_identical_to_an_unflushed_dense_factor(monkeypa
         assert subnormal_count(cho_factor(R.values, lower=True)[0]) > 0
 
 
-def test_fit_mle_result_shares_no_fit_buffer(rng, monkeypatch):
-    # factors computed in a fit's buffers are overwritten by the next
-    # objective call, so nothing the fitted emulator keeps may point into them
+def test_fit_mle_result_shares_no_memory_with_its_sites(rng, monkeypatch):
+    # the fit's SiteDistances is dropped when it returns, so nothing the
+    # fitted emulator keeps may point into it
     made = []
 
     class Recorded(SiteDistances):
@@ -238,13 +238,12 @@ def test_fit_mle_result_shares_no_fit_buffer(rng, monkeypatch):
     em = fit_mle(TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1]),
                  TrendSpec("linear"), "matern_5_2", n_restarts=2, seed=1)
     (sites,) = made
-    buffers = [*sites._factor_buffers, sites._gather, *sites._inverse,
-               *sites._distinct]
+    held = [*sites._inverse, *sites._distinct]
     gls = em._gls
     kept = [gls.R.values, *gls.R._cho[:1], gls.R._L, gls.R.nugget, gls.G,
             gls.Rq, gls.beta, gls.resid, gls.alpha, *vars(em.hyper).values()]
     for a in kept:
-        assert a is not None and not any(np.shares_memory(a, b) for b in buffers)
+        assert a is not None and not any(np.shares_memory(a, b) for b in held)
 
 
 def test_fits_never_share_distances(rng, monkeypatch):

@@ -81,6 +81,17 @@ def test_csv_error_reporting(tmp_path):
         read_numeric_csv(tmp_path / "empty.csv")
 
 
+def test_csv_errors_name_the_line_of_the_file(tmp_path):
+    # a blank line once shifted every later row number down by one
+    path = tmp_path / "gap.csv"
+    path.write_text("x,y\n0.1,1.0\n\n0.2,oops\n")
+    with pytest.raises(DataError, match=r"row 4, column 2 \('y'\): 'oops'"):
+        read_numeric_csv(path)
+    path.write_text("\nx,y\r\n\r\n0.1,1.0\r\n0.2\r\n")
+    with pytest.raises(DataError, match="row 5 has 1 cells"):
+        read_numeric_csv(path)
+
+
 def test_csv_reader_keeps_universal_newlines_and_rejects_non_utf8(tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes(b"a,b\r\n1,2\r3,4\n\n  \n5,6")

@@ -359,7 +359,7 @@ def test_tri_solve_of_a_singular_triangle_raises_like_scipy(rng):
         assert str(ours.value) == str(scipy_error.value)
 
 
-# ------------------------------------- distinct-distance assembly and buffers
+# ------------------------------------- distinct-distance assembly and factors
 
 def entrywise_corr(X, spec):
     """The literal entry-by-entry assembly of X's correlation matrix."""
@@ -401,17 +401,17 @@ def test_site_distances_store_distinct_distances(rng):
         assert inv.shape == h.shape and np.array_equal(u[inv], h)
 
 
-def buffered_and_plain(X, spec, nugget, **kwargs):
+def sites_and_plain(X, spec, nugget, **kwargs):
     return (correlation_matrix(SiteDistances(X), spec, nugget, **kwargs),
             correlation_matrix(X, spec, nugget, **kwargs))
 
 
 @pytest.mark.parametrize("kind", ["matern_5_2", "gaussian", "power_exponential"])
-def test_buffered_factor_bit_identical_to_cho_factor(kind, rng):
+def test_sites_factor_bit_identical_to_cho_factor(kind, rng):
     X = rng.uniform(0, 1, (60, 3))
     p = [0.5, 1.0, 2.0] if kind == "power_exponential" else None
     for omega in ([0.3, 0.6, 1.1], [1e-3, 1e-3, 1e-3], [2.0, 0.05, 0.7]):
-        for R in buffered_and_plain(X, KernelSpec(kind, omega, p), 1e-8):
+        for R in sites_and_plain(X, KernelSpec(kind, omega, p), 1e-8):
             # scipy's factor of the values with entries below eps**2 zeroed is
             # the factor's oracle; scipy's factor of the plain values is the
             # oracle of logdet and the solves
@@ -427,44 +427,53 @@ def test_buffered_factor_bit_identical_to_cho_factor(kind, rng):
                 assert np.array_equal(R.solve(b), cho_solve((c, True), b))
 
 
-def test_buffered_factor_lives_in_the_site_buffers(rng):
-    sites = SiteDistances(rng.uniform(0, 1, (20, 2)))
-    work, L = sites._factor_buffers
-    R = correlation_matrix(sites, KernelSpec("matern_3_2", [0.4, 0.8]), 1e-8)
-    assert np.shares_memory(R._cho[0], work) and np.shares_memory(R._L, L)
+def test_sites_factor_survives_the_next_factorization_from_the_same_sites(rng):
+    # each factor owns its arrays, so a later objective call cannot overwrite
+    # the one before it
+    X = rng.uniform(0, 1, (20, 2))
+    sites = SiteDistances(X)
+    first = correlation_matrix(sites, KernelSpec("matern_3_2", [0.4, 0.8]), 1e-8)
+    kept = first._cho[0].copy(), first._L.copy(), first.logdet
+    second = correlation_matrix(sites, KernelSpec("matern_3_2", [0.1, 2.0]), 1e-8)
+    assert second.logdet != first.logdet
+    assert np.array_equal(first._cho[0], kept[0])
+    assert np.array_equal(first._L, kept[1])
+    assert first.logdet == kept[2]
+    plain = correlation_matrix(X, KernelSpec("matern_3_2", [0.4, 0.8]), 1e-8)
+    assert np.array_equal(first._cho[0], plain._cho[0])
+    assert not any(np.shares_memory(a, b) for a in (first._cho[0], first._L)
+                   for b in (second._cho[0], second._L))
 
 
-def test_buffered_escalation_matches_plain():
+def test_sites_escalation_matches_plain():
     X = np.linspace(0.0, 0.01, 20).reshape(-1, 1)
     spec = KernelSpec("gaussian", [1.0])
-    with pytest.warns(NumericalWarning) as rec_buffered:
-        buffered = correlation_matrix(SiteDistances(X), spec, nugget=0.0)
+    with pytest.warns(NumericalWarning) as rec_sites:
+        sites = correlation_matrix(SiteDistances(X), spec, nugget=0.0)
     with pytest.warns(NumericalWarning) as rec_plain:
         plain = correlation_matrix(X, spec, nugget=0.0)
-    assert [str(w.message) for w in rec_buffered] == [str(w.message) for w in rec_plain]
-    assert 0.0 < buffered.nugget.max() <= 1e-4
-    assert np.array_equal(buffered.nugget, plain.nugget)
-    assert np.array_equal(buffered.values, plain.values)
-    assert np.array_equal(buffered._cho[0], plain._cho[0])
-    assert np.array_equal(buffered._L, plain._L)
-    assert buffered.logdet == plain.logdet
+    assert [str(w.message) for w in rec_sites] == [str(w.message) for w in rec_plain]
+    assert 0.0 < sites.nugget.max() <= 1e-4
+    assert np.array_equal(sites.nugget, plain.nugget)
+    assert np.array_equal(sites.values, plain.values)
+    assert np.array_equal(sites._cho[0], plain._cho[0])
+    assert np.array_equal(sites._L, plain._L)
+    assert sites.logdet == plain.logdet
     with pytest.raises(IllConditionedError):
         correlation_matrix(SiteDistances(X), spec, nugget=0.0, auto_escalate=False)
 
 
-def test_buffered_factor_rejects_non_finite_like_cho_factor(rng):
+def test_sites_factor_rejects_non_finite_like_cho_factor(rng):
     X = rng.uniform(0, 1, (6, 2))
     spec = KernelSpec("matern_5_2", [0.5, 0.5])
     values = cross_corr_matrix(X, X, spec)
     values[1, 4] = values[4, 1] = np.nan
-    buffers = SiteDistances(X)._factor_buffers
     with pytest.raises(ValueError) as scipy_error:
         cho_factor(values, lower=True)
-    for kwargs in ({}, {"buffers": buffers}):
-        with pytest.raises(ValueError) as ours:
-            CorrelationMatrix(values, 0.0, **kwargs)
-        assert type(ours.value) is type(scipy_error.value)
-        assert str(ours.value) == str(scipy_error.value)
+    with pytest.raises(ValueError) as ours:
+        CorrelationMatrix(values, 0.0)
+    assert type(ours.value) is type(scipy_error.value)
+    assert str(ours.value) == str(scipy_error.value)
     # a non-finite nugget is refused before the factorization on either path
     for X_or_sites in (X, SiteDistances(X)):
         with pytest.raises(DataError, match="nugget"):

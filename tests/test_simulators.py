@@ -129,6 +129,13 @@ def test_table_with_two_outputs_for_one_input_row_is_rejected(tmp_path):
     assert sim.run(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])).tolist() == [10.0, 1.0]
 
 
+def test_table_duplicate_error_names_the_lines_of_the_file(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,a,b,y\n\n1,2,3,10\n0,0,0,1\n\n1,2,3,99\n")
+    with pytest.raises(ConfigError, match="rows 3 and 6 give different outputs"):
+        TableSimulator(path, n_x=1, n_theta=2)
+
+
 def test_table_lookup_matches_inputs_at_12_digits(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x,t,y\n0.1,0.2,5\n0.1000000000000001,0.2,5\n")
