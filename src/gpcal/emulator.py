@@ -12,9 +12,11 @@ variance and length-scales stored in :class:`Hyperparameters` refer to the
 scaled space; ``FittedEmulator.process_variance`` reports the physical-unit
 process variance.
 
-No explicit matrix inverses: everything goes through the cached Cholesky
-factor of the correlation matrix and a QR factorization of the whitened
-trend basis.
+Prediction and the likelihood form no explicit matrix inverse: they go
+through the cached Cholesky factor of the correlation matrix and a QR
+factorization of the whitened trend basis. The CV fit is the exception: it
+forms the projected precision matrix from that factor and inverts each
+fold's small block of it (:func:`_cv_heldout`).
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
 from .fileio import (_BOOL, _FLOAT, _NONNEGATIVE, _check, _choice, _list, _number,
                      _open, _variant, checked, read_json, write_json)
 from .kernels import (DEFAULT_NUGGET, KERNEL_KINDS, CorrelationMatrix,
-                      KernelSpec, SiteDistances, _corr_1d, _factor,
-                      _nugget_vector, _product_corr, _tri_solve,
-                      correlation_matrix, cross_corr_matrix)
+                      KernelSpec, SiteDistances, _corr_1d, _nugget_vector,
+                      _product_corr, _tri_solve, correlation_matrix,
+                      cross_corr_matrix)
 
 EMULATOR_FORMAT_VERSION = 1
 
@@ -190,16 +192,12 @@ class _GLS:
         z = self.R.half_solve(self.resid)
         return float(z @ z) / self.resid.size
 
-    def mean(self, r, Fs) -> np.ndarray:
-        """The BLUP mean alone, as :meth:`predict` computes it."""
-        return self.trend(Fs) + r.T @ self.alpha
-
     def predict(self, r, Fs):
         """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
         the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
         Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when beta is fixed or
         there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2."""
-        mean = self.mean(r, Fs)
+        mean = self.trend(Fs) + r.T @ self.alpha
         Z = self.R.half_solve(r)
         if self.G is None:
             return mean, Z, None
@@ -521,14 +519,19 @@ def _document(m: int, d: int) -> dict:
 OMEGA_BOUNDS = (1e-3, 1e3)
 
 
-def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str):
+def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str,
+                jac: bool = False):
     """Minimize ``loss(spec)`` over log(omega) by L-BFGS-B from
     ``n_restarts`` LHS-distributed starts in the :data:`OMEGA_BOUNDS` box; a
     power-exponential kind keeps p = 2.
 
-    A candidate whose loss raises a numerical error or is not finite scores
-    ``_BIG``. Returns every restart's ``(value, spec)`` in start order;
-    raises :class:`FitError` if none is finite.
+    Without ``jac``, ``loss`` returns the value and L-BFGS-B takes finite
+    differences of it. With ``jac``, ``loss`` returns ``(value, gradient)``,
+    the gradient over log(omega), and L-BFGS-B uses it. A candidate whose
+    loss raises a numerical error or is not finite scores ``_BIG``, with a
+    zero gradient under ``jac``: ``(_BIG, 0)``. Returns every restart's
+    ``(value, spec)`` in start order; raises :class:`FitError` if none is
+    finite.
     """
     if n_restarts < 1:
         raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
@@ -540,17 +543,20 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
 
     def objective(t):
         try:
-            val = loss(unpack(t))
+            out = loss(unpack(t))
+            value, grad = out if jac else (out, None)
+            if np.isfinite(value) and (grad is None or np.isfinite(grad).all()):
+                return out
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
-            return _BIG
-        return val if np.isfinite(val) else _BIG
+            pass
+        return (_BIG, np.zeros(d)) if jac else _BIG
 
     rng = np.random.default_rng(seed)
     u = _lhs_points(n_restarts, d, rng, midpoint=False)
     starts = lb + u * (ub - lb)
     results = []
     for t0 in starts:
-        res = minimize(objective, t0, method="L-BFGS-B",
+        res = minimize(objective, t0, method="L-BFGS-B", jac=jac,
                        bounds=list(zip(lb, ub)))
         results.append((float(res.fun), unpack(res.x)))
     if min(v for v, _ in results) >= _BIG:
@@ -593,65 +599,53 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
     return labels
 
 
-def _cv_folds(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-              nugget, fold_labels: np.ndarray, sites: SiteDistances):
-    """Condition on each fold's retained points; yield, per fold, the
-    held-out indices, the fold's :class:`_GLS`, the held-out cross block
-    (retained x held-out), the held-out basis rows and the held-out nuggets.
+def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
+                nugget, fold_labels: np.ndarray, sites: SiteDistances,
+                gradient: bool = False):
+    """Held-out predictions for each fold with fixed (omega, p), the trend
+    coefficients re-estimated by GLS on each fold's retained points, from one
+    factorization of K = R + diag(nugget) of all m sites.
 
-    ``sites`` is a :class:`SiteDistances` of ``training.X``, reused across
-    calls. The m x m correlation of all training sites is assembled from it
-    once; each fold's training matrix and held-out cross block are index
-    slices of it, bit-identical to assembling them from the fold's sites.
+    With the projected precision Q = K^-1 - K^-1 F (F' K^-1 F)^-1 F' K^-1
+    (Q = K^-1, and y - mu for y, under a known constant), fold I's held-out
+    residuals are e_I = (Q_II)^-1 (Q y)_I, and their variances per unit
+    process variance, the held-out nuggets included, are diag((Q_II)^-1);
+    :func:`fit_cv` gives the references. ``sites`` is a
+    :class:`SiteDistances` of ``training.X``, reused across calls.
+
+    Returns standardized held-out means ``mu_cv`` = y - e and ``v_cv``; with
+    ``gradient`` set, also the gradient of the CV loss sum(e^2) over
+    log(omega): <dK/d log omega_k, G + G'> with u_I = (Q_II)^-1 e_I and
+    G = sum_I (Q_:I u_I)(Q_:I e_I)' - (Q u)(Q y)'.
     """
     m = training.m
-    nug = _nugget_vector(nugget, m)
-    mu = training.mu_std(trend.mu)
-    R = sites.correlation(spec)
-    for k in np.unique(fold_labels):
-        te = fold_labels == k
-        tr_idx = np.nonzero(~te)[0]
-        te_idx = np.nonzero(te)[0]
-        Rk = _factor(R[np.ix_(tr_idx, tr_idx)], nug[tr_idx], spec,
-                     auto_escalate=False)
-        gls = _GLS(Rk, trend.build_matrix(training.X[tr_idx]),
-                   training.y[tr_idx], mu=mu, solve=True)
-        yield (te_idx, gls, R[np.ix_(tr_idx, te_idx)],
-               trend.build_matrix(training.X[te_idx]), nug[te_idx])
-
-
-def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, sites: SiteDistances):
-    """Held-out predictions for each fold with fixed (omega, p): the trend
-    coefficients are re-estimated by GLS on each fold's retained points, a
-    genuine reduced fit. The folds come from :func:`_cv_folds`; ``sites`` is
-    as there.
-
-    Returns standardized held-out means ``mu_cv`` and unit-process-variance
-    predictive factors ``v_cv`` (these include the held-out points' own
-    nugget, i.e. they are variances for predicting the noisy observation).
-    """
-    mu_cv = np.empty(training.m)
-    v_cv = np.empty(training.m)
-    for te_idx, gls, r, Fte, nug_te in _cv_folds(
-            training, trend, spec, nugget, fold_labels, sites):
-        mu_cv[te_idx], Z, W = gls.predict(r, Fte)
-        v = (1.0 + nug_te) - np.einsum("ij,ij->j", Z, Z)
-        if W is not None:
-            v = v + np.einsum("ij,ij->j", W, W)
-        v_cv[te_idx] = v
-    return mu_cv, np.maximum(v_cv, np.finfo(float).tiny)
-
-
-def _cv_means(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-              nugget, fold_labels: np.ndarray, sites: SiteDistances) -> np.ndarray:
-    """:func:`_cv_heldout`'s ``mu_cv`` alone, bit for bit, without the
-    held-out variances: all the CV objective needs."""
-    mu_cv = np.empty(training.m)
-    for te_idx, gls, r, Fte, _ in _cv_folds(
-            training, trend, spec, nugget, fold_labels, sites):
-        mu_cv[te_idx] = gls.mean(r, Fte)
-    return mu_cv
+    R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
+    F = trend.build_matrix(training.X)
+    gls = _GLS(R, F, training.y, mu=training.mu_std(trend.mu), solve=True)
+    Q = R.inverse()
+    if gls.G is not None:
+        H = _tri_solve(gls.Rq.T, F.T @ Q, True)   # (K^-1 F Rq^-1)'
+        Q -= H.T @ H
+    Qy = gls.alpha                                # K^-1 (y - F beta)
+    # folds of equal size are solved together, as one stack of blocks
+    _, fold, size = np.unique(fold_labels, return_inverse=True, return_counts=True)
+    order = np.argsort(fold, kind="stable")
+    first = np.cumsum(size) - size
+    e, v, u = np.empty(m), np.empty(m), np.empty(m)
+    for s in np.unique(size):
+        idx = order[first[size == s][:, None] + np.arange(s)]
+        C = np.linalg.inv(Q[idx[:, :, None], idx[:, None, :]])
+        e[idx] = (C @ Qy[idx][:, :, None])[:, :, 0]
+        v[idx] = np.diagonal(C, axis1=1, axis2=2)
+        u[idx] = (C @ e[idx][:, :, None])[:, :, 0]
+    mu_cv, v_cv = training.y - e, np.maximum(v, np.finfo(float).tiny)
+    if not gradient:
+        return mu_cv, v_cv
+    rows = (np.arange(m), fold)
+    Pu, Pe = np.zeros((m, size.size)), np.zeros((m, size.size))
+    Pu[rows], Pe[rows] = u, e
+    G = (Q @ Pu) @ (Q @ Pe).T - np.outer(Q @ u, Qy)
+    return mu_cv, v_cv, sites.log_derivatives(spec, R.values * (G + G.T))
 
 
 def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
@@ -662,7 +656,15 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     variance is then the mean of squared predictive-sd-standardized held-out
     residuals.
 
-    Folds re-estimate trend coefficients on their retained points. Fold
+    Folds re-estimate trend coefficients on their retained points. Each
+    candidate factors K = R + diag(nugget) once, and every fold's residuals
+    e_I = (Q_II)^-1 (Q y)_I and variances diag((Q_II)^-1) come from the
+    projected precision Q = K^-1 - K^-1 F (F' K^-1 F)^-1 F' K^-1 (Dubrule
+    1983, Math. Geology, for LOO; Ginsbourger & Schaerer 2021, "Fast
+    calculation of Gaussian process multiple-fold cross-validation residuals
+    and their covariances", for K folds under universal kriging). L-BFGS-B
+    gets the loss's gradient in closed form (:func:`_cv_heldout`). A
+    candidate whose K does not factor fails, as in :func:`fit_mle`. Fold
     assignment is a seeded shuffle followed by round-robin. Ties in the CV
     objective (e.g. data lying exactly on the trend) are broken by the
     smallest length-scale vector norm.
@@ -676,10 +678,12 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     sites = SiteDistances(training.X)
 
     def loss(spec):
-        mu_cv = _cv_means(training, trend, spec, nugget, fold_labels, sites)
-        return float(np.sum((training.y - mu_cv) ** 2))
+        mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
+                                     sites, gradient=True)
+        return float(np.sum((training.y - mu_cv) ** 2)), grad
 
-    results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV")
+    results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV",
+                          jac=True)
     best_val = min(v for v, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
     tied = [spec for v, spec in results if v <= best_val + tol]

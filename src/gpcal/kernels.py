@@ -19,13 +19,14 @@ multiplied in dimension order into ones. A one-shot matrix
 evaluates them entry by entry (:func:`_product_corr`). A hyperparameter fit,
 MLE or CV, instead keeps a :class:`SiteDistances` of its training sites: it
 evaluates each kernel factor once per distinct distance and gathers the
-values into the matrix. A CV objective assembles the full training matrix
-once and slices every fold's training and held-out blocks from it: a kernel
-entry depends only on its two sites, so the slices equal the fold's own
-assembly bit for bit. Every :class:`CorrelationMatrix` computes its factor in
-arrays of its own. Bit-identity is a contract, not a nicety: the multistart
-L-BFGS-B in the emulator fits follows the objective's last bits, so any
-change in rounding moves the fitted optimum.
+values into the matrix. A CV objective factors that full training matrix
+once and takes every fold from the one factor; its gradient evaluates each
+factor's closed-form log-derivative (:func:`_dlog_corr_1d`) on the same
+distinct distances (:meth:`SiteDistances.log_derivatives`). Every
+:class:`CorrelationMatrix` computes its factor in arrays of its own.
+Bit-identity is a contract, not a nicety: the MLE multistart L-BFGS-B takes
+finite differences of the objective, so it follows the objective's last bits,
+and any change in rounding moves the fitted optimum.
 
 One step departs from the plain matrix, and only inside the factorization:
 every correlation below ``eps**2`` (4.9e-32) is zeroed in the working copy
@@ -119,6 +120,26 @@ def _corr_1d(kind: str, h: np.ndarray, omega: float, p: float) -> np.ndarray:
     raise ConfigError(f"unknown kernel kind {kind!r}")
 
 
+def _dlog_corr_1d(kind: str, h: np.ndarray, omega: float, p: float) -> np.ndarray:
+    """d log R(h) / d log omega for :func:`_corr_1d`'s R, in closed form. It
+    is 0 at h = 0, and 0 for the linear kind from h = omega on, where R is 0."""
+    t = h / omega
+    if kind == "gaussian":
+        return t * t
+    if kind == "linear":
+        s = np.where(t < 1.0, t, 0.0)
+        return s / (1.0 - s)
+    if kind in ("exponential", "power_exponential"):      # p = 1 for the first
+        return p * t ** p
+    if kind == "matern_3_2":
+        s = math.sqrt(3.0) * t
+        return s * s / (1.0 + s)
+    if kind == "matern_5_2":
+        s = math.sqrt(5.0) * t
+        return s * s * (1.0 + s) / (3.0 + 3.0 * s + s * s)
+    raise ConfigError(f"unknown kernel kind {kind!r}")
+
+
 def _product_corr(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """The |A| x |B| tensor-product correlation prod_k R_k(|a_k - b_k|), entry
     by entry: ones, times each dimension's factor in dimension order (the
@@ -155,8 +176,9 @@ class SiteDistances:
 
     For each dimension k it keeps the distinct values ``u_k`` of
     |x_i,k - x_j,k| and an m x m index ``inv_k`` with |x_i,k - x_j,k| =
-    u_k[inv_k[i, j]], so :meth:`correlation` evaluates each kernel factor on
-    ``u_k`` alone. A fit (``fit_mle`` or ``fit_cv``) makes one for its
+    u_k[inv_k[i, j]], so :meth:`correlation` evaluates each kernel factor,
+    and :meth:`log_derivatives` each factor's derivative, on ``u_k`` alone.
+    A fit (``fit_mle`` or ``fit_cv``) makes one for its
     training inputs and drops it when it returns. Nothing in it changes after
     construction, so it is safe to share between threads.
     """
@@ -186,6 +208,18 @@ class SiteDistances:
             else:
                 out *= g
         return np.ones((self.points.shape[0],) * 2) if out is None else out
+
+    def log_derivatives(self, spec: KernelSpec, A: np.ndarray) -> np.ndarray:
+        """``g`` with g_k = sum_ij A_ij d log R_ij / d log omega_k for each
+        dimension k, where R is the sites' correlation: given A = R o S, g_k
+        is <dR/d log omega_k, S>. Each factor's derivative is evaluated once
+        per distinct distance, against A summed over the entries at that
+        distance."""
+        a = A.reshape(-1)
+        return np.array([
+            np.bincount(inv.reshape(-1), weights=a, minlength=u.size)
+            @ _dlog_corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
+            for k, (u, inv) in enumerate(zip(self._distinct, self._inverse))])
 
 
 class CorrelationMatrix:
@@ -322,36 +356,8 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
         R = X.correlation(spec)
     else:
         R = _product_corr(pts, pts, spec)
-    return _factor(R, nug, spec, auto_escalate)
-
-
-def _nugget_vector(nugget, m: int) -> np.ndarray:
-    """A scalar or per-point nugget as a checked vector of m entries."""
-    nug = np.asarray(nugget, dtype=float)
-    if nug.ndim == 0:
-        nug = np.full(m, float(nug))
-    elif nug.size != m:
-        raise DataError(f"nugget vector has {nug.size} entries for {m} sites")
-    if not np.all(np.isfinite(nug) & (nug >= 0)):
-        raise DataError("nugget must be finite and nonnegative")
-    return nug
-
-
-def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
-            auto_escalate: bool) -> CorrelationMatrix:
-    """Factorize a C-ordered m x m kernel matrix ``R`` of m sites, in place.
-
-    The factor step of :func:`correlation_matrix`, which the CV fits also
-    call on blocks sliced from one assembled matrix. ``R``'s diagonal is
-    overwritten with 1 + nugget, so it need not hold 1; ``nug`` is a checked
-    vector (:func:`_nugget_vector`). Rejects duplicate sites under a zero
-    nugget, warns on the indefinite-prone linear product kernel, and escalates
-    the nugget if asked (see :func:`correlation_matrix`). Only a zero nugget
-    pays for the duplicate-site scan over R.
-    """
-    m = R.shape[0]
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
-    if np.all(nug == 0):
+    if np.all(nug == 0):                         # only then can sites clash
         diag[:] = 0.0                            # R.max(): off-diagonal only
         if m > 1 and R.max() >= 1.0:
             raise IllConditionedError(
@@ -380,3 +386,15 @@ def _factor(R: np.ndarray, nug: np.ndarray, spec: KernelSpec,
         extra = nxt
         warnings.warn(f"nugget escalated to {extra:g} to factorize the "
                       "correlation matrix", NumericalWarning)
+
+
+def _nugget_vector(nugget, m: int) -> np.ndarray:
+    """A scalar or per-point nugget as a checked vector of m entries."""
+    nug = np.asarray(nugget, dtype=float)
+    if nug.ndim == 0:
+        nug = np.full(m, float(nug))
+    elif nug.size != m:
+        raise DataError(f"nugget vector has {nug.size} entries for {m} sites")
+    if not np.all(np.isfinite(nug) & (nug >= 0)):
+        raise DataError("nugget must be finite and nonnegative")
+    return nug

@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           _tri_solve, cross_corr_matrix)
+                           _dlog_corr_1d, _tri_solve, cross_corr_matrix)
 
 from conftest import (cross_correlation, kernel_eval, oracle_kernel,
                       weighted_distance)
@@ -399,6 +399,30 @@ def test_site_distances_store_distinct_distances(rng):
         h = np.abs(x[:, None] - x[None, :])
         assert np.array_equal(u, np.unique(h))
         assert inv.shape == h.shape and np.array_equal(u[inv], h)
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_log_derivatives_match_differences_of_the_assembly(kind, rng):
+    # <dR/d log omega_k, S> from the closed-form d log R_k / d log omega_k
+    # against central differences of the assembled matrix; some distances
+    # lie beyond the linear kind's support
+    X, S = rng.uniform(0, 1, (15, 3)), rng.normal(size=(15, 15))
+    sites, h = SiteDistances(X), 1e-6
+    omega = np.array([0.5, 0.7, 0.9])
+    p = [0.7, 1.3, 2.0] if kind == "power_exponential" else None
+    got = sites.log_derivatives(KernelSpec(kind, omega, p),
+                                sites.correlation(KernelSpec(kind, omega, p)) * S)
+    for k, step in enumerate(np.exp(h * np.eye(3))):
+        up = sites.correlation(KernelSpec(kind, omega * step, p))
+        down = sites.correlation(KernelSpec(kind, omega / step, p))
+        assert got[k] == pytest.approx(np.sum((up - down) * S) / (2 * h), rel=1e-7)
+
+
+def test_log_derivative_is_zero_at_the_origin_and_beyond_linear_support():
+    for spec in all_kind_specs():
+        assert _dlog_corr_1d(spec.kind, np.zeros(1), 0.7, spec.p[0])[0] == 0.0
+    assert _dlog_corr_1d("linear", np.array([0.5, 1.0, 2.0]), 1.0, 1.0).tolist() \
+        == [1.0, 0.0, 0.0]
 
 
 def sites_and_plain(X, spec, nugget, **kwargs):
