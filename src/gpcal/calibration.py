@@ -304,7 +304,11 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     :class:`FittedEmulator` GPcode is conditioned on the fixed IUQ settings
     once here, so a proposal evaluates only its theta factors (see
     ``FittedEmulator._fixed_rows_predictor``); any other object with
-    ``predict_batch`` is called on the stacked (x, theta) rows.
+    ``predict_batch`` is called on the stacked (x, theta) rows. On a
+    ``cross`` design's layout the fixed-rows predictor takes a Kronecker
+    path, whose log posterior agrees with the stacked rows' to 1e-7 relative
+    (the tests' tolerance) but not bit for bit; any other layout, a
+    per-point nugget or a degenerate GPcode gives the stacked rows' bits.
     """
     x_iuq = iuq.x
     y_obs = iuq.y

@@ -11,6 +11,7 @@ failure, 4 gate failure.
 from __future__ import annotations
 
 import argparse
+import os
 import platform
 import sys
 import time
@@ -104,6 +105,10 @@ def _cmd_fit(args) -> int:
 _ARTIFACTS = {"chain_csv": "chain.csv", "posterior_summary": "posterior_summary.json",
               "validation_report": "validation_report.json", "gpcode": "gpcode.json",
               "gpbias": "gpbias.json"}
+#: the variables that set the BLAS thread and simulator worker counts, which
+#: a run records: chain.csv is reproducible only at the same values
+_ENVIRONMENT = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "GPCAL_WORKERS")
 
 
 def _cmd_calibrate(args) -> int:
@@ -134,6 +139,7 @@ def _cmd_calibrate(args) -> int:
         "x_names": list(config.design_space.names),
         "versions": {"gpcal": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "python": platform.python_version()},
+        "environment": {name: os.environ.get(name) for name in _ENVIRONMENT},
         "created": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
     print(f"q2_loocv(gpcode) = {result.q2_code:.4f}  "
@@ -158,6 +164,8 @@ _MANIFEST = {
                       for stage in ("split", "gpbias", "gpcode", "mcmc", "validate")},
     "theta_names": _NAMES, "x_names": _NAMES,
     "versions": dict.fromkeys(("gpcal", "numpy", "scipy", "python"), _STR),
+    # older run records have no environment block
+    "environment": (dict.fromkeys(_ENVIRONMENT, (_STR, None)), _ABSENT),
     "created": _STR,
 }
 _VALIDATION = _open({"residuals": _list(_list(_FLOAT, 3))})

@@ -448,8 +448,10 @@ def literal_log_posterior(theta, gp_code, discrepancy, iuq, prior):
     return lp - 0.5 * logdet - 0.5 * quad
 
 
-@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
-def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias):
+def _log_posteriors(with_bias, design):
+    """Pairs (log posterior of the fixed-rows predictor, of the literal
+    stacked rows) at thetas in and out of the prior box, on a GPcode fitted
+    to a ``design`` layout."""
     sim = BuiltinSimulator("linear")
     prior = linear_prior()
     iuq = linear_experiments(6, seed=4, sigma=0.05, bias=True,
@@ -460,15 +462,34 @@ def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias):
                                  x_range=(0.0, 2.0 * math.pi))
         model = build_discrepancy_emulator(sim, val, theta0=[2.0, 1.0], seed=3)
     gp_code, _ = build_code_emulator(sim, iuq.x, prior, n_train=36, seed=2,
-                                     n_restarts=2)
+                                     n_restarts=2, design=design)
     lp = make_log_posterior(gp_code, model, iuq, prior)
     rng = np.random.default_rng(17)
     thetas = np.vstack([[2.0, 1.0], rng.uniform([0.0, -1.0], [4.0, 3.0], (8, 2)),
                         [[4.5, 1.0], [2.0, -1.5]]])
-    for theta in thetas:
-        want = literal_log_posterior(theta, gp_code, model, iuq, prior)
-        assert lp(theta) == want
-    assert lp([4.5, 1.0]) == -math.inf
+    return [(lp(theta), literal_log_posterior(theta, gp_code, model, iuq, prior))
+            for theta in thetas]
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_log_posterior_on_fitted_emulator_equals_stacked_rows(with_bias):
+    # a cross design takes the Kronecker predictor, which agrees with the
+    # stacked rows to rounding: the perfbench oracle's tolerance
+    pairs = _log_posteriors(with_bias, "cross")
+    for got, want in pairs:
+        if math.isinf(want):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+    assert pairs[-2][0] == -math.inf
+
+
+@pytest.mark.parametrize("with_bias", [False, True], ids=["plain", "bias"])
+def test_log_posterior_on_a_joint_design_equals_stacked_rows_bit_for_bit(with_bias):
+    pairs = _log_posteriors(with_bias, "joint")
+    for got, want in pairs:
+        assert got == want
+    assert pairs[-2][0] == -math.inf
 
 
 # ----------------------------------------------------- validate_posterior

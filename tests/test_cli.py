@@ -175,6 +175,44 @@ def test_cli_report_reads_a_validation_report_with_null_q2_and_loocv_error(
     assert (tmp_path / "run" / "report" / "predictive.csv").is_file()
 
 
+def test_cli_calibrate_records_the_thread_environment(calibrated_run):
+    manifest = json.loads((calibrated_run[1] / "manifest.json").read_text())
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "GPCAL_WORKERS")
+    assert manifest["environment"] == {name: os.environ.get(name) for name in names}
+
+
+def _set_environment(value):
+    """An edit of a run that sets, or with ``None`` drops, the manifest's
+    ``environment`` block."""
+    def edit(run):
+        manifest = json.loads((run / "manifest.json").read_text())
+        if value is None:
+            del manifest["environment"]
+        else:
+            manifest["environment"] = value
+        (run / "manifest.json").write_text(json.dumps(manifest))
+    return edit
+
+
+@pytest.mark.parametrize("block", [
+    None,
+    {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+     "GPCAL_WORKERS": "2"},
+    {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+     "GPCAL_WORKERS": None}], ids=["without", "set", "unset"])
+def test_cli_report_reads_a_manifest_with_or_without_the_environment(
+        calibrated_run, tmp_path, block):
+    assert main(_report(tmp_path, calibrated_run[1], _set_environment(block))) == 0
+    assert (tmp_path / "run" / "report" / "predictive.csv").is_file()
+
+
+def test_cli_report_rejects_a_malformed_environment(calibrated_run, tmp_path, capsys):
+    edit = _set_environment({"OPENBLAS_NUM_THREADS": 1})
+    assert main(_report(tmp_path, calibrated_run[1], edit)) == 2
+    assert "environment.OPENBLAS_NUM_THREADS" in capsys.readouterr().err
+
+
 def test_cli_calibrate_deterministic_chain(calibrated_run, tmp_path):
     config, out_dir = calibrated_run
     rerun_dir = tmp_path / "rerun"

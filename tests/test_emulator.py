@@ -13,8 +13,8 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    FittedEmulator, IllConditionedError, KernelSpec,
                    NumericalWarning, TrainingSet, TrendSpec, fit_cv, fit_mle,
                    gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
-from gpcal.emulator import (_BIG, _concentrated_nll, _cv_heldout, _multistart,
-                            make_folds)
+from gpcal.emulator import (_BIG, _concentrated_nll, _cross_factors, _cv_heldout,
+                            _multistart, make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _tri_solve, correlation_matrix, cross_corr_matrix)
 from gpcal.spaces import ParameterSpace
@@ -582,9 +582,148 @@ def test_fixed_rows_predictor_is_bit_identical_to_predict_batch(kind, p, trend,
             assert np.array_equal(cov, want_cov)
 
 
-def test_fixed_rows_predictor_degenerate_emulator():
-    x = np.linspace(0.0, 1.0, 6).reshape(-1, 2)
-    em = FittedEmulator(TrainingSet(x, np.full(3, 4.5)), TrendSpec("constant"),
+def _cross_rows(u_x, u_t):
+    """The rows [u_x[a], u_t[b]] at a * n_t + b, as a cross design lays them
+    out."""
+    return np.hstack([np.repeat(u_x, len(u_t), axis=0), np.tile(u_t, (len(u_x), 1))])
+
+
+def _cross_emulator(rng, dx=1, dt=2, kind="matern_5_2", p=None,
+                    trend=TrendSpec("linear"), nugget=1e-8, n_x=5, n_t=7):
+    u_x = rng.uniform(-1.0, 3.0, (n_x, dx))
+    u_t = rng.uniform(-1.0, 3.0, (n_t, dt))
+    x = _cross_rows(u_x, u_t)
+    y = np.sin(x).sum(axis=1) + x[:, 0] * x[:, -1]
+    kernel = KernelSpec(kind, rng.uniform(0.3, 2.0, dx + dt),
+                        None if p is None else np.full(dx + dt, p))
+    return FittedEmulator(TrainingSet(x, y), trend, kernel, nugget=nugget), u_x, u_t
+
+
+def _never_half_solve(self, b):
+    raise AssertionError("the Kronecker predictor called half_solve")
+
+
+@pytest.mark.parametrize("kind,p", _KERNELS,
+                         ids=[f"{k}-{p}" if p else k for k, p in _KERNELS])
+@pytest.mark.parametrize("trend", [
+    TrendSpec("known_constant", mu=0.3), TrendSpec("constant"),
+    TrendSpec("linear")], ids=["known_constant", "constant", "linear"])
+@pytest.mark.parametrize("dx,dt", [(1, 1), (1, 2), (2, 3)])
+def test_fixed_rows_predictor_on_a_cross_design_matches_the_dense_predictor(
+        kind, p, trend, dx, dt, rng, monkeypatch):
+    em, u_x, u_t = _cross_emulator(rng, dx, dt, kind, p, trend)
+    sd = float(np.std(em.training.y_phys))
+    for x_fixed in (u_x[[3, 0, 1]], rng.uniform(-1.0, 3.0, (4, dx))):
+        # next to a training theta, inside the training box, then outside
+        # it on both sides
+        thetas = (u_t[2] + 1e-3, rng.uniform(-1.0, 3.0, dt),
+                  rng.uniform(-3.0, -1.5, dt), rng.uniform(3.5, 5.0, dt))
+        with monkeypatch.context() as patched:
+            patched.setattr(CorrelationMatrix, "half_solve", _never_half_solve)
+            predict = em._fixed_rows_predictor(x_fixed)
+            got = [predict(theta) for theta in thetas]
+        for theta, (mean, cov) in zip(thetas, got):
+            want_mean, want_cov = _stacked(em, x_fixed, theta)
+            assert np.all(np.abs(mean - want_mean)
+                          <= 1e-8 * np.maximum(np.abs(want_mean), sd))
+            assert np.abs(cov - want_cov).max() <= 1e-9 * em.process_variance
+            assert np.array_equal(cov, cov.T)
+
+
+def _per_point_nugget(rng):
+    em, u_x, u_t = _cross_emulator(rng)
+    nugget = np.full(em.m, 1e-8)
+    nugget[4] = 1e-6
+    return FittedEmulator(em.training, em.trend, em.kernel, nugget=nugget), u_x
+
+
+def _permuted_rows(rng):
+    em, u_x, u_t = _cross_emulator(rng)
+    order = rng.permutation(em.m)
+    return FittedEmulator(TrainingSet(em.training.x_phys[order],
+                                      em.training.y_phys[order]),
+                          em.trend, em.kernel, nugget=1e-8), u_x
+
+
+def _repeated_theta(rng):
+    # the product layout, but one theta row twice
+    u_x = rng.uniform(-1.0, 3.0, (4, 1))
+    u_t = rng.uniform(-1.0, 3.0, (5, 2))
+    u_t[3] = u_t[1]
+    x = _cross_rows(u_x, u_t)
+    return FittedEmulator(TrainingSet(x, np.sin(x).sum(axis=1)), TrendSpec("constant"),
+                          KernelSpec("gaussian", [0.5, 0.7, 0.9]), nugget=1e-6), u_x
+
+
+def _negative_spectrum(rng, monkeypatch):
+    em, u_x, _ = _cross_emulator(rng)
+    calls = []
+
+    def eigh(A):                       # R_x's smallest eigenvalue made -1
+        w, Q = np.linalg.eigh(A)
+        if len(calls) % 2 == 0:
+            w[0] = -1.0
+        calls.append(A)
+        return w, Q
+    monkeypatch.setattr(gpcal.emulator, "_eigh", eigh)
+    em._fixed_rows_predictor(u_x)
+    assert len(calls) == 2                      # the layout reached the spectrum
+    return em, u_x
+
+
+# a random design's dense bits: test_fixed_rows_predictor_is_bit_identical_to_predict_batch
+_DENSE_CASES = {
+    "per-point-nugget": lambda rng, mp: _per_point_nugget(rng),
+    "permuted-cross-rows": lambda rng, mp: _permuted_rows(rng),
+    "repeated-theta-row": lambda rng, mp: _repeated_theta(rng),
+    "nonpositive-spectrum": _negative_spectrum,
+}
+
+
+@pytest.mark.parametrize("case", list(_DENSE_CASES))
+def test_fixed_rows_predictor_falls_back_to_the_dense_bits(case, rng, monkeypatch):
+    em, x_fixed = _DENSE_CASES[case](rng, monkeypatch)
+    predict = em._fixed_rows_predictor(x_fixed)
+    dx = x_fixed.shape[1]
+    # next to a training theta, where the two paths' rounding differs, then
+    # inside and outside the box
+    for theta in (em.training.x_phys[1, dx:] + 0.01,
+                  rng.uniform(-1.0, 3.0, em.dim - dx), rng.uniform(3.5, 5.0, em.dim - dx)):
+        mean, cov = predict(theta)
+        want_mean, want_cov = _stacked(em, x_fixed, theta)
+        assert np.array_equal(mean, want_mean)
+        assert np.array_equal(cov, want_cov)
+
+
+def test_cross_factors_read_the_layout_from_the_rows(rng):
+    u_x = rng.uniform(size=(3, 2))
+    u_t = rng.uniform(size=(4, 1))
+    x = _cross_rows(u_x, u_t)
+    got = _cross_factors(x, 2)
+    assert np.array_equal(got[0], u_x) and np.array_equal(got[1], u_t)
+    assert _cross_factors(x, 1) is None          # the split must match dx
+    assert _cross_factors(x, 0) is None and _cross_factors(x, 3) is None
+    theta_major = np.hstack([np.tile(u_x, (4, 1)), np.repeat(u_t, 3, axis=0)])
+    assert _cross_factors(theta_major, 2) is None
+    assert np.array_equal(_cross_factors(x[::-1], 2)[0], u_x[::-1])
+    assert _cross_factors(x[:-1], 2) is None     # one row short
+    one_x = _cross_rows(u_x[:1], u_t)
+    assert np.array_equal(_cross_factors(one_x, 2)[1], u_t)
+
+
+def test_reloaded_cross_emulator_predicts_the_same_bits(rng, monkeypatch):
+    em, u_x, _ = _cross_emulator(rng, trend=TrendSpec("constant"))
+    again = FittedEmulator.from_dict(em.to_dict())
+    monkeypatch.setattr(CorrelationMatrix, "half_solve", _never_half_solve)
+    x_fixed = np.vstack([u_x, rng.uniform(-1.0, 3.0, (2, 1))])
+    first, second = em._fixed_rows_predictor(x_fixed), again._fixed_rows_predictor(x_fixed)
+    for theta in rng.uniform(-2.0, 4.0, (4, 2)):
+        for a, b in zip(first(theta), second(theta)):
+            assert np.array_equal(a, b)
+
+
+def _check_degenerate(x):
+    em = FittedEmulator(TrainingSet(x, np.full(len(x), 4.5)), TrendSpec("constant"),
                         KernelSpec("gaussian", [0.3, 0.3]))
     assert em.degenerate
     x_fixed = np.array([[0.1], [0.7]])
@@ -596,15 +735,22 @@ def test_fixed_rows_predictor_degenerate_emulator():
         assert np.array_equal(cov, want_cov)
 
 
+def test_fixed_rows_predictor_degenerate_emulator():
+    _check_degenerate(np.linspace(0.0, 1.0, 6).reshape(-1, 2))
+
+
+def test_fixed_rows_predictor_degenerate_cross_emulator():
+    _check_degenerate(_cross_rows(np.array([[0.1], [0.6], [0.9]]),
+                                  np.array([[0.2], [0.5]])))
+
+
 def _xt_emulator(rng):
     x = rng.uniform(0.0, 1.0, (12, 2))
     return FittedEmulator(TrainingSet(x, np.sin(3.0 * x[:, 0]) + x[:, 1]),
                           TrendSpec("linear"), KernelSpec("matern_5_2", [0.5, 0.7]))
 
 
-def test_fixed_rows_predictor_keeps_no_state_between_calls(rng):
-    em = _xt_emulator(rng)
-    predict = em._fixed_rows_predictor(rng.uniform(0.1, 0.9, (4, 1)))
+def _check_no_state(predict):
     first = predict([0.3])
     predict([0.8])[1][:] = 0.0                   # callers may mutate outputs
     again = predict([0.3])
@@ -612,11 +758,31 @@ def test_fixed_rows_predictor_keeps_no_state_between_calls(rng):
     assert np.array_equal(first[1], again[1])
 
 
-def test_fixed_rows_predictor_rejects_wrong_theta_size(rng):
-    predict = _xt_emulator(rng)._fixed_rows_predictor(rng.uniform(0, 1, (3, 1)))
+def _check_theta_size(predict):
     for theta in ([0.1, 0.2], [0.1, 0.2, 0.3]):
         with pytest.raises(DataError):
             predict(theta)
+
+
+def _cross_predictor(rng):
+    em = _cross_emulator(rng, dt=1)[0]
+    return em._fixed_rows_predictor(rng.uniform(0.1, 0.9, (4, 1)))
+
+
+def test_fixed_rows_predictor_keeps_no_state_between_calls(rng):
+    _check_no_state(_xt_emulator(rng)._fixed_rows_predictor(rng.uniform(0.1, 0.9, (4, 1))))
+
+
+def test_fixed_rows_predictor_on_a_cross_design_keeps_no_state_between_calls(rng):
+    _check_no_state(_cross_predictor(rng))
+
+
+def test_fixed_rows_predictor_rejects_wrong_theta_size(rng):
+    _check_theta_size(_xt_emulator(rng)._fixed_rows_predictor(rng.uniform(0, 1, (3, 1))))
+
+
+def test_fixed_rows_predictor_on_a_cross_design_rejects_wrong_theta_size(rng):
+    _check_theta_size(_cross_predictor(rng))
 
 
 # -------------------------------------------------------------- fitting
