@@ -293,6 +293,49 @@ def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):
     return logdet, float(d @ _cho_solve(c, d))
 
 
+#: the corner of the bordered matrix in :func:`_stacked_logdet_solve`: any
+#: value above d' Sigma^-1 d keeps its last pivot positive
+_BORDER = 1e300
+
+
+def _stacked_logdet_solve(sigma: np.ndarray, d: np.ndarray):
+    """``(logdet, quad)``, each of shape (K,), for a (K, q, q) stack of
+    likelihood covariances and a (K, q) stack of residuals, from one batched
+    Cholesky factorization of the bordered matrices [[Sigma, d], [d',
+    _BORDER]]: the factor's leading block is Sigma's, and its last row is
+    (L^-1 d)', the forward substitution done inside the factorization. It
+    agrees with :func:`_chol_logdet_solve` row by row to rounding. When the
+    stack does not factor, each row is factored alone, and a row that still
+    fails (a covariance that is not positive definite or not finite, or a
+    residual that is not finite) goes through :func:`_chol_logdet_solve`
+    itself, jitter loop and errors included."""
+    K, q = d.shape
+    bordered = np.empty((K, q + 1, q + 1))
+    bordered[:, :q, :q] = sigma
+    bordered[:, q, :q] = d
+    bordered[:, :q, q] = d
+    bordered[:, q, q] = _BORDER
+    try:
+        c = np.linalg.cholesky(bordered)
+    except np.linalg.LinAlgError:
+        c = np.full_like(bordered, np.nan)
+        for k in range(K):
+            try:
+                c[k] = np.linalg.cholesky(bordered[k])
+            except np.linalg.LinAlgError:
+                pass
+    flat = c.reshape(K, (q + 1) ** 2)
+    logdet = 2.0 * np.log(flat[:, :q * (q + 2):q + 2]).sum(axis=1)
+    last = flat[:, q * (q + 1):-1]
+    quad = np.einsum("ij,ij->i", last, last)
+    # a failed row is nan; a non-finite entry need not fail a pivot
+    bad = ~np.isfinite(logdet + quad)
+    if bad.any():
+        for k in np.flatnonzero(bad):
+            logdet[k], quad[k] = _chol_logdet_solve(sigma[k], d[k])
+    return logdet, quad
+
+
 def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | None,
                        iuq: ExperimentData, prior: PriorSpec):
     """Build the unnormalized log-posterior callable.
@@ -309,6 +352,17 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     path, whose log posterior agrees with the stacked rows' to 1e-7 relative
     (the tests' tolerance) but not bit for bit; any other layout, a
     per-point nugget or a degenerate GPcode gives the stacked rows' bits.
+
+    The callable maps a theta of shape (d,) to a float and a (K, d) stack
+    to K values, as ``mcmc_sample(..., vectorized=True)`` calls it. A stack
+    makes one predictor call for its rows inside the prior support (a
+    non-:class:`FittedEmulator` GPcode is called row by row) and factors
+    their covariances in one batched Cholesky (:func:`_stacked_logdet_solve`);
+    rows outside the support are -inf and skip the predictor. A stacked row
+    agrees with its single-theta value to rounding; the single-theta path
+    keeps :func:`_chol_logdet_solve`, whose bits are scipy's, and is the
+    stack's oracle. A stack raises if any of its rows does, not
+    necessarily with that row's own error; the single-theta call gives it.
     """
     x_iuq = iuq.x
     y_obs = iuq.y
@@ -322,14 +376,23 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
     if isinstance(gp_code, FittedEmulator):
         code_at = gp_code._fixed_rows_predictor(x_iuq)
     else:
-        def code_at(theta):
+        def one_code_at(theta):
             inputs = np.hstack([x_iuq, np.repeat(theta.reshape(1, -1), iuq.n, axis=0)])
             mean, _, cov = gp_code.predict_batch(
                 inputs, with_covariance=True, warn_extrapolation=False)
             return mean, cov
 
-    def log_post(theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
+        def code_at(theta):
+            if theta.ndim == 1:
+                return one_code_at(theta)
+            rows = [one_code_at(t) for t in theta]
+            return np.array([m for m, _ in rows]), np.array([c for _, c in rows])
+
+    def log_post(theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            return stacked(theta)
+        theta = theta.reshape(-1)
         lp = prior.log_prior(theta)
         if not math.isfinite(lp):
             return -math.inf
@@ -337,6 +400,19 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
         d = y_obs - mu_code - delta_mean
         logdet, quad = _chol_logdet_solve(base_cov + sigma_code, d)
         return lp - 0.5 * logdet - 0.5 * quad
+
+    def stacked(thetas):
+        out = prior.log_prior(thetas)
+        inside = np.isfinite(out)
+        if not inside.any():
+            return out
+        if inside.all():
+            inside = slice(None)
+        mu_code, sigma_code = code_at(thetas[inside])
+        logdet, quad = _stacked_logdet_solve(
+            base_cov + sigma_code, y_obs - mu_code - delta_mean)
+        out[inside] = out[inside] - 0.5 * logdet - 0.5 * quad
+        return out
 
     return log_post
 
@@ -464,7 +540,7 @@ def run_workflow(config) -> WorkflowResult:
             chains.append(mcmc_sample(
                 log_post, prior, n_samples=mc["samples"], n_burn=mc["burn"],
                 seed=mc["seed"] + 1000 * i, thin=mc["thin"],
-                param_names=config.theta_names))
+                param_names=config.theta_names, vectorized=True))
         return chains
 
     chains = timed("mcmc", run_chains)

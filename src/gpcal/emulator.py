@@ -198,12 +198,18 @@ class _GLS:
         z = self.R.half_solve(self.resid)
         return float(z @ z) / self.resid.size
 
-    def predict(self, r, Fs):
+    def predict(self, r, Fs, sets=1):
         """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
         the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
         Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when beta is fixed or
-        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2."""
-        mean = self.trend(Fs) + r.T @ self.alpha
+        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
+
+        The columns may be ``sets`` site sets side by side. r' alpha is then
+        formed one set at a time, since a matrix-vector product's bits
+        depend on its column count; the solves' do not."""
+        ra = r.T @ self.alpha if sets == 1 else np.concatenate(
+            [np.ascontiguousarray(b).T @ self.alpha for b in np.split(r, sets, axis=1)])
+        mean = self.trend(Fs) + ra
         Z = self.R.half_solve(r)
         if self.G is None:
             return mean, Z, None
@@ -284,6 +290,16 @@ def _eigh(A: np.ndarray):
     _, Q = np.linalg.eigh(A)
     Ql = Q.astype(np.longdouble)
     return np.einsum("ij,ij->j", Ql, A.astype(np.longdouble) @ Ql).astype(float), Q
+
+
+def _gram(A: np.ndarray, lead: tuple) -> np.ndarray:
+    """A'A for ``lead`` = (q,), the columns of A being q sites; for ``lead``
+    = (K, q), the K column blocks' q x q products A_k'A_k, in one batched
+    matmul."""
+    if len(lead) == 1:
+        return A.T @ A
+    B = A.reshape((A.shape[0],) + lead)
+    return B.transpose(1, 2, 0) @ B.transpose(1, 0, 2)
 
 
 class FittedEmulator:
@@ -386,23 +402,30 @@ class FittedEmulator:
     def _blup(self, rmat, Fs, Rss=None):
         """Physical-unit means and MSEs, plus the covariance when ``Rss`` =
         R(x*, x*) is given, at q sites with cross-correlations ``rmat`` (m, q)
-        and trend basis rows ``Fs``: the dense algebra of
+        and trend basis rows ``Fs`` (q, n): the dense algebra of
         :meth:`predict_batch` and of :meth:`_fixed_rows_predictor`'s
-        fallback."""
-        mean_std, Z, W = self._gls.predict(rmat, Fs)
-        var_red = np.einsum("ij,ij->j", Z, Z)
-        trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W)
+        fallback. A stack of K site sets, ``rmat`` (m, K, q) and ``Fs``
+        (K, q, n), takes one solve over all K q columns and gives (K, q)
+        means and MSEs and (K, q, q) covariances."""
+        lead = rmat.shape[1:]
+        cols = math.prod(lead)
+        mean_std, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols),
+                                           Fs.reshape(cols, Fs.shape[-1]),
+                                           lead[0] if len(lead) == 2 else 1)
+        var_red = np.einsum("ij,ij->j", Z, Z).reshape(lead)
+        trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W).reshape(lead)
+        mean_std = mean_std.reshape(lead)
         if Rss is None:
             return self._physical(mean_std, var_red, trend_term)
-        return self._physical(mean_std, var_red, trend_term, Rss - Z.T @ Z,
-                              None if W is None else W.T @ W)
+        return self._physical(mean_std, var_red, trend_term, Rss - _gram(Z, lead),
+                              None if W is None else _gram(W, lead))
 
     def _physical(self, mean_std, var_red, trend_term, reduced=None, WtW=None):
         """Means and MSEs in physical units from the unit-variance BLUP terms
         at q sites: the standardized mean, |Z_j|^2 and |W_j|^2. With
         ``reduced`` = R(x*, x*) - Z'Z, and ``WtW`` = W'W unless there is no
         estimated trend, also the covariance, symmetrized and with the MSEs
-        on its diagonal."""
+        on its diagonal. Every term may carry leading stack axes."""
         tr = self.training
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
@@ -413,15 +436,20 @@ class FittedEmulator:
         cov_std = s2 * reduced
         if WtW is not None:
             cov_std += s2 * WtW
-        cov_std = 0.5 * (cov_std + cov_std.T)
-        np.fill_diagonal(cov_std, mse_std)
+        q = cov_std.shape[-1]
+        cov_std = 0.5 * (cov_std + cov_std.swapaxes(-1, -2))
+        # the diagonals of every stacked matrix, as one strided view
+        cov_std.reshape(cov_std.shape[:-2] + (q * q,))[..., ::q + 1] = mse_std
         return means, mses, cov_std * tr.y_scale ** 2
 
     def _fixed_rows_predictor(self, x_fixed):
         """``theta -> (mean, cov)`` at the q points ``[x_fixed, theta]``:
         ``predict_batch`` on the stacked rows with covariance, without the
         extrapolation warning, for every finite theta of the remaining
-        ``dim - x_fixed.shape[1]`` input columns.
+        ``dim - x_fixed.shape[1]`` input columns. A (K, dt) stack of thetas
+        gives (K, q) means and (K, q, q) covariances from one pass of the
+        same body; a single theta is a stack of one. A stacked row agrees
+        with that theta's own call to rounding, not bit for bit.
 
         What does not depend on theta is computed here once: the scaled x
         columns, their kernel factors, and R(x*, x*), whose theta factors
@@ -433,17 +461,18 @@ class FittedEmulator:
           fixed columns' distinct rows and the theta columns' distinct rows
           (:func:`_cross_factors`: a ``cross`` design's layout, read from
           the training data, so a reloaded emulator takes it too), each
-          call costs O(n_t^2 + n_x n_t + n_x q^2) whatever m = n_x n_t is
+          theta costs O(n_t^2 + n_x n_t + n_x q^2) whatever m = n_x n_t is
           (:meth:`_kronecker_moments`). It agrees with the dense path to
           rounding, not bit for bit: the tests hold the means to 1e-8
           relative and the covariances to 1e-9 of the process variance.
         - Otherwise, for a nugget that is not one constant, or where the
-          Kronecker spectrum is not positive, the dense path runs, bit for
-          bit ``predict_batch``: each call evaluates each theta kernel
-          factor once on the m-vector |X_k - theta_k| (every column of the
-          stacked rows' factor is that vector), multiplies it into a fresh
-          copy of the x product in dimension order, as the stacked assembly
-          does, and solves against the training factor.
+          Kronecker spectrum is not positive, the dense path runs, for a
+          single theta bit for bit ``predict_batch``: each call evaluates
+          each theta kernel factor once on the m-vector |X_k - theta_k|
+          (every column of the stacked rows' factor is that vector),
+          multiplies it into a fresh copy of the x product in dimension
+          order, as the stacked assembly does, and solves against the
+          training factor, one solve for the whole stack.
         """
         x = np.atleast_2d(np.asarray(x_fixed, dtype=float))
         (q, dx), d = x.shape, self.dim
@@ -451,7 +480,10 @@ class FittedEmulator:
             raise DataError(f"fixed rows have dimension {dx}, emulator has {d}")
         tr = self.training
         if self.degenerate:
-            return lambda theta: (np.full(q, tr.y_phys[0]), np.zeros((q, q)))
+            def constant(theta):
+                lead = np.shape(theta)[:-1]
+                return np.full(lead + (q,), tr.y_phys[0]), np.zeros(lead + (q, q))
+            return constant
 
         dt = d - dx
         rows = np.zeros((q, d))                   # theta columns: any constant
@@ -466,49 +498,56 @@ class FittedEmulator:
             moments = self._dense_moments(rows[:, :dx], Rss)
 
         def predict(theta):
-            theta = np.asarray(theta, dtype=float).reshape(-1)
-            if theta.size != dt:
-                raise DataError(f"theta has {theta.size} entries, expected {dt}")
-            ts = (theta - t_min) / t_span
-            Xs = rows.copy()
-            Xs[:, dx:] = ts
-            means, _, cov = moments(ts, self.trend.build_matrix(Xs))
-            return means, cov
+            theta = np.asarray(theta, dtype=float)
+            stack = theta if theta.ndim == 2 else theta.reshape(1, -1)
+            if stack.shape[1] != dt:
+                raise DataError(f"theta has {stack.shape[1]} entries, expected {dt}")
+            ts = (stack - t_min) / t_span                            # (K, dt)
+            Xs = np.empty((ts.shape[0], q, d))
+            Xs[:, :, :dx] = rows[:, :dx]
+            Xs[:, :, dx:] = ts[:, None, :]
+            Fs = self.trend.build_matrix(Xs.reshape(-1, d))
+            means, _, cov = moments(ts, Fs.reshape(Xs.shape[:2] + Fs.shape[1:]))
+            return (means, cov) if theta.ndim == 2 else (means[0], cov[0])
         return predict
 
     def _dense_moments(self, xs, Rss):
         """``(ts, Fs) -> (means, mses, cov)`` through :meth:`_blup` at the
-        scaled fixed rows ``xs`` and the scaled theta ``ts``."""
+        scaled fixed rows ``xs`` and a (K, dt) stack of scaled thetas
+        ``ts``, with basis rows ``Fs`` (K, q, n)."""
         kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
         dx = xs.shape[1]
         rx = _product_corr(self.training.X[:, :dx], xs, self.kernel)
         rx.setflags(write=False)
-        X_t = [np.ascontiguousarray(self.training.X[:, k])
+        X_t = [np.ascontiguousarray(self.training.X[:, k:k + 1])
                for k in range(dx, self.dim)]
 
         def moments(ts, Fs):
-            r = rx.copy()
+            r = np.empty((rx.shape[0], ts.shape[0], rx.shape[1]))  # (m, K, q)
+            r[:] = rx[:, None, :]
             for k, col in enumerate(X_t):
-                r *= _corr_1d(kind, np.abs(col - ts[k]), omega[dx + k],
-                              p[dx + k])[:, None]
+                r *= _corr_1d(kind, np.abs(col - ts[:, k]), omega[dx + k],
+                              p[dx + k])[:, :, None]
             return self._blup(r, Fs, Rss)
         return moments
 
     def _kronecker_moments(self, u_x, u_t, xs, Rss):
         """``(ts, Fs) -> (means, mses, cov)`` for training rows laid out as
         ``[u_x[a], u_t[b]]`` at row a * n_t + b, at the scaled fixed rows
-        ``xs`` (q, dx) and the scaled theta ``ts``; None where the dense path
-        must serve instead.
+        ``xs`` (q, dx) and a (K, dt) stack of scaled thetas ``ts``, with
+        basis rows ``Fs`` (K, q, n); None where the dense path must serve
+        instead.
 
         With K = R_x (x) R_t + tau I = (Q_x (x) Q_t) diag(lam_a mu_b + tau)
-        (Q_x (x) Q_t)', a call's cross-correlations are r = R_x(u_x, xs)
+        (Q_x (x) Q_t)', a theta's cross-correlations are r = R_x(u_x, xs)
         (x) r_t, so Z'Z = r' K^-1 r = P' diag(w) P with P = Q_x' R_x(u_x, xs)
         and w_a = sum_b (Q_t' r_t)_b^2 / (lam_a mu_b + tau). The mean's
         r' alpha and the trend term's F' K^-1 r contract r_t against
         R_x(u_x, xs)' times alpha and K^-1 F, reshaped to (n_x, n_t), which
         are formed here once. alpha, beta and the trend's QR come from the
         dense conditioning, which does not depend on theta (Saatci 2011;
-        Stegle et al. 2011).
+        Stegle et al. 2011). A stack's r_t are the rows of one (K, n_t)
+        matrix, so each step above is one matrix product for all K.
         """
         nugget = self.hyper.nugget
         if not np.all(nugget == nugget[0]):
@@ -516,6 +555,7 @@ class FittedEmulator:
         gls, (n_x, dx), n_t = self._gls, u_x.shape, u_t.shape[0]
         kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
         spec_t = KernelSpec(kind, omega[dx:], p[dx:])
+        omega_t, p_t = spec_t.omega, spec_t.p
         lam, Q_x = _eigh(_product_corr(u_x, u_x, self.kernel))
         mu, Q_t = _eigh(_product_corr(u_t, u_t, spec_t))
         spectrum = np.outer(lam, mu) + nugget[0]
@@ -530,24 +570,39 @@ class FittedEmulator:
         coef = gls.alpha[:, None]
         if gls.G is not None:
             coef = np.hstack([coef, gls.R.solve(self.trend.build_matrix(self.training.X))])
-        # E[k * q + i, b] = sum_a r_x[a, i] coef[a * n_t + b, k]
-        E = np.einsum("ai,abk->kib", r_x, coef.reshape(n_x, n_t, -1)).reshape(-1, n_t)
-        Qt_T = np.ascontiguousarray(Q_t.T)
-        for a in (D_inv, PP, E, Qt_T):
+        # E_T[b, k * q + i] = sum_a r_x[a, i] coef[a * n_t + b, k]
+        E_T = np.einsum("ai,abk->bki", r_x, coef.reshape(n_x, n_t, -1)).reshape(n_t, -1)
+        D_inv_T = np.ascontiguousarray(D_inv.T)
+        for a in (D_inv_T, PP, E_T, Q_t):
             a.setflags(write=False)
 
         def moments(ts, Fs):
-            r_t = _product_corr(u_t, ts[None, :], spec_t)[:, 0]
-            s = Qt_T @ r_t
-            ZtZ = ((D_inv @ (s * s)) @ PP).reshape(q, q)
-            v = E @ r_t
-            mean_std = gls.trend(Fs) + v[:q]
-            var_red = np.diagonal(ZtZ)
+            (K, n), cols = Fs.shape[::2], Fs.shape[0] * q
+            # every theta dimension's kernel factor in one expression
+            f = _corr_1d(kind, np.abs(ts[:, None, :] - u_t), omega_t, p_t)
+            r_t = f[:, :, 0]                                     # (K, n_t)
+            for k in range(1, f.shape[2]):
+                r_t = r_t * f[:, :, k]
+            # one row per theta, so each product is one gemm over the stack,
+            # whose rows do not depend on K; numpy sends a single row to
+            # gemv, which rounds differently, so a stack of one goes as two
+            if K == 1:
+                r_t = np.vstack([r_t, r_t])
+            s = r_t @ Q_t
+            ZtZ = ((s * s) @ D_inv_T) @ PP                       # (K, q q)
+            v = r_t @ E_T                                        # (K, (1 + n) q)
+            ZtZ, v = ZtZ[:K], v[:K]
+            var_red = ZtZ[:, ::q + 1]
+            ZtZ = ZtZ.reshape(K, q, q)
+            mean_std = gls.trend(Fs.reshape(cols, n)).reshape(K, q) + v[:, :q]
             if gls.G is None:
                 return self._physical(mean_std, var_red, 0.0, Rss - ZtZ)
-            W = _tri_solve(gls.Rq.T, v[q:].reshape(-1, q) - Fs.T, True)
-            return self._physical(mean_std, var_red, np.einsum("ij,ij->j", W, W),
-                                  Rss - ZtZ, W.T @ W)
+            # F' K^-1 r - f per basis function, one column per (theta, site)
+            V = v[:, q:].reshape(K, n, q).transpose(1, 0, 2).reshape(n, cols)
+            W = _tri_solve(gls.Rq.T, V - Fs.reshape(cols, n).T, True)
+            return self._physical(mean_std, var_red,
+                                  np.einsum("ij,ij->j", W, W).reshape(K, q),
+                                  Rss - ZtZ, _gram(W, (K, q)))
         return moments
 
     # -- serialization ------------------------------------------------------

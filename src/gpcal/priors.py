@@ -84,9 +84,19 @@ class Prior1D:
             return -math.inf
         if self.kind == "uniform":
             return -math.log(self.p2 - self.p1)
-        if self.kind == "lognormal" and v <= 0:
-            return -math.inf
-        v = np.array([v], dtype=float)
+        return float(self.logpdfs(np.array([v], dtype=float))[0])
+
+    def logpdfs(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`logpdf` at each entry of the 1-D array ``v``: the same
+        operations, on all entries in the support at once."""
+        lo, hi = self.support
+        inside = (lo <= v) & (v <= hi)
+        if self.kind == "uniform":
+            return np.where(inside, -math.log(self.p2 - self.p1), -math.inf)
+        if self.kind == "lognormal":
+            inside &= v > 0
+        out = np.full(v.shape, -math.inf)
+        v = v[inside]
         if self.kind == "normal":
             z = (v - self.p1) / self.p2
             lp = -z**2 / 2.0 - _LOG_SQRT_2PI - np.log(np.array([self.p2]))
@@ -96,7 +106,8 @@ class Prior1D:
             x = v / scale
             lp = (-np.log(x)**2 / (2 * s**2) - np.log(s * x * _SQRT_2PI)
                   - np.log(scale))
-        return float(lp[0])
+        out[inside] = lp
+        return out
 
     def ppf(self, u):
         """Inverse CDF at u; bit-identical to ``scipy.stats`` ``ppf``,
@@ -148,10 +159,18 @@ class PriorSpec:
                 return False
         return True
 
-    def log_prior(self, theta) -> float:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
+    def log_prior(self, theta):
+        """The sum of the marginal log densities at theta (d,), a float,
+        -inf outside the support. A (K, d) stack gives K values in one
+        pass, each that row's float to the bit."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            total = np.zeros(theta.shape[0])
+            for v, c in zip(theta.T, self.components):
+                total += c.logpdfs(v)
+            return total
         total = 0.0
-        for v, c in zip(theta, self.components):
+        for v, c in zip(theta.reshape(-1), self.components):
             lp = c.logpdf(v)
             if not math.isfinite(lp):
                 return -math.inf

@@ -492,6 +492,164 @@ def test_log_posterior_on_a_joint_design_equals_stacked_rows_bit_for_bit(with_bi
     assert pairs[-2][0] == -math.inf
 
 
+# ------------------------------------------------ stacked log posterior
+
+def _stack_cases():
+    """GPcodes and discrepancies the stacked log posterior must agree on
+    with its single-theta calls."""
+    from gpcal.emulator import FittedEmulator, TrainingSet
+    sim = BuiltinSimulator("linear")
+    prior = linear_prior()
+    iuq = linear_experiments(6, seed=4, sigma=0.05, bias=True, x_range=(0.5, 5.5))
+    val = linear_experiments(8, seed=9, sigma=1e-3, bias=True,
+                             x_range=(0.0, 2.0 * math.pi))
+    model = build_discrepancy_emulator(sim, val, theta0=[2.0, 1.0], seed=3)
+    cross, _ = build_code_emulator(sim, iuq.x, prior, n_train=36, seed=2,
+                                   n_restarts=2, design="cross")
+    joint, _ = build_code_emulator(sim, iuq.x, prior, n_train=36, seed=2,
+                                   n_restarts=2, design="joint")
+    tr, tau = cross.training, cross.hyper.nugget
+    order = np.random.default_rng(3).permutation(tr.m)
+    nugget = tau.copy()
+    nugget[5] *= 100.0
+    codes = {
+        "cross": cross,
+        "joint": joint,
+        "permuted-cross-rows": FittedEmulator(
+            TrainingSet(tr.x_phys[order], tr.y_phys[order]), cross.trend,
+            cross.kernel, nugget=tau[0]),
+        "per-point-nugget": FittedEmulator(tr, cross.trend, cross.kernel, nugget=nugget),
+        "degenerate": FittedEmulator(TrainingSet(tr.x_phys, np.full(tr.m, 4.5)),
+                                     cross.trend, cross.kernel),
+        "not-a-fitted-emulator": ExactStub(sim),
+    }
+    return codes, {"plain": None, "bias": model}, iuq, prior
+
+
+def _stack_thetas():
+    rng = np.random.default_rng(21)
+    inside = rng.uniform([0.0, -1.0], [4.0, 3.0], (9, 2))
+    outside = [[4.5, 1.0], [2.0, -1.5], [math.nan, 1.0], [-0.1, math.inf]]
+    return np.vstack([[2.0, 1.0], inside[:4], outside[:2], inside[4:], outside[2:]])
+
+
+@pytest.fixture(scope="module")
+def stack_cases():
+    return _stack_cases()
+
+
+@pytest.mark.parametrize("bias", ["plain", "bias"])
+@pytest.mark.parametrize("code", ["cross", "joint", "permuted-cross-rows",
+                                  "per-point-nugget", "degenerate",
+                                  "not-a-fitted-emulator"])
+def test_stacked_log_posterior_rows_equal_single_theta_calls(stack_cases, code, bias):
+    from gpcal.mcmc import PREFETCH
+    codes, biases, iuq, prior = stack_cases
+    lp = make_log_posterior(codes[code], biases[bias], iuq, prior)
+    thetas = _stack_thetas()
+    want = np.array([lp(theta) for theta in thetas])
+    assert np.isfinite(want).sum() == 10 and np.all(want[~np.isfinite(want)] == -math.inf)
+    # the whole stack, stacks of PREFETCH rows and of one row
+    for size in (len(thetas), PREFETCH, 1):
+        got = np.concatenate([lp(thetas[i:i + size])
+                              for i in range(0, len(thetas), size)])
+        assert got.shape == want.shape
+        assert np.array_equal(got == -math.inf, want == -math.inf)
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= 1e-8 * np.maximum(1.0, np.abs(want[finite])))
+
+
+def test_stacked_log_posterior_skips_the_predictor_outside_the_prior(stack_cases):
+    _, _, iuq, prior = stack_cases
+    calls = []
+
+    class Counting(ExactStub):
+        def predict_batch(self, inputs, **kwargs):
+            calls.append(inputs[0, 1:].copy())
+            return super().predict_batch(inputs, **kwargs)
+    lp = make_log_posterior(Counting(BuiltinSimulator("linear")), None, iuq, prior)
+    thetas = _stack_thetas()
+    got = lp(thetas)
+    assert len(calls) == np.isfinite(got).sum() == 10
+    assert np.all(lp(thetas[[5, 6, 12, 13]]) == -math.inf)
+    assert lp(thetas[:0]).shape == (0,)
+    assert len(calls) == 10
+
+
+def test_stacked_log_posterior_of_a_wrong_width_stack_raises_as_a_single_call(
+        stack_cases):
+    codes, _, iuq, prior = stack_cases
+    lp = make_log_posterior(codes["cross"], None, iuq, prior)
+    for theta in ([2.0, 1.0, 0.5], [2.0]):
+        with pytest.raises(DataError) as want:
+            lp(theta)
+        with pytest.raises(DataError) as got:
+            lp([theta, theta])
+        assert str(got.value) == str(want.value)
+
+
+def test_log_posterior_frees_its_emulator_without_the_cycle_collector(stack_cases):
+    # a reference cycle in the callable kept every run's GPcode and its
+    # factors alive until a full collection
+    import gc
+    import weakref
+    from gpcal.emulator import FittedEmulator
+    _, _, iuq, prior = stack_cases
+    cross = stack_cases[0]["cross"]
+    em = FittedEmulator(cross.training, cross.trend, cross.kernel)
+    lp = make_log_posterior(em, None, iuq, prior)
+    lp(np.array([[2.0, 1.0], [1.0, 0.5]]))
+    alive = weakref.ref(em)
+    gc.disable()
+    try:
+        del em, lp
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_stacked_logdet_solve_agrees_with_the_single_row_body(rng, monkeypatch):
+    from gpcal.calibration import _stacked_logdet_solve
+    A = rng.normal(size=(6, 6))
+    pd = A @ A.T / 6 + 0.0025 * np.eye(6)
+    B = rng.normal(size=(6, 6))
+    pd2 = B @ B.T / 6 + 0.01 * np.eye(6)
+    jitter = np.full((6, 6), 2.0)                # factors only with jitter
+    sigma = np.stack([pd, jitter, pd2, pd])
+    d = rng.normal(size=(4, 6))
+    alone = []
+    with monkeypatch.context() as patched:
+        patched.setattr(gpcal.calibration, "_chol_logdet_solve",
+                        lambda s, e: alone.append(s) or _chol_logdet_solve(s, e))
+        logdet, quad = _stacked_logdet_solve(sigma, d)
+    assert len(alone) == 1                       # the jitter row only
+    for k in range(4):
+        want = _chol_logdet_solve(sigma[k], d[k])
+        if k == 1:                               # the jitter row is the body's own
+            assert (logdet[k], quad[k]) == want
+        else:
+            assert logdet[k] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+            assert quad[k] == pytest.approx(want[1], rel=1e-12)
+    # a bad row raises what the single-row body raises on it; rows before it
+    # do not
+    bad_rows = [(np.diag([1.0, -0.5, 1.0, 1.0, 1.0, 1.0]), d[0]),
+                (pd, np.full(6, np.nan)), (pd, np.full(6, np.inf))]
+    for bad in (np.nan, np.inf, -np.inf):
+        s = pd.copy()
+        s[2, 4] = s[4, 2] = bad
+        bad_rows.append((s, d[0]))
+    inf_diagonal = pd.copy()
+    inf_diagonal[3, 3] = np.inf
+    bad_rows.append((inf_diagonal, d[0]))
+    for s, e in bad_rows:
+        want = _outcome(_chol_logdet_solve, s, e)
+        assert want[0] in (NumericalError, ValueError)
+        got = _outcome(_stacked_logdet_solve, np.stack([pd, s, jitter]),
+                       np.stack([d[0], e, d[1]]))
+        assert got == want
+
+
 # ----------------------------------------------------- validate_posterior
 
 def _collapsed_chain(theta, n=50):

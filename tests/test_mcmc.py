@@ -99,3 +99,210 @@ def test_bad_arguments():
         mcmc_sample(target, wide_prior(), n_samples=0, seed=0)
     with pytest.raises(FitError):
         mcmc_sample(target, wide_prior(), n_samples=10, thin=0, seed=0)
+
+
+def test_negative_burn_in_rejected():
+    target = lambda th: 0.0
+    with pytest.raises(FitError, match="n_burn must be >= 0, got -30"):
+        mcmc_sample(target, wide_prior(), n_samples=100, n_burn=-30, seed=0)
+    assert mcmc_sample(target, wide_prior(), n_samples=10, n_burn=0, seed=0).n_burn == 0
+
+
+# ------------------------------------------ speculative batched evaluation
+
+def sequential_mcmc(log_posterior, prior, n_samples, n_burn=None, seed=0,
+                    thin=1):
+    """The one-proposal-per-call adaptive Metropolis loop, kept literally as
+    the oracle of ``mcmc_sample``'s batched loop: ``(samples, log_post,
+    accept_rate)``."""
+    import math
+    from gpcal.mcmc import ADAPT_EVERY, TARGET_ACCEPT
+    d = prior.dim
+    if n_burn is None:
+        n_burn = max(1, int(0.2 * n_samples))
+    total = n_burn + n_samples * thin
+
+    rng = np.random.default_rng(seed)
+    x = np.asarray(prior.nominal, dtype=float).copy()
+    lp = float(log_posterior(x))
+    if not math.isfinite(lp):
+        raise NumericalError("log posterior is not finite at the initial point")
+
+    base_cov = np.diag((prior.stds / 10.0) ** 2)
+    L = np.linalg.cholesky(base_cov)
+    scale = 1.0
+    min_history = max(200, 20 * d)
+
+    samples = np.empty((total, d))
+    log_post = np.empty(total)
+    accepted = np.zeros(total, dtype=bool)
+    window_acc = 0
+
+    for t in range(total):
+        z = rng.standard_normal(d)
+        u = rng.uniform()
+        prop = x + scale * (L @ z)
+        lp_prop = float(log_posterior(prop))
+        if math.log(u) < lp_prop - lp:
+            x, lp = prop, lp_prop
+            accepted[t] = True
+            window_acc += 1
+        samples[t] = x
+        log_post[t] = lp
+
+        if t + 1 < n_burn and (t + 1) % ADAPT_EVERY == 0:
+            rate = window_acc / ADAPT_EVERY
+            window_acc = 0
+            scale *= math.exp(2.0 * (rate - TARGET_ACCEPT))
+            if t + 1 >= min_history:
+                emp = np.cov(samples[:t + 1].T).reshape(d, d)
+                emp = (2.38 ** 2 / d) * emp + 1e-12 * np.eye(d)
+                try:
+                    L = np.linalg.cholesky(emp)
+                    scale = 1.0
+                except np.linalg.LinAlgError:
+                    pass
+
+    post_rate = float(np.mean(accepted[n_burn:]))
+    if post_rate < 0.01:
+        raise FitError(
+            f"MCMC acceptance rate collapsed to {post_rate:.4f} after "
+            "adaptation; the posterior is likely degenerate or the proposal "
+            "scale failed to adapt")
+    return samples, log_post, post_rate
+
+
+class Vectorized:
+    """A vectorized target whose stack is a loop over a scalar target; it
+    records the size of every stacked call and every row it evaluates."""
+
+    def __init__(self, scalar):
+        self.scalar = scalar
+        self.sizes = []
+        self.rows = []
+
+    def __call__(self, theta):
+        theta = np.asarray(theta)
+        if theta.ndim == 1:
+            self.rows.append(theta.copy())
+            return self.scalar(theta)
+        self.sizes.append(len(theta))
+        self.rows.extend(t.copy() for t in theta)
+        return np.array([self.scalar(t) for t in theta])
+
+
+def correlated_target(th):
+    prec = np.linalg.inv(np.array([[1.0, 0.85], [0.85, 1.0]]))
+    return -0.5 * float(np.asarray(th) @ prec @ np.asarray(th))
+
+
+def boxed_target(th):
+    # a support narrower than the prior's: proposals outside it are -inf
+    th = np.asarray(th)
+    return -0.5 * float(th @ th) if np.all(np.abs(th) < 0.7) else -np.inf
+
+
+def assert_same_chain(chain, want):
+    samples, log_post, rate = want
+    assert np.array_equal(chain.samples, samples)
+    assert np.array_equal(chain.log_post, log_post)
+    assert chain.accept_rate == rate
+
+
+def batches(chain):
+    """``(size, slot of the acceptance or None)`` of each batch the batching
+    rule gives ``chain``: up to PREFETCH slots, ending at the first
+    acceptance, before each burn-in adaptation and at the end."""
+    from gpcal.mcmc import ADAPT_EVERY, PREFETCH
+    total = chain.samples.shape[0]
+    before = np.vstack([wide_prior().nominal, chain.samples[:-1]])
+    moved = np.any(chain.samples != before, axis=1)
+    out = []
+    t = 0
+    while t < total:
+        stop = min(total, t + PREFETCH)
+        boundary = (t // ADAPT_EVERY + 1) * ADAPT_EVERY
+        if boundary < chain.n_burn:
+            stop = min(stop, boundary)
+        hits = np.flatnonzero(moved[t:stop])
+        out.append((stop - t, int(hits[0]) if hits.size else None))
+        t += hits[0] + 1 if hits.size else stop - t
+    return out
+
+
+@pytest.mark.parametrize("target", [correlated_target, boxed_target],
+                         ids=["correlated", "outside-the-support"])
+@pytest.mark.parametrize("n_burn,thin", [(None, 1), (333, 3), (0, 2)])
+def test_batched_chain_is_the_sequential_chain(target, n_burn, thin):
+    from gpcal.mcmc import PREFETCH
+    want = sequential_mcmc(target, wide_prior(), 1_500, n_burn=n_burn, seed=4,
+                           thin=thin)
+    # a scalar target: batches of one, today's algorithm
+    assert_same_chain(mcmc_sample(target, wide_prior(), 1_500, n_burn=n_burn,
+                                  seed=4, thin=thin), want)
+    vec = Vectorized(target)
+    chain = mcmc_sample(vec, wide_prior(), 1_500, n_burn=n_burn, seed=4,
+                        thin=thin, vectorized=True)
+    assert_same_chain(chain, want)
+    ends = batches(chain)
+    assert vec.sizes == [size for size, _ in ends]
+    assert max(vec.sizes) == PREFETCH and len(vec.sizes) < chain.samples.shape[0]
+    # an acceptance in a full batch's last slot, and a batch with rows after
+    # its acceptance, both happened
+    assert (PREFETCH, PREFETCH - 1) in ends
+    assert any(hit is not None and hit < size - 1 for size, hit in ends)
+    if target is boxed_target:
+        assert any(not np.all(np.abs(r) < 0.7) for r in vec.rows)
+
+
+def test_batched_chain_raises_the_acceptance_collapse_as_the_sequential_one():
+    start = wide_prior().nominal
+
+    def spike(th):                               # finite at the start only
+        return 0.0 if np.array_equal(th, start) else -np.inf
+    with pytest.raises(FitError) as want:
+        sequential_mcmc(spike, wide_prior(), 300, seed=2)
+    with pytest.raises(FitError) as got:
+        mcmc_sample(Vectorized(spike), wide_prior(), 300, seed=2, vectorized=True)
+    assert str(got.value) == str(want.value)
+
+
+class Poisoned(Vectorized):
+    """``Vectorized``, raising on one row, alone or in a stack."""
+
+    def __init__(self, scalar, bad):
+        super().__init__(scalar)
+        self.bad = bad
+
+    def __call__(self, theta):
+        theta = np.asarray(theta)
+        if any(np.array_equal(t, self.bad) for t in np.atleast_2d(theta)):
+            raise ValueError(f"poisoned row {self.bad.tolist()}")
+        return super().__call__(theta)
+
+
+def test_an_error_in_a_slot_the_chain_does_not_reach_is_not_raised():
+    want = sequential_mcmc(correlated_target, wide_prior(), 400, seed=9)
+    vec = Vectorized(correlated_target)
+    mcmc_sample(vec, wide_prior(), 400, seed=9, vectorized=True)
+    reached = Vectorized(correlated_target)
+    sequential_mcmc(reached, wide_prior(), 400, seed=9)
+    # a row evaluated speculatively after an acceptance and never reached
+    unreached = [r for r in vec.rows
+                 if not any(np.array_equal(r, s) for s in reached.rows)]
+    assert unreached
+    chain = mcmc_sample(Poisoned(correlated_target, unreached[len(unreached) // 2]),
+                        wide_prior(), 400, seed=9, vectorized=True)
+    assert_same_chain(chain, want)
+
+
+def test_an_error_in_a_slot_the_chain_reaches_is_the_single_call_error():
+    reached = Vectorized(correlated_target)
+    sequential_mcmc(reached, wide_prior(), 400, seed=9)
+    bad = reached.rows[123]
+    with pytest.raises(ValueError) as want:
+        sequential_mcmc(Poisoned(correlated_target, bad), wide_prior(), 400, seed=9)
+    with pytest.raises(ValueError) as got:
+        mcmc_sample(Poisoned(correlated_target, bad), wide_prior(), 400, seed=9,
+                    vectorized=True)
+    assert str(got.value) == str(want.value) == f"poisoned row {bad.tolist()}"

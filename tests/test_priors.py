@@ -118,6 +118,21 @@ def test_priorspec_support_and_logprior():
         PriorSpec([Prior1D.uniform(0, 1)], nominal=[2.0])
 
 
+def test_log_prior_of_a_stack_is_each_rows_bits(rng):
+    spec = PriorSpec([Prior1D.uniform(-1.0, 1.0), Prior1D.normal(0.3, 2.0),
+                      Prior1D.lognormal(0.1, 0.7)], nominal=[0.0, 0.0, 1.0])
+    stack = np.column_stack([rng.uniform(-1.5, 1.5, 40), rng.normal(0.0, 5.0, 40),
+                             rng.lognormal(0.0, 1.0, 40)])
+    stack[3, 2] = 0.0                            # the lognormal's support edge
+    stack[5] = [-1.0, 0.0, 1.0]                  # the uniform's edge, inside
+    stack[7, 0] = math.nan
+    stack[9, 1] = math.inf
+    got = spec.log_prior(stack)
+    want = [spec.log_prior(row) for row in stack]
+    assert same_bits(got, want)
+    assert np.isinf(got).sum() > 4 and np.isfinite(got).sum() > 20
+
+
 def test_priorspec_ppf_maps_unit_cube():
     spec = PriorSpec([Prior1D.uniform(-2, 2), Prior1D.lognormal(0.0, 0.5)])
     u = np.array([[0.5, 0.5], [0.25, 0.9]])

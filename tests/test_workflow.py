@@ -115,6 +115,18 @@ def test_workflow_multiple_chains(tmp_path):
     assert spread < 0.2
 
 
+def test_each_extra_chain_equals_its_single_chain_run(tmp_path):
+    # chain i is seeded mcmc.seed + 1000 i; the batched sampler keeps that
+    result = run_workflow(load_config(write_config(tmp_path, samples=400, burn=120,
+                                                   chains=2)))
+    alone = run_workflow(load_config(write_config(tmp_path, samples=400, burn=120,
+                                                  mcmc_seed=1013, name="alone.yaml")))
+    extra = result.extra_chains[0]
+    assert np.array_equal(extra.samples, alone.chain.samples)
+    assert np.array_equal(extra.log_post, alone.chain.log_post)
+    assert extra.seed == alone.chain.seed == 1013
+
+
 def test_doubling_iuq_rows_shrinks_posterior(tmp_path):
     stds = {}
     for n, tag in ((20, "small"), (40, "big")):
