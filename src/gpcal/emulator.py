@@ -42,8 +42,8 @@ from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
 from .fileio import (_BOOL, _FLOAT, _NONNEGATIVE, _check, _choice, _list, _number,
                      _open, _variant, checked, read_json, write_json)
 from .kernels import (DEFAULT_NUGGET, KERNEL_KINDS, CorrelationMatrix,
-                      KernelSpec, SiteDistances, _corr_1d, _nugget_vector,
-                      _product_corr, _tri_solve, correlation_matrix,
+                      KernelSpec, SiteDistances, _corr_1d, _cross_factors,
+                      _nugget_vector, _product_corr, _tri_solve, correlation_matrix,
                       cross_corr_matrix)
 
 EMULATOR_FORMAT_VERSION = 1
@@ -251,32 +251,14 @@ def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
                       spec: KernelSpec, nugget, sites) -> float:
     """:func:`neg_log_likelihood` with the training inputs given as ``sites``:
     ``training.X`` or a :class:`SiteDistances` of it, which gives the same
-    value to the last bit."""
-    R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
+    value to the last bit. Nothing reads the matrix after its factorization,
+    so it is factored in place."""
+    R = correlation_matrix(sites, spec, nugget, auto_escalate=False,
+                           _keep_values=False)
     s2 = max(_conditioned(training, trend, R).sigma2(), np.finfo(float).tiny)
     m = training.m
     return (0.5 * m * math.log(2.0 * math.pi * s2) + 0.5 * R.logdet + 0.5 * m
             + m * math.log(training.y_scale))
-
-
-def _cross_factors(X: np.ndarray, dx: int):
-    """``(u_x, u_t)`` when the rows of ``X`` are the row-major product of n_x
-    distinct rows u_x of its first ``dx`` columns and n_t distinct rows u_t
-    of the others, X[a * n_t + b] = [u_x[a], u_t[b]]; None otherwise."""
-    m, d = X.shape
-    if not 0 < dx < d:
-        return None
-    n_t = int(np.argmin(np.all(X[:, :dx] == X[0, :dx], axis=1))) or m
-    if m % n_t:
-        return None
-    blocks = X.reshape(m // n_t, n_t, d)
-    u_x, u_t = blocks[:, 0, :dx], blocks[0, :, dx:]
-    if not ((blocks[:, :, :dx] == u_x[:, None]).all()
-            and (blocks[:, :, dx:] == u_t[None]).all()
-            and len(np.unique(u_x, axis=0)) == len(u_x)
-            and len(np.unique(u_t, axis=0)) == n_t):
-        return None
-    return u_x.copy(), u_t.copy()
 
 
 def _eigh(A: np.ndarray):

@@ -18,12 +18,20 @@ multiplied in dimension order into ones. A one-shot matrix
 (:func:`cross_corr_matrix`, or :func:`correlation_matrix` given the sites)
 evaluates them entry by entry (:func:`_product_corr`). A hyperparameter fit,
 MLE or CV, instead keeps a :class:`SiteDistances` of its training sites: it
-evaluates each kernel factor once per distinct distance and gathers the
-values into the matrix. A CV objective factors that full training matrix
-once and takes every fold from the one factor; its gradient evaluates each
-factor's closed-form log-derivative (:func:`_dlog_corr_1d`) on the same
-distinct distances (:meth:`SiteDistances.log_derivatives`). Every
-:class:`CorrelationMatrix` computes its factor in arrays of its own.
+evaluates each kernel factor once per distinct distance. On a ``cross``
+design's layout, rows that are the row-major product of n_x x rows and n_t
+theta rows (:func:`_cross_factors`, the one reader of that layout here and
+in the Kronecker predictor), it reads each factor as an n_x x n_x or
+n_t x n_t block and broadcasts the blocks into the matrix; on any other
+layout it gathers each factor's values into the m x m matrix. A CV objective
+factors that full training matrix once and takes every fold from the one
+factor; its gradient evaluates each factor's closed-form log-derivative
+(:func:`_dlog_corr_1d`) on the same distinct distances
+(:meth:`SiteDistances.log_derivatives`). Every :class:`CorrelationMatrix`
+computes its factor in arrays of its own, except for the MLE objective,
+which never reads its matrix again and so factors it in the array it was
+assembled in. A :class:`SiteDistances` checks the finiteness of what it
+assembles, on a ``cross`` layout from the distinct factor values alone.
 Bit-identity is a contract, not a nicety: the MLE multistart L-BFGS-B takes
 finite differences of the objective, so it follows the objective's last bits,
 and any change in rounding moves the fitted optimum.
@@ -58,6 +66,8 @@ DEFAULT_NUGGET = 1e-10
 MAX_NUGGET = 1e-4
 #: correlations below this (eps**2, 4.9e-32) are zeroed before factoring
 _NEGLIGIBLE = np.finfo(float).eps ** 2
+#: the error a non-finite correlation raises, as ``cho_factor``'s scan words it
+_NOT_FINITE = "array must not contain infs or NaNs"
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,6 +181,27 @@ def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndar
     return _product_corr(A, B, spec)
 
 
+def _cross_factors(X: np.ndarray, dx: int):
+    """``(u_x, u_t)`` when the rows of ``X`` are the row-major product of n_x
+    distinct rows u_x of its first ``dx`` columns and n_t distinct rows u_t
+    of the others, X[a * n_t + b] = [u_x[a], u_t[b]]; None otherwise. This
+    is the ``cross`` design's layout; it is read from the rows alone."""
+    m, d = X.shape
+    if not 0 < dx < d:
+        return None
+    n_t = int(np.argmin(np.all(X[:, :dx] == X[0, :dx], axis=1))) or m
+    if m % n_t:
+        return None
+    blocks = X.reshape(m // n_t, n_t, d)
+    u_x, u_t = blocks[:, 0, :dx], blocks[0, :, dx:]
+    if not ((blocks[:, :, :dx] == u_x[:, None]).all()
+            and (blocks[:, :, dx:] == u_t[None]).all()
+            and len(np.unique(u_x, axis=0)) == len(u_x)
+            and len(np.unique(u_t, axis=0)) == n_t):
+        return None
+    return u_x.copy(), u_t.copy()
+
+
 class SiteDistances:
     """The distances between one set of m sites, as distinct values.
 
@@ -178,7 +209,10 @@ class SiteDistances:
     |x_i,k - x_j,k| and an m x m index ``inv_k`` with |x_i,k - x_j,k| =
     u_k[inv_k[i, j]], so :meth:`correlation` evaluates each kernel factor,
     and :meth:`log_derivatives` each factor's derivative, on ``u_k`` alone.
-    A fit (``fit_mle`` or ``fit_cv``) makes one for its
+    It also records, once, whether the sites are the row-major product of
+    the distinct rows of their first dx columns and of the others
+    (:func:`_cross_factors`, the first such dx), as a ``cross`` design lays
+    them out. A fit (``fit_mle`` or ``fit_cv``) makes one for its
     training inputs and drops it when it returns. Nothing in it changes after
     construction, so it is safe to share between threads.
     """
@@ -186,6 +220,12 @@ class SiteDistances:
     def __init__(self, X):
         self.points = _points(X)
         m, d = self.points.shape
+        self._layout = None                      # (dx, n_t) of a product layout
+        for dx in range(1, d):
+            factors = _cross_factors(self.points, dx)
+            if factors is not None:
+                self._layout = dx, len(factors[1])
+                break
         self._distinct, self._inverse = [], []
         for k in range(d):
             col = self.points[:, k]
@@ -195,19 +235,48 @@ class SiteDistances:
             self._inverse.append(inv.reshape(m, m))
 
     def correlation(self, spec: KernelSpec) -> np.ndarray:
-        """The sites' correlation matrix, without nugget, in a fresh array:
-        each kernel factor is evaluated once per distinct distance, gathered,
-        and multiplied in dimension order as :func:`_product_corr` does."""
-        out = None
-        for k, (u, inv) in enumerate(zip(self._distinct, self._inverse)):
-            f = _corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
+        """The sites' correlation matrix, without nugget, in a fresh array,
+        bit for bit :func:`_product_corr`'s. Each kernel factor is evaluated
+        once per distinct distance and multiplied in dimension order. On a
+        product layout the x factors depend only on the rows' x block and the
+        theta factors only on their theta block, so each factor is read at
+        the n_x x n_x or n_t x n_t block of its index and broadcast into one
+        (n_x, n_t, n_x, n_t) array; otherwise each is gathered m x m.
+
+        The result is checked finite, so :func:`correlation_matrix` does not
+        scan it again; a non-finite one raises the ``ValueError`` that
+        :class:`CorrelationMatrix` raises. On a product layout the distinct
+        factor values are checked instead of the matrix: every factor lies
+        in [0, 1] up to rounding, so a product of finite ones is finite.
+        Otherwise the distinct values can outnumber the entries (about
+        m^2 / 2 per dimension on a joint design), so the matrix is scanned."""
+        m = self.points.shape[0]
+        f = [_corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
+             for k, u in enumerate(self._distinct)]
+        if self._layout is None:
+            if not f:
+                return np.ones((m, m))
             # mode="clip" takes no bounds-checking copy; inv is in range
-            g = np.take(f, inv, mode="clip")
-            if out is None:
-                out = g
-            else:
-                out *= g
-        return np.ones((self.points.shape[0],) * 2) if out is None else out
+            out = np.take(f[0], self._inverse[0], mode="clip")
+            for v, inv in zip(f[1:], self._inverse[1:]):
+                out *= np.take(v, inv, mode="clip")
+            if not np.isfinite(out).all():
+                raise ValueError(_NOT_FINITE)
+            return out
+        if not all(np.isfinite(v).all() for v in f):
+            raise ValueError(_NOT_FINITE)
+        dx, n_t = self._layout
+        # the x block of index k is rows and columns a * n_t, the theta
+        # block rows and columns 0..n_t-1; 1.0 * x == x, so starting the x
+        # product from its first factor keeps the order's bits
+        R_x = np.take(f[0], self._inverse[0][::n_t, ::n_t])
+        for v, inv in zip(f[1:dx], self._inverse[1:dx]):
+            R_x = R_x * np.take(v, inv[::n_t, ::n_t])
+        t = [np.take(v, inv[:n_t, :n_t]) for v, inv in zip(f[dx:], self._inverse[dx:])]
+        out = R_x[:, None, :, None] * t[0][None, :, None, :]   # (n_x, n_t, n_x, n_t)
+        for R_t in t[1:]:
+            out *= R_t[:, None, :]
+        return out.reshape(m, m)
 
     def log_derivatives(self, spec: KernelSpec, A: np.ndarray) -> np.ndarray:
         """``g`` with g_k = sum_ij A_ij d log R_ij / d log omega_k for each
@@ -249,18 +318,27 @@ class CorrelationMatrix:
     finite positive-definite matrix has a finite factor, so the solves call
     LAPACK on it directly and scan nothing. Their right-hand sides must be
     finite; nothing here checks them.
+
+    :func:`correlation_matrix` skips two of these steps where it can. A
+    matrix assembled from a :class:`SiteDistances` was checked finite there
+    (``_checked``), so it is not scanned again. A caller that never reads
+    ``values`` (the MLE objective) has no use for the copy-in
+    (``_in_place``): ``dpotrf`` then factors the buffer of ``values``
+    itself, the same F-ordered input in the same memory layout, so the same
+    bits, and ``values`` is None.
     """
 
-    def __init__(self, values: np.ndarray, nugget):
-        if not np.isfinite(values).all():            # cho_factor's check_finite
-            raise ValueError("array must not contain infs or NaNs")
-        work = values.T.copy(order="F")
+    def __init__(self, values: np.ndarray, nugget, *, _checked: bool = False,
+                 _in_place: bool = False):
+        if not _checked and not np.isfinite(values).all():  # cho_factor's check
+            raise ValueError(_NOT_FINITE)
+        work = values.T if _in_place else values.T.copy(order="F")
         np.copyto(work, 0.0, where=work < _NEGLIGIBLE)
         c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
-        if info:                                     # only > 0 for a fresh copy
+        if info:                                     # only > 0 for F-ordered input
             raise np.linalg.LinAlgError(
                 f"{info}-th leading minor of the array is not positive definite")
-        self.values = values
+        self.values = None if _in_place else values
         self.nugget = nugget
         self._cho = (c, True)
         self._L = np.ascontiguousarray(c)
@@ -268,7 +346,7 @@ class CorrelationMatrix:
 
     @property
     def m(self) -> int:
-        return self.values.shape[0]
+        return self._L.shape[0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """R^{-1} b via the cached factorization."""
@@ -327,7 +405,8 @@ def _cholesky(a: np.ndarray):
 
 
 def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
-                       auto_escalate: bool = True) -> CorrelationMatrix:
+                       auto_escalate: bool = True, *,
+                       _keep_values: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
     ``X`` holds the design sites, or is a :class:`SiteDistances` of them to
@@ -344,6 +423,11 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
     with its diagonal set to 1 + nugget. |x_i - x_j| and |x_j - x_i| are the
     same double, so the product kernel is exactly symmetric and needs no
     symmetrizing copy.
+
+    A caller that never reads ``values`` passes ``_keep_values=False``:
+    without ``auto_escalate`` the matrix is then factored in the buffer it
+    was assembled in, and ``values`` is None. An escalating call keeps the
+    matrix, since each retry factors it again.
     """
     pts = _points(X)
     m = pts.shape[0]
@@ -368,11 +452,14 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                 "tensor-product linear kernel in d > 1 can be numerically "
                 "indefinite; a positive nugget is recommended", NumericalWarning)
 
+    checked = isinstance(X, SiteDistances)       # its correlation is finite
+    in_place = not (_keep_values or auto_escalate)
     extra = 0.0
     while True:
         diag[:] = 1.0 + (nug + extra)
         try:
-            return CorrelationMatrix(R, nug + extra)
+            return CorrelationMatrix(R, nug + extra, _checked=checked,
+                                     _in_place=in_place)
         except np.linalg.LinAlgError:
             pass
         if not auto_escalate:

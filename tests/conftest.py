@@ -5,7 +5,7 @@ The dense predictor oracle reimplements the BLUP mean and both MSE forms
 kernel formulas, independent of the library's solve-based code paths.
 ``kernel_eval``, ``weighted_distance`` and ``cross_correlation`` are the
 point-wise forms of the library's kernel assembly that the kernel tests
-probe it with.
+probe it with. ``cross_rows`` lays sites out as a ``cross`` design does.
 """
 
 import math
@@ -162,6 +162,12 @@ def random_instance(rng, kinds=("gaussian", "exponential", "matern_3_2",
     training = TrainingSet(X, y)
     spec = KernelSpec(kind, omega, p)
     return FittedEmulator(training, trend, spec, nugget=nugget)
+
+
+def cross_rows(u_x, u_t):
+    """The rows [u_x[a], u_t[b]] at a * n_t + b, as a cross design lays them
+    out."""
+    return np.hstack([np.repeat(u_x, len(u_t), axis=0), np.tile(u_t, (len(u_x), 1))])
 
 
 @pytest.fixture

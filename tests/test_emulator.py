@@ -13,13 +13,15 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    FittedEmulator, IllConditionedError, KernelSpec,
                    NumericalWarning, TrainingSet, TrendSpec, fit_cv, fit_mle,
                    gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
-from gpcal.emulator import (_BIG, _concentrated_nll, _cross_factors, _cv_heldout,
-                            _multistart, make_folds)
+from gpcal.emulator import (_BIG, _concentrated_nll, _cv_heldout, _multistart,
+                            make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           _tri_solve, correlation_matrix, cross_corr_matrix)
+                           _cross_factors, _tri_solve, correlation_matrix,
+                           cross_corr_matrix)
 from gpcal.spaces import ParameterSpace
 
-from conftest import dense_oracle_predict, oracle_corr_matrix, random_instance
+from conftest import (cross_rows, dense_oracle_predict, oracle_corr_matrix,
+                      random_instance)
 
 
 def raw_training(x, y):
@@ -166,6 +168,28 @@ def test_nll_with_fit_distances_is_bit_identical(rng):
             for trend in (TrendSpec("constant"), TrendSpec("linear")):
                 assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
                         == neg_log_likelihood(tr, trend, spec))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_cross_layout_nll_is_bit_identical_to_the_plain_path(kind, rng):
+    # on a cross layout the objective broadcasts the kernel factors and
+    # factors the matrix in place; neither may move a bit of the value
+    X = cross_rows(rng.uniform(0, 10, (6, 1)), rng.uniform(0, 1, (9, 2)))
+    tr = TrainingSet(X, X[:, 0] * X[:, 1] + X[:, 2])
+    sites = SiteDistances(tr.X)
+    assert sites._layout == (1, 9)
+    p = [0.5, 1.0, 2.0] if kind == "power_exponential" else None
+    for omega in ([0.3, 0.7, 2.0], [1e-3] * 3, [1e3] * 3, [1e3, 1e-3, 0.5]):
+        spec = KernelSpec(kind, omega, p)
+        for trend in (TrendSpec("constant"), TrendSpec("linear")):
+            try:
+                want = neg_log_likelihood(tr, trend, spec)
+            except IllConditionedError:
+                with pytest.raises(IllConditionedError):
+                    _concentrated_nll(tr, trend, spec, 1e-10, sites)
+                continue
+            assert _concentrated_nll(tr, trend, spec, 1e-10, sites) == want
+            assert want == dense_scipy_nll(tr, trend, spec, 1e-10)
 
 
 def dense_scipy_nll(training, trend, spec, nugget):
@@ -582,17 +606,11 @@ def test_fixed_rows_predictor_is_bit_identical_to_predict_batch(kind, p, trend,
             assert np.array_equal(cov, want_cov)
 
 
-def _cross_rows(u_x, u_t):
-    """The rows [u_x[a], u_t[b]] at a * n_t + b, as a cross design lays them
-    out."""
-    return np.hstack([np.repeat(u_x, len(u_t), axis=0), np.tile(u_t, (len(u_x), 1))])
-
-
 def _cross_emulator(rng, dx=1, dt=2, kind="matern_5_2", p=None,
                     trend=TrendSpec("linear"), nugget=1e-8, n_x=5, n_t=7):
     u_x = rng.uniform(-1.0, 3.0, (n_x, dx))
     u_t = rng.uniform(-1.0, 3.0, (n_t, dt))
-    x = _cross_rows(u_x, u_t)
+    x = cross_rows(u_x, u_t)
     y = np.sin(x).sum(axis=1) + x[:, 0] * x[:, -1]
     kernel = KernelSpec(kind, rng.uniform(0.3, 2.0, dx + dt),
                         None if p is None else np.full(dx + dt, p))
@@ -650,7 +668,7 @@ def _repeated_theta(rng):
     u_x = rng.uniform(-1.0, 3.0, (4, 1))
     u_t = rng.uniform(-1.0, 3.0, (5, 2))
     u_t[3] = u_t[1]
-    x = _cross_rows(u_x, u_t)
+    x = cross_rows(u_x, u_t)
     return FittedEmulator(TrainingSet(x, np.sin(x).sum(axis=1)), TrendSpec("constant"),
                           KernelSpec("gaussian", [0.5, 0.7, 0.9]), nugget=1e-6), u_x
 
@@ -698,7 +716,7 @@ def test_fixed_rows_predictor_falls_back_to_the_dense_bits(case, rng, monkeypatc
 def test_cross_factors_read_the_layout_from_the_rows(rng):
     u_x = rng.uniform(size=(3, 2))
     u_t = rng.uniform(size=(4, 1))
-    x = _cross_rows(u_x, u_t)
+    x = cross_rows(u_x, u_t)
     got = _cross_factors(x, 2)
     assert np.array_equal(got[0], u_x) and np.array_equal(got[1], u_t)
     assert _cross_factors(x, 1) is None          # the split must match dx
@@ -707,7 +725,7 @@ def test_cross_factors_read_the_layout_from_the_rows(rng):
     assert _cross_factors(theta_major, 2) is None
     assert np.array_equal(_cross_factors(x[::-1], 2)[0], u_x[::-1])
     assert _cross_factors(x[:-1], 2) is None     # one row short
-    one_x = _cross_rows(u_x[:1], u_t)
+    one_x = cross_rows(u_x[:1], u_t)
     assert np.array_equal(_cross_factors(one_x, 2)[1], u_t)
 
 
@@ -740,7 +758,7 @@ def test_fixed_rows_predictor_degenerate_emulator():
 
 
 def test_fixed_rows_predictor_degenerate_cross_emulator():
-    _check_degenerate(_cross_rows(np.array([[0.1], [0.6], [0.9]]),
+    _check_degenerate(cross_rows(np.array([[0.1], [0.6], [0.9]]),
                                   np.array([[0.2], [0.5]])))
 
 
@@ -954,6 +972,38 @@ def test_cv_gradient_matches_central_differences(kind, rng):
                 t, step = np.log(omega), h * np.eye(3)
                 fd = np.array([(loss(t + e) - loss(t - e)) / (2 * h) for e in step])
                 assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_cv_heldout_on_a_cross_layout_is_unchanged(kind, rng, monkeypatch):
+    # the CV gradient reads the assembled matrix after its factorization, so
+    # its matrix keeps the copy-in; a broadcast assembly must give the
+    # gathers' value and gradient, from a matrix the factorization left whole
+    X = cross_rows(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (6, 2)))
+    tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
+    broadcast, gathers = SiteDistances(tr.X), SiteDistances(tr.X)
+    gathers._layout = None
+    seen = []
+    real = gpcal.emulator.correlation_matrix
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(gpcal.emulator, "correlation_matrix", spy)
+    p = [0.7, 1.3, 2.0] if kind == "power_exponential" else None
+    spec = KernelSpec(kind, [1.3, 1.6, 2.0] if kind == "linear" else [0.3, 0.6, 0.9], p)
+    labels = make_folds(tr.m, 6, seed=5)
+    for trend in (TrendSpec("constant"), TrendSpec("linear")):
+        got, want = (_cv_heldout(tr, trend, spec, 1e-6, labels, s, gradient=True)
+                     for s in (broadcast, gathers))
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        plain = cross_corr_matrix(tr.X, tr.X, spec)
+        np.fill_diagonal(plain, 1.0 + 1e-6)
+        for R in seen:
+            assert np.array_equal(R.values, plain)
+        del seen[:]
 
 
 def test_cv_fold_with_duplicate_sites_raises_per_fold():

@@ -9,9 +9,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
                    NumericalWarning, correlation_matrix)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
-                           _dlog_corr_1d, _tri_solve, cross_corr_matrix)
+                           _dlog_corr_1d, _product_corr, _tri_solve,
+                           cross_corr_matrix)
 
-from conftest import (cross_correlation, kernel_eval, oracle_kernel,
+from conftest import (cross_correlation, cross_rows, kernel_eval, oracle_kernel,
                       weighted_distance)
 
 
@@ -282,9 +283,12 @@ def test_assembly_bit_identical_to_out_of_place_expressions(kind, rng):
             assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
-def test_site_distances_reuse_is_bit_identical(rng):
-    X = rng.uniform(0, 1, (30, 2))
+@pytest.mark.parametrize("layout", ["joint", "cross"])
+def test_site_distances_reuse_is_bit_identical(layout, rng):
+    X = (rng.uniform(0, 1, (30, 2)) if layout == "joint"
+         else cross_rows(rng.uniform(0, 1, (5, 1)), rng.uniform(0, 1, (6, 1))))
     sites = SiteDistances(X)
+    assert (sites._layout is None) == (layout == "joint")
     for u, inv, x in zip(sites._distinct, sites._inverse, X.T):
         assert np.array_equal(u[inv], np.abs(x[:, None] - x[None, :]))
     for spec in [*all_kind_specs(d=2, omega=0.6), *all_kind_specs(d=2, omega=0.6)]:
@@ -502,3 +506,96 @@ def test_sites_factor_rejects_non_finite_like_cho_factor(rng):
     for X_or_sites in (X, SiteDistances(X)):
         with pytest.raises(DataError, match="nugget"):
             correlation_matrix(X_or_sites, spec, np.inf)
+
+
+# ------------------------------------------------ cross-layout assembly
+
+def cross_layout_specs(d, rng):
+    """Every kind, power-exponential at p = 0.5 and p = 2, at random
+    length-scales and at the ends of the fits' omega box."""
+    for kind in KERNEL_KINDS:
+        for p in ([0.5, 2.0] if kind == "power_exponential" else [None]):
+            for omega in (rng.uniform(0.1, 2.0, d), np.full(d, 1e-3), np.full(d, 1e3)):
+                yield KernelSpec(kind, omega, None if p is None else np.full(d, p))
+
+
+@pytest.mark.parametrize("dt", [1, 2, 3])
+@pytest.mark.parametrize("dx", [1, 2])
+def test_cross_layout_assembly_is_bit_identical_to_product_corr(dx, dt, rng):
+    u_x, u_t = rng.uniform(0, 1, (4, dx)), rng.uniform(0, 1, (6, dt))
+    X = cross_rows(u_x, u_t)
+    one_x = cross_rows(u_x[:1], u_t[np.arange(24) % 6] + np.arange(24)[:, None])
+    cases = [(X, (dx, 6)),
+             (cross_rows(u_x, u_t[:1]), (dx, 1)),             # one theta row
+             (one_x, (1, 24)),       # its first column alone splits the rows
+             # no product layout, so the factors are gathered
+             (X[rng.permutation(len(X))], None),
+             (rng.uniform(0, 1, X.shape), None)]
+    sites = [SiteDistances(Y) for Y, _ in cases]
+    assert [s._layout for s in sites] == [layout for _, layout in cases]
+    for spec in cross_layout_specs(dx + dt, rng):
+        for s in sites:
+            assert np.array_equal(s.correlation(spec),
+                                  _product_corr(s.points, s.points, spec))
+
+
+def test_in_place_factor_keeps_the_copied_factor_bits(rng):
+    # the MLE objective never reads values, so its matrix is factored in the
+    # buffer it was assembled in; the factor must be the copy-in path's, on
+    # a cross layout and on a joint design, from the sites or the points
+    for X in (cross_rows(rng.uniform(0, 1, (5, 1)), rng.uniform(0, 1, (8, 2))),
+              rng.uniform(0, 1, (40, 3))):
+        b = rng.normal(size=(40, 2))
+        for X_or_sites in (X, SiteDistances(X)):
+            for spec in cross_layout_specs(3, rng):
+                try:
+                    kept = correlation_matrix(X_or_sites, spec, 1e-8, False)
+                except IllConditionedError:
+                    with pytest.raises(IllConditionedError):
+                        correlation_matrix(X_or_sites, spec, 1e-8, False,
+                                           _keep_values=False)
+                    continue
+                own = correlation_matrix(X_or_sites, spec, 1e-8, False,
+                                         _keep_values=False)
+                assert own.values is None
+                assert own.m == kept.m == 40
+                assert np.array_equal(own._cho[0], kept._cho[0])
+                assert np.array_equal(own._L, kept._L)
+                assert own.logdet == kept.logdet
+                assert np.array_equal(own.half_solve(b), kept.half_solve(b))
+                assert np.array_equal(own.solve(b), kept.solve(b))
+                # a retry factors the matrix again, so escalation keeps it
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", NumericalWarning)
+                    escalating = correlation_matrix(X_or_sites, spec, 1e-8, True,
+                                                    _keep_values=False)
+                assert np.array_equal(escalating.values, kept.values)
+
+
+def test_non_finite_correlations_raise_value_error_on_every_path(rng):
+    message = "array must not contain infs or NaNs"
+    X = rng.uniform(0, 1, (6, 2))
+    values = cross_corr_matrix(X, X, KernelSpec("matern_5_2", [0.5, 0.5]))
+    for bad in (np.nan, np.inf):
+        poisoned = values.copy()
+        poisoned[2, 3] = poisoned[3, 2] = bad
+        with pytest.raises(ValueError, match=message):
+            CorrelationMatrix(poisoned, 0.0)
+    nan_site = X.copy()
+    nan_site[2, 1] = np.nan
+    # a Matern factor is inf * 0 at t = h / omega = inf: finite sites, NaN
+    # factor, caught on the distinct factor values of the SiteDistances path
+    tiny = KernelSpec("matern_3_2", [5e-324, 0.5])
+    cross = cross_rows(rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (4, 1)))
+    cases = [(nan_site, KernelSpec("matern_5_2", [0.5, 0.5])), (X, tiny), (cross, tiny)]
+    assert SiteDistances(cross)._layout == (1, 4)
+    with np.errstate(all="ignore"):
+        for Y, spec in cases:
+            for X_or_sites in (Y, SiteDistances(Y)):
+                for nugget in (0.0, 1e-8):
+                    for auto_escalate in (True, False):
+                        with pytest.raises(ValueError, match=message):
+                            correlation_matrix(X_or_sites, spec, nugget, auto_escalate)
+                    with pytest.raises(ValueError, match=message):
+                        correlation_matrix(X_or_sites, spec, nugget, False,
+                                           _keep_values=False)
