@@ -704,6 +704,12 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     zero gradient under ``jac``: ``(_BIG, 0)``. Returns every restart's
     ``(value, spec)`` in start order; raises :class:`FitError` if none is
     finite.
+
+    Each distinct omega is evaluated once per call: L-BFGS-B asks again for
+    the points of an iterate it restores after a failed line search, and a
+    memo keyed by the bytes of omega answers them (with a copy of the
+    gradient under ``jac``). ``loss`` is a pure function of omega at a fixed
+    BLAS thread count, so every bit and the L-BFGS-B path are unchanged.
     """
     if n_restarts < 1:
         raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
@@ -713,15 +719,25 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     def unpack(t):
         return KernelSpec(kernel, np.exp(t))
 
-    def objective(t):
+    def evaluate(spec):
         try:
-            out = loss(unpack(t))
+            out = loss(spec)
             value, grad = out if jac else (out, None)
             if np.isfinite(value) and (grad is None or np.isfinite(grad).all()):
                 return out
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
             pass
         return (_BIG, np.zeros(d)) if jac else _BIG
+
+    memo = {}  # this fit's objective, by the bytes of omega
+
+    def objective(t):
+        spec = unpack(t)
+        key = spec.omega.tobytes()
+        if key not in memo:
+            memo[key] = evaluate(spec)
+        out = memo[key]
+        return (out[0], out[1].copy()) if jac else out
 
     rng = np.random.default_rng(seed)
     u = _lhs_points(n_restarts, d, rng, midpoint=False)
@@ -745,6 +761,8 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     Restart starting points are drawn by Latin hypercube over the
     :data:`OMEGA_BOUNDS` box; ties between equally good optima go to the
     first-found candidate. Same data and seed reproduce the fit bit-for-bit.
+    L-BFGS-B takes finite differences of the objective, and each distinct
+    omega it requests is evaluated once in the fit (:func:`_multistart`).
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:

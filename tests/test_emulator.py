@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from scipy.linalg import cho_factor, solve_triangular
+from scipy.optimize import minimize
 
 import gpcal.emulator
 from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    FittedEmulator, IllConditionedError, KernelSpec,
                    NumericalWarning, TrainingSet, TrendSpec, fit_cv, fit_mle,
                    gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
+from gpcal.design import _lhs_points
 from gpcal.emulator import (_BIG, _concentrated_nll, _cv_heldout, _multistart,
                             make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
@@ -1166,6 +1168,138 @@ def test_multistart_scores_a_failed_candidate_big(jac, monkeypatch):
         for out, passed in calls:
             assert passed is jac
             assert (out[0], out[1].tolist()) == failed if jac else out == failed
+
+
+def unmemoised_multistart(loss, d, kernel, n_restarts, seed, what, jac=False):
+    """_multistart as it was before it kept its evaluations, literally: every
+    request L-BFGS-B makes calls ``loss``. The memo's oracle."""
+    OMEGA_BOUNDS = gpcal.emulator.OMEGA_BOUNDS
+    if n_restarts < 1:
+        raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
+    lb = np.full(d, math.log(OMEGA_BOUNDS[0]))
+    ub = np.full(d, math.log(OMEGA_BOUNDS[1]))
+
+    def unpack(t):
+        return KernelSpec(kernel, np.exp(t))
+
+    def objective(t):
+        try:
+            out = loss(unpack(t))
+            value, grad = out if jac else (out, None)
+            if np.isfinite(value) and (grad is None or np.isfinite(grad).all()):
+                return out
+        except (IllConditionedError, DataError, np.linalg.LinAlgError):
+            pass
+        return (_BIG, np.zeros(d)) if jac else _BIG
+
+    rng = np.random.default_rng(seed)
+    u = _lhs_points(n_restarts, d, rng, midpoint=False)
+    starts = lb + u * (ub - lb)
+    results = []
+    for t0 in starts:
+        res = minimize(objective, t0, method="L-BFGS-B", jac=jac,
+                       bounds=list(zip(lb, ub)))
+        results.append((float(res.fun), unpack(res.x)))
+    if min(v for v, _ in results) >= _BIG:
+        raise FitError(f"all {n_restarts} {what} restarts failed to produce a "
+                       "finite objective; check the data and kernel choice")
+    return results
+
+
+def demo_cross_training():
+    # the bundled demo's GPcode design: 10 IUQ settings crossed with 12
+    # theta rows of the linear simulator, m = 120. With these theta rows,
+    # L-BFGS-B requests distinct log(omega) that round to one omega
+    u_x = np.linspace(0.0, 10.0, 10)[:, None]
+    u_t = lhs_design(12, ParameterSpace(["slope", "offset"], [0.0, -1.0],
+                                        [4.0, 3.0]), seed=2).to_physical()
+    X = cross_rows(u_x, u_t)
+    return TrainingSet(X, X[:, 1] * X[:, 0] + X[:, 2])
+
+
+def joint_training(rng):
+    x = rng.uniform(0, 1, (40, 3))
+    return TrainingSet(x, np.sin(4.0 * x[:, 0]) + x[:, 1] * x[:, 2])
+
+
+@pytest.mark.parametrize("case", ["cross-mle", "joint-cv"])
+def test_multistart_evaluates_each_omega_once_with_the_oracles_restarts(
+        case, rng, monkeypatch):
+    # the fit hands the same loss to the memoised multistart and to the
+    # unmemoised oracle: the restarts agree to the bit, L-BFGS-B makes the
+    # same requests, and the memo evaluates each requested omega once
+    seen = {}
+    real = gpcal.emulator._multistart
+    real_minimize = gpcal.emulator.minimize
+    requests = []
+
+    def counted(fun, x0, **kwargs):
+        def objective(t):
+            requests.append(t.tobytes())
+            return fun(t)
+        return real_minimize(objective, x0, **kwargs)
+
+    def both(loss, *args, **kwargs):
+        calls = []
+
+        def spy(spec):
+            calls.append(spec.omega.tobytes())
+            return loss(spec)
+
+        ours = real(spy, *args, **kwargs)
+        seen["ours"], calls[:] = list(calls), []
+        oracle = unmemoised_multistart(spy, *args, **kwargs)
+        seen["oracle"] = calls
+        seen["results"] = [[(v, spec.omega.tobytes()) for v, spec in r]
+                           for r in (ours, oracle)]
+        return ours
+
+    monkeypatch.setattr(gpcal.emulator, "_multistart", both)
+    monkeypatch.setattr(gpcal.emulator, "minimize", counted)
+    if case == "cross-mle":
+        em = fit_mle(demo_cross_training(), TrendSpec("constant"), "matern_5_2",
+                     n_restarts=4, seed=11)
+    else:
+        em = fit_cv(joint_training(rng), TrendSpec("constant"), "matern_5_2",
+                    k_folds=5, n_restarts=3, seed=2)
+    ours, oracle = seen["results"]
+    assert ours == oracle
+    assert len(set(seen["ours"])) == len(seen["ours"])
+    assert set(seen["ours"]) == set(seen["oracle"])
+    assert len(requests) == len(seen["oracle"])
+    if case == "cross-mle":
+        # L-BFGS-B does ask again, so the memo answered some requests
+        assert len(seen["oracle"]) > len(seen["ours"])
+        assert em.kernel.omega.tobytes() == min(ours, key=lambda r: r[0])[1]
+
+
+def test_multistart_memo_hands_out_copies_of_the_gradient(monkeypatch):
+    # a caller writing into a returned gradient changes no later answer
+    real = gpcal.emulator.minimize
+    answers, calls = [], []
+
+    def spy(fun, x0, **kwargs):
+        first = fun(x0)
+        first[1][:] = np.nan
+        again = fun(x0)
+        answers.append((x0.copy(), again[1].copy()))
+        again[1][:] = np.nan
+        assert np.array_equal(fun(x0)[1], answers[-1][1])
+        return real(fun, x0, **kwargs)
+
+    def loss(spec):
+        t = np.log(spec.omega)
+        calls.append(spec.omega.tobytes())
+        return float(np.sum((t - 1.0) ** 2)), 2.0 * (t - 1.0)
+
+    monkeypatch.setattr(gpcal.emulator, "minimize", spy)
+    results = _multistart(loss, 2, "gaussian", 3, 0, "CV", jac=True)
+    assert len(answers) == 3
+    for x0, grad in answers:
+        assert np.array_equal(grad, 2.0 * (np.log(np.exp(x0)) - 1.0))
+    assert len(set(calls)) == len(calls)
+    for value, spec in results:
+        assert value < 1e-10 and np.allclose(spec.omega, math.e)
 
 
 @pytest.mark.parametrize("fit", [fit_mle, fit_cv])

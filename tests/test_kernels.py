@@ -318,6 +318,22 @@ def test_half_solve_matches_tril_solve_bit_for_bit(m, rng):
         assert np.array_equal(R.half_solve(b), solve_triangular(L, b, lower=True))
 
 
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("m", [1, 127, 128, 129, 300, 480])
+def test_c_ordered_factor_is_the_contiguous_copy(m, in_place, rng):
+    # the factor is copied to C order in square tiles; sizes on either side
+    # of the tile edge and its multiples leave ragged edge tiles, and every
+    # entry, the upper triangle's too, must be np.ascontiguousarray's
+    X = rng.uniform(0, 1, (m, 2))
+    values = cross_corr_matrix(X, X, KernelSpec("matern_5_2", [0.2, 0.4]))
+    values[np.diag_indices(m)] += 1e-6
+    R = CorrelationMatrix(values, 1e-6, _in_place=in_place)
+    c = R._cho[0]
+    assert R._L.flags.c_contiguous and R._L.dtype == c.dtype
+    assert np.array_equal(R._L, np.ascontiguousarray(c))
+    assert not np.shares_memory(R._L, c)
+
+
 # ------------------------------------------- the LAPACK seam, scipy as oracle
 
 def right_hand_sides(m, rng):
