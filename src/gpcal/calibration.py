@@ -266,6 +266,7 @@ def fit_estimated(training: TrainingSet, trend: TrendSpec, kernel: str,
 
 def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):
     """(log|Sigma|, d' Sigma^-1 d) with escalating jitter; raises on breakdown.
+    The per-row fallback of :func:`_stacked_logdet_solve`.
 
     The same bits and errors as ``cho_factor`` + ``cho_solve`` with their
     finiteness checks, each made once: Sigma before the first factorization,
@@ -342,27 +343,17 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
 
     log p(theta | data) = log p(theta) - 1/2 log|Sigma| - 1/2 d' Sigma^-1 d
     with d = y_obs - mu_code(x, theta) - delta(x) and
-    Sigma = Sigma_exp + Sigma_bias + Sigma_code(theta). The discrepancy mean
-    and covariance are theta-independent and evaluated once. A
-    :class:`FittedEmulator` GPcode is conditioned on the fixed IUQ settings
-    once here, so a proposal evaluates only its theta factors (see
-    ``FittedEmulator._fixed_rows_predictor``); any other object with
-    ``predict_batch`` is called on the stacked (x, theta) rows. On a
-    ``cross`` design's layout the fixed-rows predictor takes a Kronecker
-    path, whose log posterior agrees with the stacked rows' to 1e-7 relative
-    (the tests' tolerance) but not bit for bit; any other layout, a
-    per-point nugget or a degenerate GPcode gives the stacked rows' bits.
+    Sigma = Sigma_exp + Sigma_bias + Sigma_code(theta). The discrepancy's
+    moments are evaluated once, and the GPcode is conditioned on the IUQ
+    settings once (``gp_code._fixed_rows_predictor``; on a ``cross`` layout
+    its Kronecker path agrees with ``predict_batch`` on the stacked rows to
+    1e-7 relative in the log posterior, not bit for bit).
 
-    The callable maps a theta of shape (d,) to a float and a (K, d) stack
-    to K values, as ``mcmc_sample(..., vectorized=True)`` calls it. A stack
-    makes one predictor call for its rows inside the prior support (a
-    non-:class:`FittedEmulator` GPcode is called row by row) and factors
-    their covariances in one batched Cholesky (:func:`_stacked_logdet_solve`);
-    rows outside the support are -inf and skip the predictor. A stacked row
-    agrees with its single-theta value to rounding; the single-theta path
-    keeps :func:`_chol_logdet_solve`, whose bits are scipy's, and is the
-    stack's oracle. A stack raises if any of its rows does, not
-    necessarily with that row's own error; the single-theta call gives it.
+    The callable maps a (K, d) stack of thetas to K values, and a theta (d,),
+    a stack of one, to a float. Rows outside the prior support are -inf and
+    skip the predictor; the rest take one predictor call and one batched
+    Cholesky (:func:`_stacked_logdet_solve`). A stack raises if any of its
+    rows does, not necessarily with that row's own error.
     """
     x_iuq = iuq.x
     y_obs = iuq.y
@@ -373,33 +364,7 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
         delta_mean = np.zeros(iuq.n)
         sigma_bias = np.zeros((iuq.n, iuq.n))
     base_cov = sigma_exp + sigma_bias
-    if isinstance(gp_code, FittedEmulator):
-        code_at = gp_code._fixed_rows_predictor(x_iuq)
-    else:
-        def one_code_at(theta):
-            inputs = np.hstack([x_iuq, np.repeat(theta.reshape(1, -1), iuq.n, axis=0)])
-            mean, _, cov = gp_code.predict_batch(
-                inputs, with_covariance=True, warn_extrapolation=False)
-            return mean, cov
-
-        def code_at(theta):
-            if theta.ndim == 1:
-                return one_code_at(theta)
-            rows = [one_code_at(t) for t in theta]
-            return np.array([m for m, _ in rows]), np.array([c for _, c in rows])
-
-    def log_post(theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            return stacked(theta)
-        theta = theta.reshape(-1)
-        lp = prior.log_prior(theta)
-        if not math.isfinite(lp):
-            return -math.inf
-        mu_code, sigma_code = code_at(theta)
-        d = y_obs - mu_code - delta_mean
-        logdet, quad = _chol_logdet_solve(base_cov + sigma_code, d)
-        return lp - 0.5 * logdet - 0.5 * quad
+    code_at = gp_code._fixed_rows_predictor(x_iuq)
 
     def stacked(thetas):
         out = prior.log_prior(thetas)
@@ -413,6 +378,12 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
             base_cov + sigma_code, y_obs - mu_code - delta_mean)
         out[inside] = out[inside] - 0.5 * logdet - 0.5 * quad
         return out
+
+    def log_post(theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim == 2:
+            return stacked(theta)
+        return float(stacked(theta.reshape(1, -1))[0])
 
     return log_post
 
@@ -540,7 +511,7 @@ def run_workflow(config) -> WorkflowResult:
             chains.append(mcmc_sample(
                 log_post, prior, n_samples=mc["samples"], n_burn=mc["burn"],
                 seed=mc["seed"] + 1000 * i, thin=mc["thin"],
-                param_names=config.theta_names, vectorized=True))
+                param_names=config.theta_names))
         return chains
 
     chains = timed("mcmc", run_chains)

@@ -286,7 +286,7 @@ def _gram(A: np.ndarray, lead: tuple) -> np.ndarray:
 
 class FittedEmulator:
     """Conditioned GP ready for prediction. Immutable after construction;
-    ``predict``/``predict_batch`` are pure and thread-safe."""
+    ``predict_batch`` is pure and thread-safe."""
 
     def __init__(self, training: TrainingSet, trend: TrendSpec,
                  kernel: KernelSpec, nugget=DEFAULT_NUGGET,
@@ -343,12 +343,6 @@ class FittedEmulator:
                 f"materially negative predictive MSE ({mse_std.min():.3e}); "
                 "numerical breakdown in the correlation solves")
         return np.maximum(mse_std, 0.0)
-
-    def predict(self, x_star, warn_extrapolation: bool = True):
-        """Predictive mean and MSE at one point, in physical units."""
-        means, mses = self.predict_batch(np.atleast_2d(np.asarray(x_star, float)),
-                                         warn_extrapolation=warn_extrapolation)
-        return float(means[0]), float(mses[0])
 
     def predict_batch(self, x_star, with_covariance: bool = False,
                       warn_extrapolation: bool = True):
@@ -425,13 +419,11 @@ class FittedEmulator:
         return means, mses, cov_std * tr.y_scale ** 2
 
     def _fixed_rows_predictor(self, x_fixed):
-        """``theta -> (mean, cov)`` at the q points ``[x_fixed, theta]``:
-        ``predict_batch`` on the stacked rows with covariance, without the
-        extrapolation warning, for every finite theta of the remaining
-        ``dim - x_fixed.shape[1]`` input columns. A (K, dt) stack of thetas
-        gives (K, q) means and (K, q, q) covariances from one pass of the
-        same body; a single theta is a stack of one. A stacked row agrees
-        with that theta's own call to rounding, not bit for bit.
+        """``thetas -> (means, covs)``: for a (K, dt) stack of finite thetas
+        of the last ``dt = dim - x_fixed.shape[1]`` inputs, the (K, q) means
+        and (K, q, q) covariances of ``predict_batch`` at each theta's rows
+        ``[x_fixed, theta]``, without the extrapolation warning. A row
+        agrees with its own stack of one to rounding, not bit for bit.
 
         What does not depend on theta is computed here once: the scaled x
         columns, their kernel factors, and R(x*, x*), whose theta factors
@@ -449,7 +441,7 @@ class FittedEmulator:
           relative and the covariances to 1e-9 of the process variance.
         - Otherwise, for a nugget that is not one constant, or where the
           Kronecker spectrum is not positive, the dense path runs, for a
-          single theta bit for bit ``predict_batch``: each call evaluates
+          stack of one bit for bit ``predict_batch``: each call evaluates
           each theta kernel factor once on the m-vector |X_k - theta_k|
           (every column of the stacked rows' factor is that vector),
           multiplies it into a fresh copy of the x product in dimension
@@ -460,37 +452,35 @@ class FittedEmulator:
         (q, dx), d = x.shape, self.dim
         if dx > d:
             raise DataError(f"fixed rows have dimension {dx}, emulator has {d}")
-        tr = self.training
-        if self.degenerate:
-            def constant(theta):
-                lead = np.shape(theta)[:-1]
-                return np.full(lead + (q,), tr.y_phys[0]), np.zeros(lead + (q, q))
-            return constant
-
-        dt = d - dx
+        tr, dt = self.training, d - dx
         rows = np.zeros((q, d))                   # theta columns: any constant
         rows[:, :dx] = (x - tr.x_min[:dx]) / tr.x_span[:dx]
-        Rss = cross_corr_matrix(rows, rows, self.kernel)
-        Rss.setflags(write=False)
         t_min, t_span = tr.x_min[dx:], tr.x_span[dx:]
-        factors = _cross_factors(tr.X, dx)
-        moments = None if factors is None else self._kronecker_moments(
-            *factors, rows[:, :dx], Rss)
-        if moments is None:
-            moments = self._dense_moments(rows[:, :dx], Rss)
+        if self.degenerate:
+            def moments(ts, Fs):
+                K = len(ts)
+                return np.full((K, q), tr.y_phys[0]), None, np.zeros((K, q, q))
+        else:
+            Rss = cross_corr_matrix(rows, rows, self.kernel)
+            Rss.setflags(write=False)
+            factors = _cross_factors(tr.X, dx)
+            moments = None if factors is None else self._kronecker_moments(
+                *factors, rows[:, :dx], Rss)
+            if moments is None:
+                moments = self._dense_moments(rows[:, :dx], Rss)
 
-        def predict(theta):
-            theta = np.asarray(theta, dtype=float)
-            stack = theta if theta.ndim == 2 else theta.reshape(1, -1)
-            if stack.shape[1] != dt:
-                raise DataError(f"theta has {stack.shape[1]} entries, expected {dt}")
-            ts = (stack - t_min) / t_span                            # (K, dt)
+        def predict(thetas):
+            thetas = np.asarray(thetas, dtype=float)
+            if thetas.ndim != 2 or thetas.shape[1] != dt:
+                raise DataError(f"theta stack has shape {thetas.shape}, "
+                                f"expected (K, {dt})")
+            ts = (thetas - t_min) / t_span                           # (K, dt)
             Xs = np.empty((ts.shape[0], q, d))
             Xs[:, :, :dx] = rows[:, :dx]
             Xs[:, :, dx:] = ts[:, None, :]
             Fs = self.trend.build_matrix(Xs.reshape(-1, d))
             means, _, cov = moments(ts, Fs.reshape(Xs.shape[:2] + Fs.shape[1:]))
-            return (means, cov) if theta.ndim == 2 else (means[0], cov[0])
+            return means, cov
         return predict
 
     def _dense_moments(self, xs, Rss):

@@ -9,17 +9,15 @@ bit-reproducible given the seed.
 Most proposals are rejected, so the next few can be formed before the
 current one is decided, on the assumption that each is rejected
 (pre-fetching: Brockwell 2006, *J. Comput. Graph. Stat.*; Angelino,
-Kohler, Waterland, Seltzer & Adams 2014, UAI). With ``vectorized=True`` the
-sampler forms up to ``PREFETCH`` proposals from the current state and
-evaluates their log posteriors in one call of the target on the (K, d)
-stack. It then walks them in order. The first acceptance ends the batch; the
-random draws of the slots after it stay queued and serve the next batch,
-which proposes from the new state. A batch also ends at each burn-in
-adaptation step and at the end of the chain. The draws, proposals and
-decisions are therefore those of the one-at-a-time chain, given the same
-log-posterior values: only the number of target calls changes. A scalar
-target runs the same loop with batches of one, which is the plain
-algorithm.
+Kohler, Waterland, Seltzer & Adams 2014, UAI). The target maps a (K, d)
+stack of thetas to K log-posterior values. The sampler forms up to
+``PREFETCH`` proposals from the current state, evaluates them in one call
+of the target, and walks them in order. The first acceptance ends the
+batch; the random draws of the slots after it stay queued and serve the
+next batch, which proposes from the new state. A batch also ends at each
+burn-in adaptation step and at the end of the chain. The draws, proposals
+and decisions are therefore those of the one-at-a-time chain, given the
+same log-posterior values: only the number of target calls changes.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from .priors import PriorSpec
 
 #: proposals between two burn-in adaptations
 ADAPT_EVERY = 50
-#: proposals evaluated in one call of a vectorized log posterior
+#: proposals evaluated in one call of the log posterior
 PREFETCH = 4
 #: the acceptance rate the burn-in scale updates aim at: the middle of
 #: [0.2, 0.4]
@@ -83,7 +81,7 @@ class PosteriorChain:
 
 def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
                 n_burn: int | None = None, seed: int = 0, thin: int = 1,
-                param_names=None, vectorized: bool = False) -> PosteriorChain:
+                param_names=None) -> PosteriorChain:
     """Sample ``n_samples`` post-burn-in draws (after thinning) from an
     unnormalized log posterior with adaptive random-walk Metropolis.
 
@@ -96,13 +94,10 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
     covariance. Burn-in defaults to 20% of the requested samples. Raises when
     the post-adaptation acceptance rate collapses below 1%.
 
-    ``log_posterior`` maps a theta of shape (d,) to a float. With
-    ``vectorized`` true it must also map a (K, d) stack to K values: up to
-    ``PREFETCH`` proposals are then evaluated per call, speculatively, and
-    the chain is the one a scalar target gives (see the module docstring).
-    The initial point is evaluated alone. An error a stacked call raises
-    surfaces only if the chain reaches a row of that stack: those rows are
-    then evaluated one at a time, so the error is the single-theta call's.
+    ``log_posterior`` maps a (K, d) stack of thetas to K values; the initial
+    point is a stack of one (see the module docstring for the batches). An
+    error a stacked call raises surfaces only if the chain reaches a row of
+    that stack, which is then evaluated as a stack of one.
     """
     if n_samples < 1:
         raise FitError(f"n_samples must be >= 1, got {n_samples}")
@@ -119,7 +114,7 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
 
     rng = np.random.default_rng(seed)
     x = np.asarray(prior.nominal, dtype=float).copy()
-    lp = float(log_posterior(x))
+    lp = float(log_posterior(x[None])[0])
     if not math.isfinite(lp):
         raise NumericalError("log posterior is not finite at the initial point")
 
@@ -127,7 +122,6 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
     L = np.linalg.cholesky(base_cov)
     scale = 1.0
     min_history = max(200, 20 * d)
-    batch = PREFETCH if vectorized else 1
 
     samples = np.empty((total, d))
     log_post = np.empty(total)
@@ -137,22 +131,21 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
 
     t = 0
     while t < total:
-        stop = min(total, t + batch)
+        stop = min(total, t + PREFETCH)
         adapt_at = (t // ADAPT_EVERY + 1) * ADAPT_EVERY
         if adapt_at < n_burn:
             stop = min(stop, adapt_at)
         while len(draws) < stop - t:
             draws.append((rng.standard_normal(d), rng.uniform()))
         props = [x + scale * (L @ z) for z, _ in draws]
-        values = None
-        if vectorized:
-            try:
-                values = log_posterior(np.array(props))
-            except Exception:
-                pass                    # rows are evaluated as they are reached
+        try:
+            values = log_posterior(np.array(props))
+        except Exception:
+            values = None               # rows are evaluated as they are reached
         for j, prop in enumerate(props):
             u = draws.popleft()[1]
-            lp_prop = float(log_posterior(prop) if values is None else values[j])
+            lp_prop = float(log_posterior(prop[None])[0] if values is None
+                            else values[j])
             accept = math.log(u) < lp_prop - lp
             if accept:
                 x, lp = prop, lp_prop

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 _KINDS = ("uniform", "normal", "lognormal")
 
@@ -75,20 +75,14 @@ class Prior1D:
         return self.mean * math.sqrt(math.expm1(self.p2 ** 2))
 
     def logpdf(self, v: float) -> float:
-        """Log density at v; bit-identical to ``scipy.stats`` ``norm`` and
-        ``lognorm`` ``logpdf``, whose operations it repeats in order on
-        1-element arrays (numpy's scalar and array paths can differ in the
-        last bit)."""
-        lo, hi = self.support
-        if not lo <= v <= hi:
-            return -math.inf
-        if self.kind == "uniform":
-            return -math.log(self.p2 - self.p1)
+        """:meth:`logpdfs` at one value, as a float."""
         return float(self.logpdfs(np.array([v], dtype=float))[0])
 
     def logpdfs(self, v: np.ndarray) -> np.ndarray:
-        """:meth:`logpdf` at each entry of the 1-D array ``v``: the same
-        operations, on all entries in the support at once."""
+        """Log density at each entry of the 1-D array ``v``, -inf outside the
+        support; bit-identical to ``scipy.stats`` ``norm`` and ``lognorm``
+        ``logpdf``, whose operations it repeats in order on arrays (numpy's
+        scalar and array paths can differ in the last bit)."""
         lo, hi = self.support
         inside = (lo <= v) & (v <= hi)
         if self.kind == "uniform":
@@ -151,31 +145,30 @@ class PriorSpec:
     def stds(self) -> np.ndarray:
         return np.array([c.std for c in self.components])
 
+    def _stack(self, theta) -> np.ndarray:
+        """theta as a (K, dim) stack, a (dim,) theta a stack of one."""
+        theta = np.asarray(theta, dtype=float)
+        stack = theta if theta.ndim == 2 else theta.reshape(1, -1)
+        if stack.shape[1] != self.dim:
+            raise DataError(f"theta has {stack.shape[1]} entries, expected {self.dim}")
+        return stack
+
     def contains(self, theta) -> bool:
-        theta = np.asarray(theta, dtype=float).reshape(-1)
-        for v, c in zip(theta, self.components):
-            lo, hi = c.support
-            if not lo <= v <= hi:
-                return False
-        return True
+        """Whether theta (d,), or every row of a (K, d) stack, lies in the
+        support."""
+        lo, hi = np.array([c.support for c in self.components]).T
+        stack = self._stack(theta)
+        return bool(np.all((lo <= stack) & (stack <= hi)))
 
     def log_prior(self, theta):
-        """The sum of the marginal log densities at theta (d,), a float,
-        -inf outside the support. A (K, d) stack gives K values in one
-        pass, each that row's float to the bit."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.ndim == 2:
-            total = np.zeros(theta.shape[0])
-            for v, c in zip(theta.T, self.components):
-                total += c.logpdfs(v)
-            return total
-        total = 0.0
-        for v, c in zip(theta.reshape(-1), self.components):
-            lp = c.logpdf(v)
-            if not math.isfinite(lp):
-                return -math.inf
-            total += lp
-        return total
+        """The sum of the marginal log densities, -inf outside the support:
+        K values for a (K, d) stack, in one pass over the components, and a
+        float for a theta (d,), its stack of one's value."""
+        stack = self._stack(theta)
+        total = np.zeros(stack.shape[0])
+        for v, c in zip(stack.T, self.components):
+            total += c.logpdfs(v)
+        return total if np.ndim(theta) == 2 else float(total[0])
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube coordinates (q, dim) through the marginal inverse CDFs."""

@@ -104,7 +104,7 @@ def test_criterion_2_oracle_equivalence():
         vscale = max(em.process_variance, 1e-300)
         for _ in range(2):
             x_star = rng.uniform(0, 1, em.dim)
-            mean, mse = em.predict(x_star, warn_extrapolation=False)
+            (mean,), (mse,) = em.predict_batch(x_star[None], warn_extrapolation=False)
             o_mean, o_mse16, o_mse17 = dense_oracle_predict(em, x_star)
             worst = max(worst,
                         abs(mean - o_mean) / max(1.0, abs(o_mean)),
@@ -205,7 +205,7 @@ def test_criterion_6_demo_function_improvement():
 def test_criterion_7_mcmc_analytic_target():
     prior = PriorSpec([Prior1D.uniform(-10, 10), Prior1D.uniform(-10, 10)],
                       nominal=[0.0, 0.0])
-    target = lambda th: -0.5 * float(np.sum(np.asarray(th) ** 2))
+    target = lambda th: -0.5 * np.sum(np.asarray(th) ** 2, axis=-1)
     chain = mcmc_sample(target, prior, n_samples=50_000, n_burn=5_000, seed=7)
     kept = chain.post_burn
     mean_err = float(np.max(np.abs(kept.mean(axis=0))))

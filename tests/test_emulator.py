@@ -314,7 +314,7 @@ def test_simple_kriging_far_point_reverts_to_prior():
     tr = TrainingSet(x, y)
     em = FittedEmulator(tr, TrendSpec("known_constant", mu=2.0),
                         KernelSpec("gaussian", [0.1]), nugget=0.0)
-    mean, mse = em.predict(np.array([50.0]), warn_extrapolation=False)
+    (mean,), (mse,) = em.predict_batch(np.array([[50.0]]), warn_extrapolation=False)
     assert mean == pytest.approx(2.0, abs=1e-10)
     assert mse == pytest.approx(em.process_variance, rel=1e-10)
 
@@ -324,7 +324,7 @@ def test_predict_matches_dense_oracle(rng):
         em = random_instance(rng, nugget=0.0)
         for _ in range(3):
             x_star = rng.uniform(0, 1, em.dim)
-            mean, mse = em.predict(x_star, warn_extrapolation=False)
+            (mean,), (mse,) = em.predict_batch(x_star[None], warn_extrapolation=False)
             o_mean, o_mse16, o_mse17 = dense_oracle_predict(em, x_star)
             scale = max(1.0, abs(o_mean))
             assert abs(mean - o_mean) <= 1e-9 * scale
@@ -341,7 +341,8 @@ def test_simple_kriging_matches_dense_oracle(rng):
     em = FittedEmulator(tr, TrendSpec("known_constant", mu=1.4),
                         KernelSpec("matern_3_2", [0.3]), nugget=0.0)
     for x_star in ([0.33], [0.71], [0.05]):
-        mean, mse = em.predict(np.array(x_star), warn_extrapolation=False)
+        (mean,), (mse,) = em.predict_batch(np.array([x_star]),
+                                           warn_extrapolation=False)
         o_mean, o_mse, _ = dense_oracle_predict(em, x_star)
         assert mean == pytest.approx(o_mean, abs=1e-9 * max(1, abs(o_mean)))
         assert mse == pytest.approx(o_mse, abs=1e-9 * em.process_variance)
@@ -352,7 +353,7 @@ def test_predict_batch_consistency(rng):
     pts = rng.uniform(0, 1, (4, em.dim))
     means, mses = em.predict_batch(pts, warn_extrapolation=False)
     for i in range(4):
-        m1, v1 = em.predict(pts[i], warn_extrapolation=False)
+        (m1,), (v1,) = em.predict_batch(pts[i][None], warn_extrapolation=False)
         assert abs(m1 - means[i]) <= 1e-12 * max(1, abs(m1))
         assert abs(v1 - mses[i]) <= 1e-12 * max(1e-30, v1)
 
@@ -397,7 +398,8 @@ def test_predict_batch_covariance_vs_dense_oracle(rng):
 
 def test_confidence_interval_arithmetic(rng):
     em = random_instance(rng)
-    mean, mse = em.predict(np.full(em.dim, 0.4), warn_extrapolation=False)
+    (mean,), (mse,) = em.predict_batch(np.full((1, em.dim), 0.4),
+                                       warn_extrapolation=False)
     half = 1.96 * math.sqrt(mse)
     assert (mean + half) - (mean - half) == pytest.approx(2 * 1.96 * math.sqrt(mse))
 
@@ -407,17 +409,17 @@ def test_extrapolation_warning():
     em = FittedEmulator(TrainingSet(x, np.sin(x[:, 0])), TrendSpec("constant"),
                         KernelSpec("gaussian", [0.3]))
     with pytest.warns(ExtrapolationWarning):
-        em.predict(np.array([2.0]))
+        em.predict_batch(np.array([[2.0]]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        em.predict(np.array([0.5]))
-        em.predict(np.array([2.0]), warn_extrapolation=False)
+        em.predict_batch(np.array([[0.5]]))
+        em.predict_batch(np.array([[2.0]]), warn_extrapolation=False)
 
 
 def test_dimension_mismatch_rejected(rng):
     em = random_instance(rng)
     with pytest.raises(DataError):
-        em.predict(np.zeros(em.dim + 1))
+        em.predict_batch(np.zeros((1, em.dim + 1)))
 
 
 # ------------------------------------------------------------ invariants
@@ -602,7 +604,7 @@ def test_fixed_rows_predictor_is_bit_identical_to_predict_batch(kind, p, trend,
         # inside the training box, then outside it on both sides
         for theta in (rng.uniform(-1.0, 3.0, dt), rng.uniform(-3.0, -1.5, dt),
                       rng.uniform(3.5, 5.0, dt)):
-            mean, cov = predict(theta)
+            (mean,), (cov,) = predict(theta[None])
             want_mean, want_cov = _stacked(em, x_fixed, theta)
             assert np.array_equal(mean, want_mean)
             assert np.array_equal(cov, want_cov)
@@ -641,8 +643,8 @@ def test_fixed_rows_predictor_on_a_cross_design_matches_the_dense_predictor(
         with monkeypatch.context() as patched:
             patched.setattr(CorrelationMatrix, "half_solve", _never_half_solve)
             predict = em._fixed_rows_predictor(x_fixed)
-            got = [predict(theta) for theta in thetas]
-        for theta, (mean, cov) in zip(thetas, got):
+            got = [predict(theta[None]) for theta in thetas]
+        for theta, ((mean,), (cov,)) in zip(thetas, got):
             want_mean, want_cov = _stacked(em, x_fixed, theta)
             assert np.all(np.abs(mean - want_mean)
                           <= 1e-8 * np.maximum(np.abs(want_mean), sd))
@@ -709,7 +711,7 @@ def test_fixed_rows_predictor_falls_back_to_the_dense_bits(case, rng, monkeypatc
     # inside and outside the box
     for theta in (em.training.x_phys[1, dx:] + 0.01,
                   rng.uniform(-1.0, 3.0, em.dim - dx), rng.uniform(3.5, 5.0, em.dim - dx)):
-        mean, cov = predict(theta)
+        (mean,), (cov,) = predict(theta[None])
         want_mean, want_cov = _stacked(em, x_fixed, theta)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(cov, want_cov)
@@ -738,7 +740,7 @@ def test_reloaded_cross_emulator_predicts_the_same_bits(rng, monkeypatch):
     x_fixed = np.vstack([u_x, rng.uniform(-1.0, 3.0, (2, 1))])
     first, second = em._fixed_rows_predictor(x_fixed), again._fixed_rows_predictor(x_fixed)
     for theta in rng.uniform(-2.0, 4.0, (4, 2)):
-        for a, b in zip(first(theta), second(theta)):
+        for a, b in zip(first(theta[None]), second(theta[None])):
             assert np.array_equal(a, b)
 
 
@@ -749,10 +751,11 @@ def _check_degenerate(x):
     x_fixed = np.array([[0.1], [0.7]])
     predict = em._fixed_rows_predictor(x_fixed)
     for theta in ([0.2], [3.0]):
-        mean, cov = predict(theta)
+        (mean,), (cov,) = predict([theta])
         want_mean, want_cov = _stacked(em, x_fixed, theta)
         assert np.array_equal(mean, want_mean)
         assert np.array_equal(cov, want_cov)
+    _check_theta_size(predict)
 
 
 def test_fixed_rows_predictor_degenerate_emulator():
@@ -771,9 +774,9 @@ def _xt_emulator(rng):
 
 
 def _check_no_state(predict):
-    first = predict([0.3])
-    predict([0.8])[1][:] = 0.0                   # callers may mutate outputs
-    again = predict([0.3])
+    first = predict([[0.3]])
+    predict([[0.8]])[1][:] = 0.0                 # callers may mutate outputs
+    again = predict([[0.3]])
     assert np.array_equal(first[0], again[0])
     assert np.array_equal(first[1], again[1])
 
@@ -781,7 +784,7 @@ def _check_no_state(predict):
 def _check_theta_size(predict):
     for theta in ([0.1, 0.2], [0.1, 0.2, 0.3]):
         with pytest.raises(DataError):
-            predict(theta)
+            predict([theta])
 
 
 def _cross_predictor(rng):
@@ -811,7 +814,7 @@ def test_fit_mle_constant_outputs_short_circuit():
     x = np.linspace(0, 1, 6).reshape(-1, 1)
     em = fit_mle(TrainingSet(x, np.full(6, 7.25)), TrendSpec("constant"))
     assert em.degenerate
-    mean, mse = em.predict(np.array([0.43]), warn_extrapolation=False)
+    (mean,), (mse,) = em.predict_batch(np.array([[0.43]]), warn_extrapolation=False)
     assert mean == 7.25
     assert mse == 0.0
 

@@ -11,7 +11,7 @@ def wide_prior(d=2, half=10.0):
 
 
 def test_standard_gaussian_target_moments():
-    target = lambda th: -0.5 * float(np.sum(np.asarray(th) ** 2))
+    target = lambda th: -0.5 * np.sum(np.asarray(th) ** 2, axis=-1)
     chain = mcmc_sample(target, wide_prior(), n_samples=50_000, n_burn=5_000,
                         seed=7)
     kept = chain.post_burn
@@ -41,7 +41,7 @@ def test_flat_target_recovers_uniform_prior():
 
 
 def test_chain_determinism():
-    target = lambda th: -0.5 * float(np.sum(np.asarray(th) ** 2))
+    target = lambda th: -0.5 * np.sum(np.asarray(th) ** 2, axis=-1)
     a = mcmc_sample(target, wide_prior(), n_samples=2_000, seed=42)
     b = mcmc_sample(target, wide_prior(), n_samples=2_000, seed=42)
     assert np.array_equal(a.samples, b.samples)
@@ -54,7 +54,7 @@ def test_chain_determinism():
 def test_correlated_target_adaptation():
     cov = np.array([[1.0, 0.85], [0.85, 1.0]])
     prec = np.linalg.inv(cov)
-    target = lambda th: -0.5 * float(np.asarray(th) @ prec @ np.asarray(th))
+    target = lambda th: -0.5 * np.sum((np.asarray(th) @ prec) * th, axis=-1)
     chain = mcmc_sample(target, wide_prior(), n_samples=30_000, n_burn=6_000,
                         seed=11)
     got = np.cov(chain.post_burn.T)
@@ -64,20 +64,20 @@ def test_correlated_target_adaptation():
 
 def test_initial_point_outside_support_rejected():
     prior = wide_prior()
-    target = lambda th: -np.inf
+    target = lambda th: np.full(len(th), -np.inf)
     with pytest.raises(NumericalError):
         mcmc_sample(target, prior, n_samples=100, seed=0)
 
 
 def test_burn_in_default_is_twenty_percent():
-    target = lambda th: -0.5 * float(np.sum(np.asarray(th) ** 2))
+    target = lambda th: -0.5 * np.sum(np.asarray(th) ** 2, axis=-1)
     chain = mcmc_sample(target, wide_prior(), n_samples=1_000, seed=1)
     assert chain.n_burn == 200
     assert chain.samples.shape[0] == 1_200
 
 
 def test_chain_summary_and_csv(tmp_path):
-    target = lambda th: -0.5 * float(np.sum(np.asarray(th) ** 2))
+    target = lambda th: -0.5 * np.sum(np.asarray(th) ** 2, axis=-1)
     chain = mcmc_sample(target, wide_prior(), n_samples=500, seed=5,
                         param_names=("a", "b"))
     s = chain.summary()
@@ -94,7 +94,7 @@ def test_chain_summary_and_csv(tmp_path):
 
 
 def test_bad_arguments():
-    target = lambda th: 0.0
+    target = lambda th: np.zeros(len(th))
     with pytest.raises(FitError):
         mcmc_sample(target, wide_prior(), n_samples=0, seed=0)
     with pytest.raises(FitError):
@@ -102,7 +102,7 @@ def test_bad_arguments():
 
 
 def test_negative_burn_in_rejected():
-    target = lambda th: 0.0
+    target = lambda th: np.zeros(len(th))
     with pytest.raises(FitError, match="n_burn must be >= 0, got -30"):
         mcmc_sample(target, wide_prior(), n_samples=100, n_burn=-30, seed=0)
     assert mcmc_sample(target, wide_prior(), n_samples=10, n_burn=0, seed=0).n_burn == 0
@@ -114,7 +114,7 @@ def sequential_mcmc(log_posterior, prior, n_samples, n_burn=None, seed=0,
                     thin=1):
     """The one-proposal-per-call adaptive Metropolis loop, kept literally as
     the oracle of ``mcmc_sample``'s batched loop: ``(samples, log_post,
-    accept_rate)``."""
+    accept_rate)``. Each call of the stack target is a stack of one."""
     import math
     from gpcal.mcmc import ADAPT_EVERY, TARGET_ACCEPT
     d = prior.dim
@@ -124,7 +124,7 @@ def sequential_mcmc(log_posterior, prior, n_samples, n_burn=None, seed=0,
 
     rng = np.random.default_rng(seed)
     x = np.asarray(prior.nominal, dtype=float).copy()
-    lp = float(log_posterior(x))
+    lp = float(log_posterior(x[None])[0])
     if not math.isfinite(lp):
         raise NumericalError("log posterior is not finite at the initial point")
 
@@ -142,7 +142,7 @@ def sequential_mcmc(log_posterior, prior, n_samples, n_burn=None, seed=0,
         z = rng.standard_normal(d)
         u = rng.uniform()
         prop = x + scale * (L @ z)
-        lp_prop = float(log_posterior(prop))
+        lp_prop = float(log_posterior(prop[None])[0])
         if math.log(u) < lp_prop - lp:
             x, lp = prop, lp_prop
             accepted[t] = True
@@ -173,8 +173,8 @@ def sequential_mcmc(log_posterior, prior, n_samples, n_burn=None, seed=0,
 
 
 class Vectorized:
-    """A vectorized target whose stack is a loop over a scalar target; it
-    records the size of every stacked call and every row it evaluates."""
+    """A stack target whose stack is a loop over a one-theta function; it
+    records the size of every call and every row it evaluates."""
 
     def __init__(self, scalar):
         self.scalar = scalar
@@ -183,9 +183,7 @@ class Vectorized:
 
     def __call__(self, theta):
         theta = np.asarray(theta)
-        if theta.ndim == 1:
-            self.rows.append(theta.copy())
-            return self.scalar(theta)
+        assert theta.ndim == 2
         self.sizes.append(len(theta))
         self.rows.extend(t.copy() for t in theta)
         return np.array([self.scalar(t) for t in theta])
@@ -235,17 +233,15 @@ def batches(chain):
 @pytest.mark.parametrize("n_burn,thin", [(None, 1), (333, 3), (0, 2)])
 def test_batched_chain_is_the_sequential_chain(target, n_burn, thin):
     from gpcal.mcmc import PREFETCH
-    want = sequential_mcmc(target, wide_prior(), 1_500, n_burn=n_burn, seed=4,
-                           thin=thin)
-    # a scalar target: batches of one, today's algorithm
-    assert_same_chain(mcmc_sample(target, wide_prior(), 1_500, n_burn=n_burn,
-                                  seed=4, thin=thin), want)
+    want = sequential_mcmc(Vectorized(target), wide_prior(), 1_500,
+                           n_burn=n_burn, seed=4, thin=thin)
     vec = Vectorized(target)
     chain = mcmc_sample(vec, wide_prior(), 1_500, n_burn=n_burn, seed=4,
-                        thin=thin, vectorized=True)
+                        thin=thin)
     assert_same_chain(chain, want)
     ends = batches(chain)
-    assert vec.sizes == [size for size, _ in ends]
+    # the initial point, then one call per batch
+    assert vec.sizes == [1] + [size for size, _ in ends]
     assert max(vec.sizes) == PREFETCH and len(vec.sizes) < chain.samples.shape[0]
     # an acceptance in a full batch's last slot, and a batch with rows after
     # its acceptance, both happened
@@ -261,14 +257,14 @@ def test_batched_chain_raises_the_acceptance_collapse_as_the_sequential_one():
     def spike(th):                               # finite at the start only
         return 0.0 if np.array_equal(th, start) else -np.inf
     with pytest.raises(FitError) as want:
-        sequential_mcmc(spike, wide_prior(), 300, seed=2)
+        sequential_mcmc(Vectorized(spike), wide_prior(), 300, seed=2)
     with pytest.raises(FitError) as got:
-        mcmc_sample(Vectorized(spike), wide_prior(), 300, seed=2, vectorized=True)
+        mcmc_sample(Vectorized(spike), wide_prior(), 300, seed=2)
     assert str(got.value) == str(want.value)
 
 
 class Poisoned(Vectorized):
-    """``Vectorized``, raising on one row, alone or in a stack."""
+    """``Vectorized``, raising on a stack that holds one given row."""
 
     def __init__(self, scalar, bad):
         super().__init__(scalar)
@@ -276,15 +272,15 @@ class Poisoned(Vectorized):
 
     def __call__(self, theta):
         theta = np.asarray(theta)
-        if any(np.array_equal(t, self.bad) for t in np.atleast_2d(theta)):
+        if any(np.array_equal(t, self.bad) for t in theta):
             raise ValueError(f"poisoned row {self.bad.tolist()}")
         return super().__call__(theta)
 
 
 def test_an_error_in_a_slot_the_chain_does_not_reach_is_not_raised():
-    want = sequential_mcmc(correlated_target, wide_prior(), 400, seed=9)
+    want = sequential_mcmc(Vectorized(correlated_target), wide_prior(), 400, seed=9)
     vec = Vectorized(correlated_target)
-    mcmc_sample(vec, wide_prior(), 400, seed=9, vectorized=True)
+    mcmc_sample(vec, wide_prior(), 400, seed=9)
     reached = Vectorized(correlated_target)
     sequential_mcmc(reached, wide_prior(), 400, seed=9)
     # a row evaluated speculatively after an acceptance and never reached
@@ -292,7 +288,7 @@ def test_an_error_in_a_slot_the_chain_does_not_reach_is_not_raised():
                  if not any(np.array_equal(r, s) for s in reached.rows)]
     assert unreached
     chain = mcmc_sample(Poisoned(correlated_target, unreached[len(unreached) // 2]),
-                        wide_prior(), 400, seed=9, vectorized=True)
+                        wide_prior(), 400, seed=9)
     assert_same_chain(chain, want)
 
 
@@ -303,6 +299,20 @@ def test_an_error_in_a_slot_the_chain_reaches_is_the_single_call_error():
     with pytest.raises(ValueError) as want:
         sequential_mcmc(Poisoned(correlated_target, bad), wide_prior(), 400, seed=9)
     with pytest.raises(ValueError) as got:
-        mcmc_sample(Poisoned(correlated_target, bad), wide_prior(), 400, seed=9,
-                    vectorized=True)
+        mcmc_sample(Poisoned(correlated_target, bad), wide_prior(), 400, seed=9)
     assert str(got.value) == str(want.value) == f"poisoned row {bad.tolist()}"
+
+
+def test_a_stack_only_target_runs_with_the_initial_point_as_a_stack_of_one():
+    shapes = []
+
+    def stack_only(theta):
+        theta = np.asarray(theta)
+        if theta.ndim != 2:
+            raise TypeError(f"a stack target got shape {theta.shape}")
+        shapes.append(theta.shape)
+        return -0.5 * np.sum(theta ** 2, axis=-1)
+    chain = mcmc_sample(stack_only, wide_prior(), n_samples=300, seed=3)
+    assert chain.samples.shape == (360, 2)
+    assert shapes[0] == (1, 2)
+    assert chain.log_post[0] <= 0.0 and np.isfinite(chain.log_post).all()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import lognorm, norm
 
-from gpcal import ConfigError, Prior1D, PriorSpec
+from gpcal import ConfigError, DataError, Prior1D, PriorSpec
 from gpcal.diagnostics import Z_95
 
 #: the closed forms are held to scipy.stats bit for bit, not to a tolerance
@@ -116,6 +116,16 @@ def test_priorspec_support_and_logprior():
     assert not spec.contains([-0.1, 0.0])
     with pytest.raises(ConfigError):
         PriorSpec([Prior1D.uniform(0, 1)], nominal=[2.0])
+
+
+def test_priorspec_rejects_a_theta_of_the_wrong_width():
+    spec = PriorSpec([Prior1D.uniform(0, 4), Prior1D.uniform(-1, 3)])
+    for theta in ([0.5], [0.5, 0.0, 99.0], [[0.5]], [[0.5, 0.0, 99.0]] * 2):
+        width = np.shape(theta)[-1]
+        for method in (spec.log_prior, spec.contains):
+            with pytest.raises(DataError,
+                               match=f"theta has {width} entries, expected 2"):
+                method(theta)
 
 
 def test_log_prior_of_a_stack_is_each_rows_bits(rng):
