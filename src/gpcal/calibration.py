@@ -299,22 +299,20 @@ def _chol_logdet_solve(sigma: np.ndarray, d: np.ndarray):
 _BORDER = 1e300
 
 
-def _stacked_logdet_solve(sigma: np.ndarray, d: np.ndarray):
-    """``(logdet, quad)``, each of shape (K,), for a (K, q, q) stack of
-    likelihood covariances and a (K, q) stack of residuals, from one batched
-    Cholesky factorization of the bordered matrices [[Sigma, d], [d',
-    _BORDER]]: the factor's leading block is Sigma's, and its last row is
-    (L^-1 d)', the forward substitution done inside the factorization. It
-    agrees with :func:`_chol_logdet_solve` row by row to rounding. When the
-    stack does not factor, each row is factored alone, and a row that still
-    fails (a covariance that is not positive definite or not finite, or a
-    residual that is not finite) goes through :func:`_chol_logdet_solve`
-    itself, jitter loop and errors included."""
-    K, q = d.shape
-    bordered = np.empty((K, q + 1, q + 1))
-    bordered[:, :q, :q] = sigma
-    bordered[:, q, :q] = d
-    bordered[:, :q, q] = d
+def _stacked_logdet_solve(bordered: np.ndarray):
+    """``(logdet, quad)``, each of shape (K,), for a (K, q + 1, q + 1) stack
+    whose leading (q, q) blocks hold likelihood covariances Sigma and whose
+    last rows hold residuals d: the last column and corner are filled here,
+    making the bordered matrices [[Sigma, d], [d', _BORDER]], and one batched
+    Cholesky factorization gives both. The factor's leading block is
+    Sigma's, and its last row is (L^-1 d)', the forward substitution done
+    inside the factorization. It agrees with :func:`_chol_logdet_solve` row
+    by row to rounding. When the stack does not factor, each row is factored
+    alone, and a row that still fails (a covariance that is not positive
+    definite or not finite, or a residual that is not finite) goes through
+    :func:`_chol_logdet_solve` itself, jitter loop and errors included."""
+    K, q = bordered.shape[0], bordered.shape[1] - 1
+    bordered[:, :q, q] = bordered[:, q, :q]
     bordered[:, q, q] = _BORDER
     try:
         c = np.linalg.cholesky(bordered)
@@ -329,11 +327,12 @@ def _stacked_logdet_solve(sigma: np.ndarray, d: np.ndarray):
     logdet = 2.0 * np.log(flat[:, :q * (q + 2):q + 2]).sum(axis=1)
     last = flat[:, q * (q + 1):-1]
     quad = np.einsum("ij,ij->i", last, last)
-    # a failed row is nan; a non-finite entry need not fail a pivot
-    bad = ~np.isfinite(logdet + quad)
-    if bad.any():
-        for k in np.flatnonzero(bad):
-            logdet[k], quad[k] = _chol_logdet_solve(sigma[k], d[k])
+    # a failed row is nan; a non-finite entry need not fail a pivot. The
+    # sum of K finite values below _BORDER is finite.
+    if not math.isfinite((logdet + quad).sum()):
+        for k in np.flatnonzero(~np.isfinite(logdet + quad)):
+            logdet[k], quad[k] = _chol_logdet_solve(bordered[k, :q, :q],
+                                                    bordered[k, q, :q])
     return logdet, quad
 
 
@@ -343,39 +342,50 @@ def make_log_posterior(gp_code: FittedEmulator, discrepancy: DiscrepancyModel | 
 
     log p(theta | data) = log p(theta) - 1/2 log|Sigma| - 1/2 d' Sigma^-1 d
     with d = y_obs - mu_code(x, theta) - delta(x) and
-    Sigma = Sigma_exp + Sigma_bias + Sigma_code(theta). The discrepancy's
-    moments are evaluated once, and the GPcode is conditioned on the IUQ
-    settings once (``gp_code._fixed_rows_predictor``; on a ``cross`` layout
-    its Kronecker path agrees with ``predict_batch`` on the stacked rows to
-    1e-7 relative in the log posterior, not bit for bit).
+    Sigma = Sigma_exp + Sigma_bias + Sigma_code(theta). Everything that does
+    not depend on theta is bound once: the prior's support bounds and
+    constant terms (:class:`PriorSpec`), the discrepancy's moments,
+    Sigma_exp + Sigma_bias, and the GPcode conditioned on the IUQ settings
+    (``gp_code._fixed_rows_predictor``; on a ``cross`` layout its Kronecker
+    path agrees with ``predict_batch`` on the stacked rows to 1e-7 relative
+    in the log posterior, not bit for bit).
 
     The callable maps a (K, d) stack of thetas to K values, and a theta (d,),
     a stack of one, to a float. Rows outside the prior support are -inf and
-    skip the predictor; the rest take one predictor call and one batched
-    Cholesky (:func:`_stacked_logdet_solve`). A stack raises if any of its
-    rows does, not necessarily with that row's own error.
+    skip the predictor; the rest take one predictor call, whose covariances
+    and residuals are written straight into the bordered stack of one
+    batched Cholesky (:func:`_stacked_logdet_solve`). A row's value depends
+    on the size of its stack in the last bits (the batched products round by
+    their row count), so the chain's bits rest on which proposals share a
+    stack, a deterministic function of the chain (:mod:`gpcal.mcmc`). A
+    stack raises if any of its rows does, not necessarily with that row's
+    own error.
     """
     x_iuq = iuq.x
     y_obs = iuq.y
+    q = iuq.n
     sigma_exp = iuq.covariance()
     if discrepancy is not None:
         delta_mean, sigma_bias = discrepancy.predict(x_iuq)
     else:
-        delta_mean = np.zeros(iuq.n)
-        sigma_bias = np.zeros((iuq.n, iuq.n))
+        delta_mean = np.zeros(q)
+        sigma_bias = np.zeros((q, q))
     base_cov = sigma_exp + sigma_bias
     code_at = gp_code._fixed_rows_predictor(x_iuq)
 
     def stacked(thetas):
         out = prior.log_prior(thetas)
         inside = np.isfinite(out)
-        if not inside.any():
-            return out
         if inside.all():
             inside = slice(None)
+        elif not inside.any():
+            return out
         mu_code, sigma_code = code_at(thetas[inside])
-        logdet, quad = _stacked_logdet_solve(
-            base_cov + sigma_code, y_obs - mu_code - delta_mean)
+        bordered = np.empty((len(mu_code), q + 1, q + 1))
+        np.add(base_cov, sigma_code, out=bordered[:, :q, :q])
+        d = np.subtract(y_obs, mu_code, out=bordered[:, q, :q])
+        d -= delta_mean
+        logdet, quad = _stacked_logdet_solve(bordered)
         out[inside] = out[inside] - 0.5 * logdet - 0.5 * quad
         return out
 

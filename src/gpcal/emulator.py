@@ -205,11 +205,11 @@ class _GLS:
         there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
 
         The columns may be ``sets`` site sets side by side. r' alpha is then
-        formed one set at a time, since a matrix-vector product's bits
-        depend on its column count; the solves' do not."""
-        ra = r.T @ self.alpha if sets == 1 else np.concatenate(
-            [np.ascontiguousarray(b).T @ self.alpha for b in np.split(r, sets, axis=1)])
-        mean = self.trend(Fs) + ra
+        one matrix-vector product per set, a batched product over the sets'
+        contiguous (m, q) blocks, since such a product's bits depend on its
+        column count; the solves' do not."""
+        blocks = np.ascontiguousarray(r.reshape(r.shape[0], sets, -1).transpose(1, 0, 2))
+        mean = self.trend(Fs) + (blocks.transpose(0, 2, 1) @ self.alpha).reshape(-1)
         Z = self.R.half_solve(r)
         if self.G is None:
             return mean, Z, None
@@ -337,12 +337,15 @@ class FittedEmulator:
     # -- prediction ---------------------------------------------------------
 
     def _clamp_mse(self, mse_std: np.ndarray) -> np.ndarray:
+        """``mse_std`` with its rounding-level negatives set to 0, in place;
+        raises on a materially negative one."""
         tol = 1e-12 * max(self.hyper.sigma2, 1.0)
-        if np.any(mse_std < -tol):
+        lowest = np.fmin.reduce(mse_std, axis=None, initial=0.0)     # nan skipped
+        if lowest < -tol:
             raise NumericalError(
-                f"materially negative predictive MSE ({mse_std.min():.3e}); "
+                f"materially negative predictive MSE ({lowest:.3e}); "
                 "numerical breakdown in the correlation solves")
-        return np.maximum(mse_std, 0.0)
+        return np.maximum(mse_std, 0.0, out=mse_std)
 
     def predict_batch(self, x_star, with_covariance: bool = False,
                       warn_extrapolation: bool = True):
@@ -372,17 +375,20 @@ class FittedEmulator:
 
         Xs = self.training.scale_x(X)
         rmat = cross_corr_matrix(self.training.X, Xs, self.kernel)   # (m, q)
-        Rss = cross_corr_matrix(Xs, Xs, self.kernel) if with_covariance else None
-        return self._blup(rmat, self.trend.build_matrix(Xs), Rss)
+        if not with_covariance:
+            return self._blup(rmat, self.trend.build_matrix(Xs))
+        means, cov = self._blup(rmat, self.trend.build_matrix(Xs),
+                                cross_corr_matrix(Xs, Xs, self.kernel))
+        return means, cov.diagonal().copy(), cov
 
     def _blup(self, rmat, Fs, Rss=None):
-        """Physical-unit means and MSEs, plus the covariance when ``Rss`` =
-        R(x*, x*) is given, at q sites with cross-correlations ``rmat`` (m, q)
-        and trend basis rows ``Fs`` (q, n): the dense algebra of
-        :meth:`predict_batch` and of :meth:`_fixed_rows_predictor`'s
+        """Physical-unit means and MSEs, or means and the covariance when
+        ``Rss`` = R(x*, x*) is given, at q sites with cross-correlations
+        ``rmat`` (m, q) and trend basis rows ``Fs`` (q, n): the dense algebra
+        of :meth:`predict_batch` and of :meth:`_fixed_rows_predictor`'s
         fallback. A stack of K site sets, ``rmat`` (m, K, q) and ``Fs``
         (K, q, n), takes one solve over all K q columns and gives (K, q)
-        means and MSEs and (K, q, q) covariances."""
+        means and MSEs or (K, q, q) covariances."""
         lead = rmat.shape[1:]
         cols = math.prod(lead)
         mean_std, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols),
@@ -400,23 +406,26 @@ class FittedEmulator:
         """Means and MSEs in physical units from the unit-variance BLUP terms
         at q sites: the standardized mean, |Z_j|^2 and |W_j|^2. With
         ``reduced`` = R(x*, x*) - Z'Z, and ``WtW`` = W'W unless there is no
-        estimated trend, also the covariance, symmetrized and with the MSEs
-        on its diagonal. Every term may carry leading stack axes."""
+        estimated trend, means and the covariance instead, symmetrized and
+        with the MSEs on its diagonal; ``reduced`` and ``WtW`` are scaled in
+        place. Every term may carry leading stack axes."""
         tr = self.training
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
-        means = mean_std * tr.y_scale + tr.y_mean
-        mses = mse_std * tr.y_scale ** 2
+        means = mean_std * tr.y_scale
+        means += tr.y_mean
         if reduced is None:
-            return means, mses
-        cov_std = s2 * reduced
+            return means, mse_std * tr.y_scale ** 2
+        cov_std = np.multiply(reduced, s2, out=reduced)
         if WtW is not None:
-            cov_std += s2 * WtW
+            cov_std += np.multiply(WtW, s2, out=WtW)
         q = cov_std.shape[-1]
-        cov_std = 0.5 * (cov_std + cov_std.swapaxes(-1, -2))
+        cov = cov_std + cov_std.swapaxes(-1, -2)
+        cov *= 0.5
         # the diagonals of every stacked matrix, as one strided view
-        cov_std.reshape(cov_std.shape[:-2] + (q * q,))[..., ::q + 1] = mse_std
-        return means, mses, cov_std * tr.y_scale ** 2
+        cov.reshape(cov.shape[:-2] + (q * q,))[..., ::q + 1] = mse_std
+        cov *= tr.y_scale ** 2
+        return means, cov
 
     def _fixed_rows_predictor(self, x_fixed):
         """``thetas -> (means, covs)``: for a (K, dt) stack of finite thetas
@@ -426,10 +435,14 @@ class FittedEmulator:
         agrees with its own stack of one to rounding, not bit for bit.
 
         What does not depend on theta is computed here once: the scaled x
-        columns, their kernel factors, and R(x*, x*), whose theta factors
-        all have distance exactly 0. The callable keeps no scratch between
-        calls, so it is as thread-safe as the emulator. A degenerate
-        emulator gives its constant and a zero covariance. Otherwise:
+        columns, their kernel factors, R(x*, x*), whose theta factors all
+        have distance exactly 0, and, unless the trend is ``linear``, the
+        trend basis rows, which then hold no theta column. The callable
+        builds each theta's scaled sites only for a ``linear`` trend, and
+        returns no MSE vector, only the covariance that carries it. It
+        keeps no scratch between calls, so it is as thread-safe as the
+        emulator. A degenerate emulator gives its constant and a zero
+        covariance. Otherwise:
 
         - When the scaled training rows are the row-major product of the
           fixed columns' distinct rows and the theta columns' distinct rows
@@ -456,10 +469,23 @@ class FittedEmulator:
         rows = np.zeros((q, d))                   # theta columns: any constant
         rows[:, :dx] = (x - tr.x_min[:dx]) / tr.x_span[:dx]
         t_min, t_span = tr.x_min[dx:], tr.x_span[dx:]
+        if self.trend.kind == "linear":
+            def basis(ts):
+                Xs = np.empty((len(ts), q, d))
+                Xs[:, :, :dx] = rows[:, :dx]
+                Xs[:, :, dx:] = ts[:, None, :]
+                Fs = self.trend.build_matrix(Xs.reshape(-1, d))
+                return Fs.reshape(Xs.shape[:2] + Fs.shape[1:])
+        else:
+            fixed = self.trend.build_matrix(rows)[None]       # (1, q, n)
+            fixed.setflags(write=False)
+
+            def basis(ts):
+                return fixed
         if self.degenerate:
             def moments(ts, Fs):
                 K = len(ts)
-                return np.full((K, q), tr.y_phys[0]), None, np.zeros((K, q, q))
+                return np.full((K, q), tr.y_phys[0]), np.zeros((K, q, q))
         else:
             Rss = cross_corr_matrix(rows, rows, self.kernel)
             Rss.setflags(write=False)
@@ -475,18 +501,13 @@ class FittedEmulator:
                 raise DataError(f"theta stack has shape {thetas.shape}, "
                                 f"expected (K, {dt})")
             ts = (thetas - t_min) / t_span                           # (K, dt)
-            Xs = np.empty((ts.shape[0], q, d))
-            Xs[:, :, :dx] = rows[:, :dx]
-            Xs[:, :, dx:] = ts[:, None, :]
-            Fs = self.trend.build_matrix(Xs.reshape(-1, d))
-            means, _, cov = moments(ts, Fs.reshape(Xs.shape[:2] + Fs.shape[1:]))
-            return means, cov
+            return moments(ts, basis(ts))
         return predict
 
     def _dense_moments(self, xs, Rss):
-        """``(ts, Fs) -> (means, mses, cov)`` through :meth:`_blup` at the
-        scaled fixed rows ``xs`` and a (K, dt) stack of scaled thetas
-        ``ts``, with basis rows ``Fs`` (K, q, n)."""
+        """``(ts, Fs) -> (means, cov)`` through :meth:`_blup` at the scaled
+        fixed rows ``xs`` and a (K, dt) stack of scaled thetas ``ts``, with
+        basis rows ``Fs`` (K, q, n), or (1, q, n) shared by every theta."""
         kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
         dx = xs.shape[1]
         rx = _product_corr(self.training.X[:, :dx], xs, self.kernel)
@@ -500,15 +521,15 @@ class FittedEmulator:
             for k, col in enumerate(X_t):
                 r *= _corr_1d(kind, np.abs(col - ts[:, k]), omega[dx + k],
                               p[dx + k])[:, :, None]
-            return self._blup(r, Fs, Rss)
+            return self._blup(r, np.broadcast_to(Fs, r.shape[1:] + Fs.shape[2:]), Rss)
         return moments
 
     def _kronecker_moments(self, u_x, u_t, xs, Rss):
-        """``(ts, Fs) -> (means, mses, cov)`` for training rows laid out as
+        """``(ts, Fs) -> (means, cov)`` for training rows laid out as
         ``[u_x[a], u_t[b]]`` at row a * n_t + b, at the scaled fixed rows
         ``xs`` (q, dx) and a (K, dt) stack of scaled thetas ``ts``, with
-        basis rows ``Fs`` (K, q, n); None where the dense path must serve
-        instead.
+        basis rows ``Fs`` (K, q, n), or (1, q, n) shared by every theta;
+        None where the dense path must serve instead.
 
         With K = R_x (x) R_t + tau I = (Q_x (x) Q_t) diag(lam_a mu_b + tau)
         (Q_x (x) Q_t)', a theta's cross-correlations are r = R_x(u_x, xs)
@@ -549,15 +570,18 @@ class FittedEmulator:
             a.setflags(write=False)
 
         def moments(ts, Fs):
-            (K, n), cols = Fs.shape[::2], Fs.shape[0] * q
+            K, n = len(ts), Fs.shape[2]
             # every theta dimension's kernel factor in one expression
             f = _corr_1d(kind, np.abs(ts[:, None, :] - u_t), omega_t, p_t)
             r_t = f[:, :, 0]                                     # (K, n_t)
             for k in range(1, f.shape[2]):
                 r_t = r_t * f[:, :, k]
-            # one row per theta, so each product is one gemm over the stack,
-            # whose rows do not depend on K; numpy sends a single row to
-            # gemv, which rounds differently, so a stack of one goes as two
+            # one row per theta, so each product is one gemm over the stack.
+            # A row's bits can depend on K: OpenBLAS's gemm kernels round a
+            # row by the row block it falls in (on a 480-row cross design,
+            # stacks of 1-3 give a row the same bits and stacks of 4 or more
+            # other ones). numpy sends a single row to gemv, which rounds
+            # differently again, so a stack of one goes as a stack of two
             if K == 1:
                 r_t = np.vstack([r_t, r_t])
             s = r_t @ Q_t
@@ -566,12 +590,12 @@ class FittedEmulator:
             ZtZ, v = ZtZ[:K], v[:K]
             var_red = ZtZ[:, ::q + 1]
             ZtZ = ZtZ.reshape(K, q, q)
-            mean_std = gls.trend(Fs.reshape(cols, n)).reshape(K, q) + v[:, :q]
+            mean_std = gls.trend(Fs.reshape(len(Fs) * q, n)).reshape(-1, q) + v[:, :q]
             if gls.G is None:
                 return self._physical(mean_std, var_red, 0.0, Rss - ZtZ)
             # F' K^-1 r - f per basis function, one column per (theta, site)
-            V = v[:, q:].reshape(K, n, q).transpose(1, 0, 2).reshape(n, cols)
-            W = _tri_solve(gls.Rq.T, V - Fs.reshape(cols, n).T, True)
+            V = v[:, q:].reshape(K, n, q).transpose(1, 0, 2)
+            W = _tri_solve(gls.Rq.T, (V - Fs.transpose(2, 0, 1)).reshape(n, K * q), True)
             return self._physical(mean_std, var_red,
                                   np.einsum("ij,ij->j", W, W).reshape(K, q),
                                   Rss - ZtZ, _gram(W, (K, q)))
@@ -857,19 +881,23 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     # the training distances, shared by every restart of this fit only
     sites = SiteDistances(training.X)
 
+    heldout = {}  # each evaluated omega's (mu_cv, v_cv), by its bytes
+
     def loss(spec):
-        mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
-                                     sites, gradient=True)
+        mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
+                                        sites, gradient=True)
+        heldout[spec.omega.tobytes()] = mu_cv, v_cv
         return float(np.sum((training.y - mu_cv) ** 2)), grad
 
     results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV",
                           jac=True)
+    del sites  # freed before the final conditioning, to keep peak memory down
     best_val = min(v for v, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
     tied = [spec for v, spec in results if v <= best_val + tol]
     spec = min(tied, key=lambda spec: float(np.linalg.norm(spec.omega)))
-    mu_cv, v_cv = _cv_heldout(training, trend, spec, nugget, fold_labels, sites)
-    del sites  # freed before the final conditioning, to keep peak memory down
+    # the winner is an iterate L-BFGS-B evaluated, with a finite loss
+    mu_cv, v_cv = heldout[spec.omega.tobytes()]
     resid = training.y - mu_cv
     sigma2_cv = float(np.mean(resid ** 2 / v_cv))
     return FittedEmulator(training, trend, spec, nugget=nugget,

@@ -18,6 +18,14 @@ next batch, which proposes from the new state. A batch also ends at each
 burn-in adaptation step and at the end of the chain. The draws, proposals
 and decisions are therefore those of the one-at-a-time chain, given the
 same log-posterior values: only the number of target calls changes.
+
+A stacked log posterior need not give a row the bits it gives the same
+theta in a stack of another size (:func:`gpcal.calibration.make_log_posterior`).
+A chain is still reproducible bit for bit, because which proposals share a
+stack is a deterministic function of the chain: of the seed, ``PREFETCH``
+and the batch-ending rules above. Changing any of them can change the last
+bits of a log-posterior value, and with them an accept decision that fell
+within that margin.
 """
 
 from __future__ import annotations
@@ -136,19 +144,23 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
         if adapt_at < n_burn:
             stop = min(stop, adapt_at)
         while len(draws) < stop - t:
-            draws.append((rng.standard_normal(d), rng.uniform()))
-        props = [x + scale * (L @ z) for z, _ in draws]
+            # random() is uniform() on [0, 1) without its affine map: the
+            # same draw, bit for bit
+            draws.append((rng.standard_normal(d), rng.random()))
+        # one batched product; each proposal has the bits of L @ z alone
+        Z = np.array([z for z, _ in draws])
+        props = x + scale * (L @ Z[:, :, None])[:, :, 0]
         try:
-            values = log_posterior(np.array(props))
+            values = log_posterior(props)
         except Exception:
             values = None               # rows are evaluated as they are reached
-        for j, prop in enumerate(props):
+        for j in range(len(props)):
             u = draws.popleft()[1]
-            lp_prop = float(log_posterior(prop[None])[0] if values is None
+            lp_prop = float(log_posterior(props[j:j + 1])[0] if values is None
                             else values[j])
             accept = math.log(u) < lp_prop - lp
             if accept:
-                x, lp = prop, lp_prop
+                x, lp = props[j], lp_prop
                 accepted[t] = True
                 window_acc += 1
             samples[t] = x

@@ -83,25 +83,40 @@ class Prior1D:
         support; bit-identical to ``scipy.stats`` ``norm`` and ``lognorm``
         ``logpdf``, whose operations it repeats in order on arrays (numpy's
         scalar and array paths can differ in the last bit)."""
-        lo, hi = self.support
+        lo, hi = self._density_bounds
         inside = (lo <= v) & (v <= hi)
-        if self.kind == "uniform":
-            return np.where(inside, -math.log(self.p2 - self.p1), -math.inf)
-        if self.kind == "lognormal":
-            inside &= v > 0
+        density = self._log_density
         out = np.full(v.shape, -math.inf)
-        v = v[inside]
-        if self.kind == "normal":
-            z = (v - self.p1) / self.p2
-            lp = -z**2 / 2.0 - _LOG_SQRT_2PI - np.log(np.array([self.p2]))
-        else:
-            s = np.array([self.p2])
-            scale = np.array([math.exp(self.p1)])
-            x = v / scale
-            lp = (-np.log(x)**2 / (2 * s**2) - np.log(s * x * _SQRT_2PI)
-                  - np.log(scale))
-        out[inside] = lp
+        out[inside] = density if isinstance(density, float) else density(v[inside])
         return out
+
+    @property
+    def _density_bounds(self) -> tuple:
+        """The closed interval on which the density is positive: the
+        support, a lognormal's open end at 0 closed at the least positive
+        float."""
+        if self.kind == "lognormal":
+            return (math.nextafter(0.0, 1.0), math.inf)
+        return self.support
+
+    @property
+    def _log_density(self):
+        """The log density inside ``_density_bounds``: a float where it is
+        constant (uniform), else a function of a contiguous 1-D array of
+        values there."""
+        if self.kind == "uniform":
+            return -math.log(self.p2 - self.p1)
+        return self._normal_logpdf if self.kind == "normal" else self._lognormal_logpdf
+
+    def _normal_logpdf(self, v):
+        z = (v - self.p1) / self.p2
+        return -z**2 / 2.0 - _LOG_SQRT_2PI - np.log(np.array([self.p2]))
+
+    def _lognormal_logpdf(self, v):
+        s = np.array([self.p2])
+        scale = np.array([math.exp(self.p1)])
+        x = v / scale
+        return -np.log(x)**2 / (2 * s**2) - np.log(s * x * _SQRT_2PI) - np.log(scale)
 
     def ppf(self, u):
         """Inverse CDF at u; bit-identical to ``scipy.stats`` ``ppf``,
@@ -136,6 +151,9 @@ class PriorSpec:
         if not self.contains(self.nominal):
             raise ConfigError("nominal point lies outside the prior support")
         self.nominal.setflags(write=False)
+        # what log_prior needs of each component, bound once
+        self._lo, self._hi = np.array([c._density_bounds for c in self.components]).T
+        self._densities = tuple(c._log_density for c in self.components)
 
     @property
     def dim(self) -> int:
@@ -162,13 +180,23 @@ class PriorSpec:
 
     def log_prior(self, theta):
         """The sum of the marginal log densities, -inf outside the support:
-        K values for a (K, d) stack, in one pass over the components, and a
-        float for a theta (d,), its stack of one's value."""
+        K values for a (K, d) stack and a float for a theta (d,), its stack
+        of one's value. One support check covers the stack; the rows inside
+        it add each component's term in component order, a uniform's
+        constant bound once, so each row has the bits of its own
+        ``Prior1D.logpdfs`` sum."""
         stack = self._stack(theta)
-        total = np.zeros(stack.shape[0])
-        for v, c in zip(stack.T, self.components):
-            total += c.logpdfs(v)
-        return total if np.ndim(theta) == 2 else float(total[0])
+        inside = ((self._lo <= stack) & (stack <= self._hi)).all(axis=1)
+        total, columns = 0.0, None
+        for k, density in enumerate(self._densities):
+            if not isinstance(density, float):
+                if columns is None:     # the inside rows, each column contiguous
+                    columns = stack[inside].T.copy()
+                density = density(columns[k])
+            total = total + density
+        out = np.full(len(stack), -math.inf)
+        out[inside] = total
+        return out if np.ndim(theta) == 2 else float(out[0])
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Map unit-cube coordinates (q, dim) through the marginal inverse CDFs."""

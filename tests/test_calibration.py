@@ -52,6 +52,11 @@ class ExactStub:
             return self.sim.run(inputs).reshape(K, q), np.zeros((K, q, q))
         return predict
 
+    def predict_batch(self, inputs, with_covariance=False, warn_extrapolation=True):
+        n = len(inputs)
+        means, mses = self.sim.run(inputs), np.zeros(n)
+        return (means, mses, np.zeros((n, n))) if with_covariance else (means, mses)
+
 
 # ------------------------------------------------------------------ split
 
@@ -564,6 +569,40 @@ def test_stacked_log_posterior_rows_equal_single_theta_calls(stack_cases, code, 
         finite = np.isfinite(want)
         assert np.all(np.abs(got[finite] - want[finite])
                       <= 1e-8 * np.maximum(1.0, np.abs(want[finite])))
+    # the oracle: GPcode's predict_batch at each theta's stacked rows and
+    # the likelihood written out on scipy. The Kronecker path holds its
+    # documented 1e-7 (measured 1.6e-8 on cross-bias); the rest 1e-8
+    # (measured at most 3.6e-10)
+    tol = 1e-7 if code == "cross" else 1e-8
+    for theta, value in zip(thetas, want):
+        literal = literal_log_posterior(theta, codes[code], biases[bias], iuq, prior)
+        if math.isinf(literal):
+            assert value == literal
+        else:
+            assert abs(value - literal) <= tol * max(1.0, abs(literal))
+
+
+@pytest.mark.parametrize("bias", ["plain", "bias"])
+@pytest.mark.parametrize("code", ["cross", "joint", "permuted-cross-rows",
+                                  "per-point-nugget", "degenerate",
+                                  "not-a-fitted-emulator"])
+def test_a_rows_log_posterior_agrees_across_stack_sizes(stack_cases, code, bias):
+    # a row's bits may depend on the size of its stack (the batched products
+    # round by their row count), but only to rounding. The dense path on the
+    # cross design's rows solves against a training matrix of condition
+    # number 1.7e11, and Sigma_code dominates Sigma_exp, so its last-bit
+    # differences grow to 1.1e-9 (measured); it keeps the 1e-8 of the
+    # test above
+    codes, biases, iuq, prior = stack_cases
+    tol = 1e-8 if code in ("permuted-cross-rows", "per-point-nugget") else 1e-12
+    lp = make_log_posterior(codes[code], biases[bias], iuq, prior)
+    inside = _stack_thetas()[np.isfinite(lp(_stack_thetas()))]
+    for k, theta in enumerate(inside):
+        alone = lp(theta[None])[0]
+        others = np.delete(inside, k, axis=0)
+        for size in range(2, 9):
+            got = lp(np.vstack([theta, others[:size - 1]]))[0]
+            assert abs(got - alone) <= tol * max(1.0, abs(alone)), (k, size)
 
 
 @pytest.mark.parametrize("bias", ["plain", "bias"])
@@ -633,6 +672,16 @@ def test_log_posterior_frees_its_emulator_without_the_cycle_collector(stack_case
         gc.enable()
 
 
+def _bordered(sigma, d):
+    """The (K, q + 1, q + 1) stack ``_stacked_logdet_solve`` takes: each
+    covariance in the leading block, each residual in the last row."""
+    K, q = d.shape
+    out = np.empty((K, q + 1, q + 1))
+    out[:, :q, :q] = sigma
+    out[:, q, :q] = d
+    return out
+
+
 def test_stacked_logdet_solve_agrees_with_the_single_row_body(rng, monkeypatch):
     from gpcal.calibration import _stacked_logdet_solve
     A = rng.normal(size=(6, 6))
@@ -646,7 +695,7 @@ def test_stacked_logdet_solve_agrees_with_the_single_row_body(rng, monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(gpcal.calibration, "_chol_logdet_solve",
                         lambda s, e: alone.append(s) or _chol_logdet_solve(s, e))
-        logdet, quad = _stacked_logdet_solve(sigma, d)
+        logdet, quad = _stacked_logdet_solve(_bordered(sigma, d))
     assert len(alone) == 1                       # the jitter row only
     for k in range(4):
         want = _chol_logdet_solve(sigma[k], d[k])
@@ -669,8 +718,8 @@ def test_stacked_logdet_solve_agrees_with_the_single_row_body(rng, monkeypatch):
     for s, e in bad_rows:
         want = _outcome(_chol_logdet_solve, s, e)
         assert want[0] in (NumericalError, ValueError)
-        got = _outcome(_stacked_logdet_solve, np.stack([pd, s, jitter]),
-                       np.stack([d[0], e, d[1]]))
+        got = _outcome(lambda s3, e3: _stacked_logdet_solve(_bordered(s3, e3)),
+                       np.stack([pd, s, jitter]), np.stack([d[0], e, d[1]]))
         assert got == want
 
 

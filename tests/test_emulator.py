@@ -1276,6 +1276,30 @@ def test_multistart_evaluates_each_omega_once_with_the_oracles_restarts(
         assert em.kernel.omega.tobytes() == min(ours, key=lambda r: r[0])[1]
 
 
+def test_fit_cv_reuses_the_winners_heldout_predictions(rng, monkeypatch):
+    # the held-out predictions at the winning omega come from the loss's own
+    # evaluation: every _cv_heldout call is a distinct omega L-BFGS-B asked
+    # for, and the process variance is the one a fresh call at the winner gives
+    real = gpcal.emulator._cv_heldout
+    calls = []
+
+    def counted(training, trend, spec, *args, **kwargs):
+        calls.append((spec.omega.tobytes(), kwargs.get("gradient", False)))
+        return real(training, trend, spec, *args, **kwargs)
+
+    monkeypatch.setattr(gpcal.emulator, "_cv_heldout", counted)
+    training = joint_training(rng)
+    em = fit_cv(training, TrendSpec("constant"), "matern_5_2", k_folds=5,
+                n_restarts=3, seed=2)
+    assert all(gradient for _, gradient in calls)
+    assert len({omega for omega, _ in calls}) == len(calls)
+    assert em.kernel.omega.tobytes() in {omega for omega, _ in calls}
+    mu_cv, v_cv = real(training, TrendSpec("constant"), em.kernel,
+                       gpcal.emulator.DEFAULT_NUGGET,
+                       make_folds(training.m, 5, 2), SiteDistances(training.X))
+    assert em.hyper.sigma2 == float(np.mean((training.y - mu_cv) ** 2 / v_cv))
+
+
 def test_multistart_memo_hands_out_copies_of_the_gradient(monkeypatch):
     # a caller writing into a returned gradient changes no later answer
     real = gpcal.emulator.minimize
