@@ -15,9 +15,9 @@ from .calibration import (DiscrepancyModel, ExperimentData, WorkflowResult,
                           make_log_posterior, run_workflow, split_experiments,
                           validate_posterior)
 from .design import halton_sequence, lhs_design, maximin_lhs, sobol_sequence
-from .diagnostics import ValidationReport, coverage_report, loocv_error, q2_loocv
+from .diagnostics import ValidationReport, loocv_error, q2_loocv
 from .emulator import (FittedEmulator, Hyperparameters, TrainingSet, TrendSpec,
-                       fit_cv, fit_mle, gls_beta, neg_log_likelihood, sigma2_hat)
+                       fit_cv, fit_mle)
 from .errors import (ConfigError, DataError, ExtrapolationWarning, FitError,
                      GateError, GpcalError, IllConditionedError,
                      NumericalError, NumericalWarning, SimulatorError)

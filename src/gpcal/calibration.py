@@ -307,10 +307,11 @@ def _stacked_logdet_solve(bordered: np.ndarray):
     Cholesky factorization gives both. The factor's leading block is
     Sigma's, and its last row is (L^-1 d)', the forward substitution done
     inside the factorization. It agrees with :func:`_chol_logdet_solve` row
-    by row to rounding. When the stack does not factor, each row is factored
-    alone, and a row that still fails (a covariance that is not positive
-    definite or not finite, or a residual that is not finite) goes through
-    :func:`_chol_logdet_solve` itself, jitter loop and errors included."""
+    by row to rounding. When the stack does not factor (a covariance that
+    is not positive definite), every row goes through
+    :func:`_chol_logdet_solve` itself, jitter loop and errors included; so
+    does a row of a stack that factors whose values are not finite (a
+    covariance or residual that is not finite)."""
     K, q = bordered.shape[0], bordered.shape[1] - 1
     bordered[:, :q, q] = bordered[:, q, :q]
     bordered[:, q, q] = _BORDER
@@ -318,17 +319,12 @@ def _stacked_logdet_solve(bordered: np.ndarray):
         c = np.linalg.cholesky(bordered)
     except np.linalg.LinAlgError:
         c = np.full_like(bordered, np.nan)
-        for k in range(K):
-            try:
-                c[k] = np.linalg.cholesky(bordered[k])
-            except np.linalg.LinAlgError:
-                pass
     flat = c.reshape(K, (q + 1) ** 2)
     logdet = 2.0 * np.log(flat[:, :q * (q + 2):q + 2]).sum(axis=1)
     last = flat[:, q * (q + 1):-1]
     quad = np.einsum("ij,ij->i", last, last)
-    # a failed row is nan; a non-finite entry need not fail a pivot. The
-    # sum of K finite values below _BORDER is finite.
+    # a stack that failed is all nan; a non-finite entry need not fail a
+    # pivot. The sum of K finite values below _BORDER is finite.
     if not math.isfinite((logdet + quad).sum()):
         for k in np.flatnonzero(~np.isfinite(logdet + quad)):
             logdet[k], quad[k] = _chol_logdet_solve(bordered[k, :q, :q],

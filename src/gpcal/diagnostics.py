@@ -1,6 +1,6 @@
 """Emulator accuracy assessment: leave-one-out error, predictivity
-coefficient Q2, confidence-interval coverage, and the posterior validation
-report.
+coefficient Q2, the confidence-interval inclusion test, and the posterior
+validation report.
 
 Leave-one-out predictions hold every fitted hyperparameter, the trend
 coefficients included, at its full-fit value; only the conditioning set
@@ -72,18 +72,6 @@ def interval_covered(y, mean, half) -> np.ndarray:
     y = np.asarray(y, float)
     return np.abs(y - np.asarray(mean, float)) <= (
         np.asarray(half, float) + 1e-12 * (1.0 + np.abs(y)))
-
-
-def coverage_report(emulator: FittedEmulator, test_x, test_y) -> float:
-    """Fraction of test points whose observation falls inside the symmetric
-    95% predictive interval mean +/- 1.96 * sqrt(mse)."""
-    test_x = np.atleast_2d(np.asarray(test_x, float))
-    test_y = np.asarray(test_y, float).reshape(-1)
-    if test_y.size < 1:
-        raise DataError("coverage_report requires at least 1 test point")
-    mean, mse = emulator.predict_batch(test_x, warn_extrapolation=False)
-    half = Z_95 * np.sqrt(mse)
-    return float(np.mean(interval_covered(test_y, mean, half)))
 
 
 @dataclass

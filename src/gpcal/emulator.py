@@ -163,7 +163,7 @@ class _GLS:
     """Generalized least squares of ``y`` on the trend basis ``F`` under one
     factored correlation ``R``, and the BLUP algebra conditioned on it.
 
-    Unless ``beta`` is given it is estimated from the whitened basis
+    beta = (F' R^-1 F)^-1 F' R^-1 y is estimated from the whitened basis
     G = L^-1 F by QR, and G and its triangular factor are kept for the
     trend-uncertainty term of the prediction. A basis with no columns
     (Simple Kriging) has the constant ``mu`` as its trend. ``alpha`` =
@@ -171,21 +171,20 @@ class _GLS:
     does not need it.
     """
 
-    def __init__(self, R: CorrelationMatrix, F, y, beta=None, mu=0.0,
-                 solve=False):
+    def __init__(self, R: CorrelationMatrix, F, y, mu=0.0, solve=False):
         self.R = R
         self.mu = mu
         self.G = self.Rq = None
-        if beta is None and F.shape[1]:
+        self.beta = np.empty(0)
+        if F.shape[1]:
             G = R.half_solve(F)
             Q, Rq = np.linalg.qr(G)
             diag = np.abs(np.diag(Rq))
             if diag.min() <= 1e-12 * max(diag.max(), 1.0):
                 raise DataError("trend basis is rank-deficient on this design "
                                 "(e.g. constant input column with a linear trend)")
-            beta = _tri_solve(Rq, Q.T @ R.half_solve(y), False)
+            self.beta = _tri_solve(Rq, Q.T @ R.half_solve(y), False)
             self.G, self.Rq = G, Rq
-        self.beta = np.empty(0) if beta is None else beta
         self.resid = y - self.trend(F)
         self.alpha = R.solve(self.resid) if solve else None
 
@@ -201,8 +200,8 @@ class _GLS:
     def predict(self, r, Fs, sets=1):
         """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
         the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
-        Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when beta is fixed or
-        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
+        Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when there is no
+        basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
 
         The columns may be ``sets`` site sets side by side. r' alpha is then
         one matrix-vector product per set, a batched product over the sets'
@@ -217,42 +216,23 @@ class _GLS:
 
 
 def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix,
-                 beta=None, solve=False) -> _GLS:
+                 solve=False) -> _GLS:
     """:class:`_GLS` of the standardized training outputs on the trend."""
-    return _GLS(R, trend.build_matrix(training.X), training.y, beta,
+    return _GLS(R, trend.build_matrix(training.X), training.y,
                 training.mu_std(trend.mu), solve=solve)
-
-
-def gls_beta(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix) -> np.ndarray:
-    """Generalized-least-squares trend coefficients
-    beta = (F' R^-1 F)^-1 F' R^-1 y, via triangular solves and QR."""
-    return _conditioned(training, trend, R).beta
-
-
-def sigma2_hat(training: TrainingSet, trend: TrendSpec, beta,
-               R: CorrelationMatrix) -> float:
-    """Profiled process variance (1/m)(y - F beta)' R^-1 (y - F beta).
-
-    Divides by m, not m - n; zero residuals give 0."""
-    return _conditioned(training, trend, R, beta).sigma2()
-
-
-def neg_log_likelihood(training: TrainingSet, trend: TrendSpec,
-                       spec: KernelSpec, nugget=DEFAULT_NUGGET) -> float:
-    """Concentrated negative log-likelihood with beta and sigma2 profiled out:
-    (m/2) log(2 pi sigma2) + (1/2) log|R| + m/2, reported in physical output
-    units (the standardization offset m*log(y_scale) is added back so scaling
-    the outputs by c shifts the value by m*log|c| without moving the argmin).
-    """
-    return _concentrated_nll(training, trend, spec, nugget, training.X)
 
 
 def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
                       spec: KernelSpec, nugget, sites) -> float:
-    """:func:`neg_log_likelihood` with the training inputs given as ``sites``:
-    ``training.X`` or a :class:`SiteDistances` of it, which gives the same
-    value to the last bit. Nothing reads the matrix after its factorization,
-    so it is factored in place."""
+    """Concentrated negative log-likelihood with beta and sigma2 profiled out:
+    (m/2) log(2 pi sigma2) + (1/2) log|R| + m/2, reported in physical output
+    units (the standardization offset m*log(y_scale) is added back so scaling
+    the outputs by c shifts the value by m*log|c| without moving the argmin).
+
+    The training inputs are given as ``sites``: ``training.X`` or a
+    :class:`SiteDistances` of it, which gives the same value to the last
+    bit. Nothing reads the matrix after its factorization, so it is factored
+    in place."""
     R = correlation_matrix(sites, spec, nugget, auto_escalate=False,
                            _keep_values=False)
     s2 = max(_conditioned(training, trend, R).sigma2(), np.finfo(float).tiny)
@@ -804,8 +784,7 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
 
 
 def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, sites: SiteDistances,
-                gradient: bool = False):
+                nugget, fold_labels: np.ndarray, sites: SiteDistances):
     """Held-out predictions for each fold with fixed (omega, p), the trend
     coefficients re-estimated by GLS on each fold's retained points, from one
     factorization of K = R + diag(nugget) of all m sites.
@@ -817,9 +796,9 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     :func:`fit_cv` gives the references. ``sites`` is a
     :class:`SiteDistances` of ``training.X``, reused across calls.
 
-    Returns standardized held-out means ``mu_cv`` = y - e and ``v_cv``; with
-    ``gradient`` set, also the gradient of the CV loss sum(e^2) over
-    log(omega): <dK/d log omega_k, G + G'> with u_I = (Q_II)^-1 e_I and
+    Returns standardized held-out means ``mu_cv`` = y - e, ``v_cv``, and the
+    gradient of the CV loss sum(e^2) over log(omega): <dK/d log omega_k,
+    G + G'> with u_I = (Q_II)^-1 e_I and
     G = sum_I (Q_:I u_I)(Q_:I e_I)' - (Q u)(Q y)'.
     """
     m = training.m
@@ -843,8 +822,6 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
         v[idx] = np.diagonal(C, axis1=1, axis2=2)
         u[idx] = (C @ e[idx][:, :, None])[:, :, 0]
     mu_cv, v_cv = training.y - e, np.maximum(v, np.finfo(float).tiny)
-    if not gradient:
-        return mu_cv, v_cv
     rows = (np.arange(m), fold)
     Pu, Pe = np.zeros((m, size.size)), np.zeros((m, size.size))
     Pu[rows], Pe[rows] = u, e
@@ -885,7 +862,7 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
 
     def loss(spec):
         mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
-                                        sites, gradient=True)
+                                        sites)
         heldout[spec.omega.tobytes()] = mu_cv, v_cv
         return float(np.sum((training.y - mu_cv) ** 2)), grad
 

@@ -74,22 +74,6 @@ class Prior1D:
             return self.p2
         return self.mean * math.sqrt(math.expm1(self.p2 ** 2))
 
-    def logpdf(self, v: float) -> float:
-        """:meth:`logpdfs` at one value, as a float."""
-        return float(self.logpdfs(np.array([v], dtype=float))[0])
-
-    def logpdfs(self, v: np.ndarray) -> np.ndarray:
-        """Log density at each entry of the 1-D array ``v``, -inf outside the
-        support; bit-identical to ``scipy.stats`` ``norm`` and ``lognorm``
-        ``logpdf``, whose operations it repeats in order on arrays (numpy's
-        scalar and array paths can differ in the last bit)."""
-        lo, hi = self._density_bounds
-        inside = (lo <= v) & (v <= hi)
-        density = self._log_density
-        out = np.full(v.shape, -math.inf)
-        out[inside] = density if isinstance(density, float) else density(v[inside])
-        return out
-
     @property
     def _density_bounds(self) -> tuple:
         """The closed interval on which the density is positive: the
@@ -103,7 +87,10 @@ class Prior1D:
     def _log_density(self):
         """The log density inside ``_density_bounds``: a float where it is
         constant (uniform), else a function of a contiguous 1-D array of
-        values there."""
+        values there, bit-identical to ``scipy.stats`` ``norm`` and
+        ``lognorm`` ``logpdf``, whose operations it repeats in order on
+        arrays (numpy's scalar and array paths can differ in the last
+        bit)."""
         if self.kind == "uniform":
             return -math.log(self.p2 - self.p1)
         return self._normal_logpdf if self.kind == "normal" else self._lognormal_logpdf
@@ -183,8 +170,8 @@ class PriorSpec:
         K values for a (K, d) stack and a float for a theta (d,), its stack
         of one's value. One support check covers the stack; the rows inside
         it add each component's term in component order, a uniform's
-        constant bound once, so each row has the bits of its own
-        ``Prior1D.logpdfs`` sum."""
+        constant bound once, so each row has the bits of the sum of its
+        components' ``scipy.stats`` log densities."""
         stack = self._stack(theta)
         inside = ((self._lo <= stack) & (stack <= self._hi)).all(axis=1)
         total, columns = 0.0, None

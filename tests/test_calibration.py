@@ -691,19 +691,21 @@ def test_stacked_logdet_solve_agrees_with_the_single_row_body(rng, monkeypatch):
     jitter = np.full((6, 6), 2.0)                # factors only with jitter
     sigma = np.stack([pd, jitter, pd2, pd])
     d = rng.normal(size=(4, 6))
+    factors = [0, 2, 3]                          # the rows without the jitter row
     alone = []
     with monkeypatch.context() as patched:
         patched.setattr(gpcal.calibration, "_chol_logdet_solve",
                         lambda s, e: alone.append(s) or _chol_logdet_solve(s, e))
         logdet, quad = _stacked_logdet_solve(_bordered(sigma, d))
-    assert len(alone) == 1                       # the jitter row only
-    for k in range(4):
+        assert len(alone) == 4                   # the jitter row fails the stack
+        batched = _stacked_logdet_solve(_bordered(sigma[factors], d[factors]))
+    assert len(alone) == 4                       # a stack that factors: none alone
+    for k in range(4):                           # every row is the body's own
+        assert (logdet[k], quad[k]) == _chol_logdet_solve(sigma[k], d[k])
+    for k, got_logdet, got_quad in zip(factors, *batched):
         want = _chol_logdet_solve(sigma[k], d[k])
-        if k == 1:                               # the jitter row is the body's own
-            assert (logdet[k], quad[k]) == want
-        else:
-            assert logdet[k] == pytest.approx(want[0], rel=1e-12, abs=1e-12)
-            assert quad[k] == pytest.approx(want[1], rel=1e-12)
+        assert got_logdet == pytest.approx(want[0], rel=1e-12, abs=1e-12)
+        assert got_quad == pytest.approx(want[1], rel=1e-12)
     # a bad row raises what the single-row body raises on it; rows before it
     # do not
     bad_rows = [(np.diag([1.0, -0.5, 1.0, 1.0, 1.0, 1.0]), d[0]),

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gpcal import (DataError, FittedEmulator, KernelSpec, TrainingSet, TrendSpec,
-                   coverage_report, fit_mle, lhs_design, loocv_error, q2_loocv)
-from gpcal.diagnostics import cross_validated_predictions
+                   fit_mle, lhs_design, loocv_error, q2_loocv)
+from gpcal.diagnostics import Z_95, cross_validated_predictions, interval_covered
 from gpcal.spaces import ParameterSpace
 
 from conftest import oracle_corr_matrix, random_instance
@@ -129,14 +129,21 @@ def test_diagnostics_permutation_invariance(rng):
 
 # --------------------------------------------------------------- coverage
 
+def coverage(em, x, y):
+    """Fraction of the observations y inside the 95% predictive intervals
+    mean +/- 1.96 sqrt(mse) at the points x."""
+    mean, mse = em.predict_batch(x, warn_extrapolation=False)
+    return float(np.mean(interval_covered(y, mean, Z_95 * np.sqrt(mse))))
+
+
 def test_coverage_training_set_interpolation():
     em = make_demo_emulator(m=8, seed=3)
-    cov = coverage_report(em, em.training.x_phys, em.training.y_phys)
+    cov = coverage(em, em.training.x_phys, em.training.y_phys)
     assert cov == 1.0
     # degenerate constant emulator too: exact hits, zero-width intervals
     x = np.linspace(0, 1, 5).reshape(-1, 1)
     em_const = fit_mle(TrainingSet(x, np.full(5, 3.0)), TrendSpec("constant"))
-    assert coverage_report(em_const, x, np.full(5, 3.0)) == 1.0
+    assert coverage(em_const, x, np.full(5, 3.0)) == 1.0
 
 
 def test_coverage_interval_is_mean_plus_minus_1_96_sd():
@@ -145,10 +152,10 @@ def test_coverage_interval_is_mean_plus_minus_1_96_sd():
     mean, mse = em.predict_batch(x, warn_extrapolation=False)
     sd = np.sqrt(mse)
     assert np.all(sd > 1e-6)
-    assert coverage_report(em, x, mean + 1.96 * sd) == 1.0
-    assert coverage_report(em, x, mean - 1.96 * sd) == 1.0
-    assert coverage_report(em, x, mean + 1.97 * sd) == 0.0
-    assert coverage_report(em, x, mean - 1.97 * sd) == 0.0
+    assert coverage(em, x, mean + 1.96 * sd) == 1.0
+    assert coverage(em, x, mean - 1.96 * sd) == 1.0
+    assert coverage(em, x, mean + 1.97 * sd) == 0.0
+    assert coverage(em, x, mean - 1.97 * sd) == 0.0
 
 
 def synthetic_gp_coverage(master_seed, n_draws=25, m_train=8, n_test=40,
@@ -173,7 +180,7 @@ def synthetic_gp_coverage(master_seed, n_draws=25, m_train=8, n_test=40,
         em = FittedEmulator(tr, TrendSpec("known_constant", mu=0.0),
                             KernelSpec("gaussian", [omega]), nugget=1e-10,
                             sigma2_override=sigma2_mult * sigma ** 2)
-        per_draw.append(coverage_report(em, x_test, y[m_train:]))
+        per_draw.append(coverage(em, x_test, y[m_train:]))
     return float(np.mean(per_draw))
 
 

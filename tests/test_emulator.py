@@ -13,10 +13,10 @@ import gpcal.emulator
 from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    FittedEmulator, IllConditionedError, KernelSpec,
                    NumericalWarning, TrainingSet, TrendSpec, fit_cv, fit_mle,
-                   gls_beta, lhs_design, neg_log_likelihood, sigma2_hat)
+                   lhs_design)
 from gpcal.design import _lhs_points
-from gpcal.emulator import (_BIG, _concentrated_nll, _cv_heldout, _multistart,
-                            make_folds)
+from gpcal.emulator import (_BIG, _concentrated_nll, _conditioned, _cv_heldout,
+                            _multistart, make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _cross_factors, _tri_solve, correlation_matrix,
                            cross_corr_matrix)
@@ -34,32 +34,36 @@ def identity_R(m, nugget=0.0):
     return CorrelationMatrix(np.eye(m) + nugget * np.eye(m), nugget)
 
 
-# ------------------------------------------------------------- gls_beta
+# ------------------------------------------------ GLS trend and variance
 
 def test_gls_constant_trend_identity_R_gives_mean(rng):
+    # unit-spaced sites at a tiny length-scale: R is the identity
     y = rng.normal(2.0, 1.0, 8)
-    tr = raw_training(rng.uniform(0, 1, (8, 1)), y)
-    beta = gls_beta(tr, TrendSpec("constant"), identity_R(8))
-    assert beta[0] == pytest.approx(y.mean(), abs=1e-12)
+    tr = raw_training(np.arange(8.0).reshape(-1, 1), y)
+    assert np.array_equal(oracle_corr_matrix("gaussian", [1e-3], [2.0], tr.X, tr.X),
+                          np.eye(8))
+    em = FittedEmulator(tr, TrendSpec("constant"), KernelSpec("gaussian", [1e-3]),
+                        nugget=0.0)
+    assert em.hyper.beta[0] == pytest.approx(y.mean(), abs=1e-12)
 
 
 def test_gls_two_by_two_symbolic_oracle():
     x = np.array([[0.0], [1.0]])
     y = np.array([1.0, 3.0])
-    rho = 0.6
-    R = CorrelationMatrix(np.array([[1.0, rho], [rho, 1.0]]), 0.0)
-    tr = raw_training(x, y)
-    beta = gls_beta(tr, TrendSpec("constant"), R)
+    kernel = KernelSpec("gaussian", [1.0])
+    em = FittedEmulator(raw_training(x, y), TrendSpec("constant"), kernel, nugget=0.0)
     # (1' R^-1 1)^-1 1' R^-1 y for 2x2 correlation with equal diagonals
     # reduces to the plain average
     want = (y[0] + y[1]) / 2.0
-    assert beta[0] == pytest.approx(want, abs=1e-12)
+    assert em.hyper.beta[0] == pytest.approx(want, abs=1e-12)
     # full symbolic check with a linear trend
-    F = np.array([[1.0, 0.0], [1.0, 1.0]])
-    Rinv = np.linalg.inv(R.values)
+    x = np.array([[0.0], [0.4], [1.0]])
+    y = np.array([1.0, 3.0, 2.0])
+    F = np.column_stack([np.ones(3), x[:, 0]])
+    Rinv = np.linalg.inv(oracle_corr_matrix("gaussian", [1.0], [2.0], x, x))
     want_full = np.linalg.solve(F.T @ Rinv @ F, F.T @ Rinv @ y)
-    beta_lin = gls_beta(tr, TrendSpec("linear"), R)
-    assert np.allclose(beta_lin, want_full, rtol=0, atol=1e-12)
+    em = FittedEmulator(raw_training(x, y), TrendSpec("linear"), kernel, nugget=0.0)
+    assert np.allclose(em.hyper.beta, want_full, rtol=0, atol=1e-12)
 
 
 def test_gls_exact_fit_invariance(rng):
@@ -69,43 +73,42 @@ def test_gls_exact_fit_invariance(rng):
     F = TrendSpec("linear").build_matrix(tr_tmp.X)
     y = F @ c
     tr = TrainingSet(x, y, standardize_outputs=False)
-    R = correlation_matrix(tr.X, KernelSpec("matern_5_2", [0.5, 0.5]), 1e-10)
-    beta = gls_beta(tr, TrendSpec("linear"), R)
-    assert np.allclose(beta, c, rtol=0, atol=1e-9)
+    em = FittedEmulator(tr, TrendSpec("linear"), KernelSpec("matern_5_2", [0.5, 0.5]),
+                        nugget=1e-10)
+    assert np.allclose(em.hyper.beta, c, rtol=0, atol=1e-9)
 
 
 def test_gls_rank_deficient_rejected():
     x = np.column_stack([np.linspace(0, 1, 6), np.full(6, 0.5)])
     tr = raw_training(x, np.arange(6.0))
-    with pytest.raises(DataError):
-        gls_beta(tr, TrendSpec("linear"), identity_R(6))
+    with pytest.raises(DataError, match="rank-deficient"):
+        FittedEmulator(tr, TrendSpec("linear"), KernelSpec("gaussian", [1e-3, 1e-3]),
+                       nugget=0.0)
 
-
-# ------------------------------------------------------------ sigma2_hat
 
 def test_sigma2_zero_residual_degenerate(rng):
     x = rng.uniform(0, 1, (5, 1))
     tr = raw_training(x, np.full(5, 3.3))
-    beta = np.array([3.3])
-    assert sigma2_hat(tr, TrendSpec("constant"), beta, identity_R(5)) == 0.0
+    trend = TrendSpec("known_constant", mu=3.3)
+    assert _conditioned(tr, trend, identity_R(5)).sigma2() == 0.0
 
 
 def test_sigma2_single_point_constant_trend():
     tr = raw_training(np.array([[0.5]]), np.array([4.2]))
-    beta = gls_beta(tr, TrendSpec("constant"), identity_R(1))
-    assert sigma2_hat(tr, TrendSpec("constant"), beta, identity_R(1)) == 0.0
+    assert _conditioned(tr, TrendSpec("constant"), identity_R(1)).sigma2() == 0.0
 
 
 def test_sigma2_identity_R_is_mean_square_residual():
+    # sites 0.5 apart at a tiny length-scale: R is the identity
     y = np.array([1.0, 2.0, 6.0])
     tr = raw_training(np.array([[0.0], [0.5], [1.0]]), y)
-    beta = np.array([y.mean()])
-    got = sigma2_hat(tr, TrendSpec("constant"), beta, identity_R(3))
+    got = FittedEmulator(tr, TrendSpec("constant"), KernelSpec("gaussian", [1e-3]),
+                         nugget=0.0).hyper.sigma2
     want = np.sum((y - y.mean()) ** 2) / 3.0  # divide by m, not m-1
     assert got == pytest.approx(want, abs=1e-14)
 
 
-# --------------------------------------------------- neg_log_likelihood
+# ----------------------------------------------- concentrated likelihood
 
 def test_nll_identity_R_closed_form(rng):
     # far-apart points + tiny length-scale: R is numerically the identity
@@ -113,7 +116,7 @@ def test_nll_identity_R_closed_form(rng):
     y = rng.normal(0, 2, 6)
     tr = raw_training(x, y)
     spec = KernelSpec("gaussian", [1e-3])
-    got = neg_log_likelihood(tr, TrendSpec("constant"), spec, nugget=0.0)
+    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0, tr.X)
     s2 = np.sum((y - y.mean()) ** 2) / 6.0
     want = 3.0 * math.log(2 * math.pi * s2) + 3.0
     assert got == pytest.approx(want, abs=1e-10)
@@ -124,7 +127,7 @@ def test_nll_matches_unconcentrated_likelihood(rng):
     y = np.array([1.0, 2.5])
     tr = raw_training(x, y)
     spec = KernelSpec("gaussian", [0.4])
-    got = neg_log_likelihood(tr, TrendSpec("constant"), spec, nugget=0.0)
+    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0, tr.X)
     R = oracle_corr_matrix("gaussian", [0.4], [2.0], x, x)
     Rinv = np.linalg.inv(R)
     one = np.ones(2)
@@ -147,8 +150,8 @@ def test_nll_output_scaling_shifts_value_not_argmin(rng):
     vals1, vals2 = [], []
     for w in grid:
         spec = KernelSpec("gaussian", [w])
-        vals1.append(neg_log_likelihood(tr1, TrendSpec("constant"), spec, 1e-10))
-        vals2.append(neg_log_likelihood(tr2, TrendSpec("constant"), spec, 1e-10))
+        vals1.append(_concentrated_nll(tr1, TrendSpec("constant"), spec, 1e-10, tr1.X))
+        vals2.append(_concentrated_nll(tr2, TrendSpec("constant"), spec, 1e-10, tr2.X))
     vals1, vals2 = np.array(vals1), np.array(vals2)
     assert np.argmin(vals1) == np.argmin(vals2)
     shifts = vals2 - vals1
@@ -169,7 +172,7 @@ def test_nll_with_fit_distances_is_bit_identical(rng):
             spec = KernelSpec(kind, omega)
             for trend in (TrendSpec("constant"), TrendSpec("linear")):
                 assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
-                        == neg_log_likelihood(tr, trend, spec))
+                        == _concentrated_nll(tr, trend, spec, 1e-10, tr.X))
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -185,7 +188,7 @@ def test_cross_layout_nll_is_bit_identical_to_the_plain_path(kind, rng):
         spec = KernelSpec(kind, omega, p)
         for trend in (TrendSpec("constant"), TrendSpec("linear")):
             try:
-                want = neg_log_likelihood(tr, trend, spec)
+                want = _concentrated_nll(tr, trend, spec, 1e-10, tr.X)
             except IllConditionedError:
                 with pytest.raises(IllConditionedError):
                     _concentrated_nll(tr, trend, spec, 1e-10, sites)
@@ -530,8 +533,6 @@ def test_conditioning_is_bit_identical_to_literal_algebra(trend, rng):
                             rng.uniform(1e-8, 1e-6, 18))):
         R, beta, s2, mean, mse, cov = literal_conditioning(tr, trend, kernel,
                                                            nugget, x_star)
-        assert np.array_equal(gls_beta(tr, trend, R), beta)
-        assert sigma2_hat(tr, trend, beta, R) == s2
         em = FittedEmulator(tr, trend, kernel, nugget=nugget)
         assert np.array_equal(em.hyper.beta, beta)
         assert em.hyper.sigma2 == s2
@@ -837,7 +838,7 @@ def test_fit_cv_heldout_matches_literal_two_refit_oracle(rng):
     spec = KernelSpec("gaussian", [0.45])
     labels = make_folds(4, 2, seed=3)
     mu_cv, _ = _cv_heldout(tr, TrendSpec("constant"), spec, 1e-10, labels,
-                           SiteDistances(tr.X))
+                           SiteDistances(tr.X))[:2]
     # literal oracle: two explicit-inverse half fits
     want = np.empty(4)
     for k in (0, 1):
@@ -927,7 +928,7 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
                         with pytest.raises(IllConditionedError):
                             _cv_heldout(tr, trend, spec, nugget, labels, sites)
                         continue
-                    got = _cv_heldout(tr, trend, spec, nugget, labels, sites)
+                    got = _cv_heldout(tr, trend, spec, nugget, labels, sites)[:2]
                     K = correlation_matrix(tr.X, spec, nugget, auto_escalate=False)
                     cond = np.linalg.cond(K.values)
                     tol = 1e-14 + np.finfo(float).eps * cond / 4
@@ -944,8 +945,7 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
 
 
 def loss_and_gradient(training, trend, spec, nugget, labels, sites):
-    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, labels, sites,
-                                 gradient=True)
+    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, labels, sites)
     return cv_loss(training, mu_cv), grad
 
 
@@ -1000,7 +1000,7 @@ def test_cv_heldout_on_a_cross_layout_is_unchanged(kind, rng, monkeypatch):
     spec = KernelSpec(kind, [1.3, 1.6, 2.0] if kind == "linear" else [0.3, 0.6, 0.9], p)
     labels = make_folds(tr.m, 6, seed=5)
     for trend in (TrendSpec("constant"), TrendSpec("linear")):
-        got, want = (_cv_heldout(tr, trend, spec, 1e-6, labels, s, gradient=True)
+        got, want = (_cv_heldout(tr, trend, spec, 1e-6, labels, s)
                      for s in (broadcast, gathers))
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -1104,7 +1104,7 @@ def test_fit_cv_sigma2_multiplier_near_one(rng):
         tr = TrainingSet(X, y, scale_inputs=False, standardize_outputs=False)
         labels = make_folds(50, 10, seed=rep)
         mu_cv, v_cv = _cv_heldout(tr, TrendSpec("known_constant", mu=0.0),
-                                  spec, 1e-10, labels, SiteDistances(tr.X))
+                                  spec, 1e-10, labels, SiteDistances(tr.X))[:2]
         sigma2_cv = float(np.mean((tr.y - mu_cv) ** 2 / v_cv))
         ratios.append(sigma2_cv / 4.0)
     assert 0.7 <= np.mean(ratios) <= 1.3
@@ -1283,20 +1283,19 @@ def test_fit_cv_reuses_the_winners_heldout_predictions(rng, monkeypatch):
     real = gpcal.emulator._cv_heldout
     calls = []
 
-    def counted(training, trend, spec, *args, **kwargs):
-        calls.append((spec.omega.tobytes(), kwargs.get("gradient", False)))
-        return real(training, trend, spec, *args, **kwargs)
+    def counted(training, trend, spec, *args):
+        calls.append(spec.omega.tobytes())
+        return real(training, trend, spec, *args)
 
     monkeypatch.setattr(gpcal.emulator, "_cv_heldout", counted)
     training = joint_training(rng)
     em = fit_cv(training, TrendSpec("constant"), "matern_5_2", k_folds=5,
                 n_restarts=3, seed=2)
-    assert all(gradient for _, gradient in calls)
-    assert len({omega for omega, _ in calls}) == len(calls)
-    assert em.kernel.omega.tobytes() in {omega for omega, _ in calls}
+    assert len(set(calls)) == len(calls)
+    assert em.kernel.omega.tobytes() in calls
     mu_cv, v_cv = real(training, TrendSpec("constant"), em.kernel,
                        gpcal.emulator.DEFAULT_NUGGET,
-                       make_folds(training.m, 5, 2), SiteDistances(training.X))
+                       make_folds(training.m, 5, 2), SiteDistances(training.X))[:2]
     assert em.hyper.sigma2 == float(np.mean((training.y - mu_cv) ** 2 / v_cv))
 
 
