@@ -27,6 +27,7 @@ dense solves, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import reprlib
 import sys
@@ -167,11 +168,11 @@ class _GLS:
     G = L^-1 F by QR, and G and its triangular factor are kept for the
     trend-uncertainty term of the prediction. A basis with no columns
     (Simple Kriging) has the constant ``mu`` as its trend. ``alpha`` =
-    R^-1 (y - trend) is solved only with ``solve`` set; the likelihood
-    does not need it.
+    R^-1 (y - trend) is solved on first read and then kept; the likelihood
+    never reads it.
     """
 
-    def __init__(self, R: CorrelationMatrix, F, y, mu=0.0, solve=False):
+    def __init__(self, R: CorrelationMatrix, F, y, mu=0.0):
         self.R = R
         self.mu = mu
         self.G = self.Rq = None
@@ -186,7 +187,10 @@ class _GLS:
             self.beta = _tri_solve(Rq, Q.T @ R.half_solve(y), False)
             self.G, self.Rq = G, Rq
         self.resid = y - self.trend(F)
-        self.alpha = R.solve(self.resid) if solve else None
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        return self.R.solve(self.resid)
 
     def trend(self, F) -> np.ndarray:
         """Trend mean at the sites whose basis rows are ``F``."""
@@ -197,16 +201,16 @@ class _GLS:
         z = self.R.half_solve(self.resid)
         return float(z @ z) / self.resid.size
 
-    def predict(self, r, Fs, sets=1):
-        """``(mean, Z, W)`` at q sites with cross-correlations ``r`` (m, q) to
-        the conditioning sites and basis rows ``Fs`` (q, n): the BLUP mean,
-        Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when there is no
-        basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
+    def predict(self, r, Fs, sets):
+        """``(mean, Z, W)`` at the ``sets`` site sets of q sites each whose
+        cross-correlations to the conditioning sites are the columns of
+        ``r`` (m, sets q), set by set, with basis rows ``Fs`` (sets q, n):
+        the BLUP mean, Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when
+        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
 
-        The columns may be ``sets`` site sets side by side. r' alpha is then
-        one matrix-vector product per set, a batched product over the sets'
-        contiguous (m, q) blocks, since such a product's bits depend on its
-        column count; the solves' do not."""
+        r' alpha is one matrix-vector product per set, a batched product
+        over the sets' contiguous (m, q) blocks, since such a product's bits
+        depend on its column count; the solves' do not."""
         blocks = np.ascontiguousarray(r.reshape(r.shape[0], sets, -1).transpose(1, 0, 2))
         mean = self.trend(Fs) + (blocks.transpose(0, 2, 1) @ self.alpha).reshape(-1)
         Z = self.R.half_solve(r)
@@ -215,11 +219,9 @@ class _GLS:
         return mean, Z, _tri_solve(self.Rq.T, self.G.T @ Z - Fs.T, True)
 
 
-def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix,
-                 solve=False) -> _GLS:
+def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix) -> _GLS:
     """:class:`_GLS` of the standardized training outputs on the trend."""
-    return _GLS(R, trend.build_matrix(training.X), training.y,
-                training.mu_std(trend.mu), solve=solve)
+    return _GLS(R, trend.build_matrix(training.X), training.y, training.mu_std(trend.mu))
 
 
 def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
@@ -255,17 +257,15 @@ def _eigh(A: np.ndarray):
 
 
 def _gram(A: np.ndarray, lead: tuple) -> np.ndarray:
-    """A'A for ``lead`` = (q,), the columns of A being q sites; for ``lead``
-    = (K, q), the K column blocks' q x q products A_k'A_k, in one batched
-    matmul."""
-    if len(lead) == 1:
-        return A.T @ A
+    """The (K, q, q) products A_k'A_k of the K column blocks of A, ``lead``
+    = (K, q), in one batched matmul."""
     B = A.reshape((A.shape[0],) + lead)
     return B.transpose(1, 2, 0) @ B.transpose(1, 0, 2)
 
 
 class FittedEmulator:
-    """Conditioned GP ready for prediction. Immutable after construction;
+    """Conditioned GP ready for prediction. The construction solves for
+    R^-1 (y - trend) as well as factoring R, so nothing changes after it;
     ``predict_batch`` is pure and thread-safe."""
 
     def __init__(self, training: TrainingSet, trend: TrendSpec,
@@ -288,7 +288,8 @@ class FittedEmulator:
             raise DataError(f"need at least {n + 1} training points for a "
                             f"{trend.kind} trend, got {training.m}")
         R = correlation_matrix(training.X, kernel, nugget, auto_escalate=auto_escalate)
-        self._gls = _conditioned(training, trend, R, solve=True)
+        self._gls = _conditioned(training, trend, R)
+        self._gls.alpha  # solved here, so nothing changes after construction
         s2 = self._gls.sigma2() if sigma2_override is None else float(sigma2_override)
         self.hyper = Hyperparameters(self._gls.beta, s2, kernel.omega.copy(),
                                      kernel.p.copy(), R.nugget)
@@ -354,26 +355,27 @@ class FittedEmulator:
             return means, mses
 
         Xs = self.training.scale_x(X)
-        rmat = cross_corr_matrix(self.training.X, Xs, self.kernel)   # (m, q)
+        # the q points as a stack of one site set: (m, 1, q) and (1, q, n)
+        rmat = cross_corr_matrix(self.training.X, Xs, self.kernel)[:, None]
+        Fs = self.trend.build_matrix(Xs)[None]
         if not with_covariance:
-            return self._blup(rmat, self.trend.build_matrix(Xs))
-        means, cov = self._blup(rmat, self.trend.build_matrix(Xs),
-                                cross_corr_matrix(Xs, Xs, self.kernel))
-        return means, cov.diagonal().copy(), cov
+            means, mses = self._blup(rmat, Fs)
+            return means[0], mses[0]
+        means, cov = self._blup(rmat, Fs, cross_corr_matrix(Xs, Xs, self.kernel))
+        return means[0], cov[0].diagonal().copy(), cov[0]
 
     def _blup(self, rmat, Fs, Rss=None):
-        """Physical-unit means and MSEs, or means and the covariance when
-        ``Rss`` = R(x*, x*) is given, at q sites with cross-correlations
-        ``rmat`` (m, q) and trend basis rows ``Fs`` (q, n): the dense algebra
-        of :meth:`predict_batch` and of :meth:`_fixed_rows_predictor`'s
-        fallback. A stack of K site sets, ``rmat`` (m, K, q) and ``Fs``
-        (K, q, n), takes one solve over all K q columns and gives (K, q)
-        means and MSEs or (K, q, q) covariances."""
+        """(K, q) physical-unit means and MSEs, or means and (K, q, q)
+        covariances when ``Rss`` = R(x*, x*) is given, at a stack of K site
+        sets of q sites each, with cross-correlations ``rmat`` (m, K, q) and
+        trend basis rows ``Fs`` (K, q, n): the dense algebra of
+        :meth:`predict_batch`, which passes a stack of one, and of
+        :meth:`_fixed_rows_predictor`'s fallback. One solve serves all K q
+        columns."""
         lead = rmat.shape[1:]
         cols = math.prod(lead)
         mean_std, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols),
-                                           Fs.reshape(cols, Fs.shape[-1]),
-                                           lead[0] if len(lead) == 2 else 1)
+                                           Fs.reshape(cols, Fs.shape[-1]), lead[0])
         var_red = np.einsum("ij,ij->j", Z, Z).reshape(lead)
         trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W).reshape(lead)
         mean_std = mean_std.reshape(lead)
@@ -383,12 +385,13 @@ class FittedEmulator:
                               None if W is None else _gram(W, lead))
 
     def _physical(self, mean_std, var_red, trend_term, reduced=None, WtW=None):
-        """Means and MSEs in physical units from the unit-variance BLUP terms
-        at q sites: the standardized mean, |Z_j|^2 and |W_j|^2. With
-        ``reduced`` = R(x*, x*) - Z'Z, and ``WtW`` = W'W unless there is no
-        estimated trend, means and the covariance instead, symmetrized and
-        with the MSEs on its diagonal; ``reduced`` and ``WtW`` are scaled in
-        place. Every term may carry leading stack axes."""
+        """(K, q) means and MSEs in physical units from the unit-variance
+        BLUP terms at a stack of K site sets of q sites: the (K, q)
+        standardized means, |Z_j|^2 and |W_j|^2 (or 0 with no estimated
+        trend). With the (K, q, q) ``reduced`` = R(x*, x*) - Z'Z, and
+        ``WtW`` = W'W unless there is no estimated trend, means and the
+        (K, q, q) covariances instead, symmetrized and with the MSEs on
+        their diagonals; ``reduced`` and ``WtW`` are scaled in place."""
         tr = self.training
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
@@ -692,18 +695,20 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     power-exponential kind keeps p = 2.
 
     Without ``jac``, ``loss`` returns the value and L-BFGS-B takes finite
-    differences of it. With ``jac``, ``loss`` returns ``(value, gradient)``,
-    the gradient over log(omega), and L-BFGS-B uses it. A candidate whose
-    loss raises a numerical error or is not finite scores ``_BIG``, with a
-    zero gradient under ``jac``: ``(_BIG, 0)``. Returns every restart's
-    ``(value, spec)`` in start order; raises :class:`FitError` if none is
-    finite.
+    differences of it. With ``jac``, ``loss`` returns ``(value, gradient,
+    *extra)``, the gradient over log(omega), and L-BFGS-B uses the first
+    two. A candidate whose loss raises a numerical error or is not finite
+    scores ``_BIG``, with a zero gradient and no extra under ``jac``:
+    ``(_BIG, 0)``. Returns every restart's ``(value, spec, out)`` in start
+    order, ``out`` being the loss's scored evaluation at the restart's end
+    point; raises :class:`FitError` if no value is finite.
 
     Each distinct omega is evaluated once per call: L-BFGS-B asks again for
     the points of an iterate it restores after a failed line search, and a
     memo keyed by the bytes of omega answers them (with a copy of the
-    gradient under ``jac``). ``loss`` is a pure function of omega at a fixed
-    BLAS thread count, so every bit and the L-BFGS-B path are unchanged.
+    gradient under ``jac``) and gives each restart's ``out``. ``loss`` is a
+    pure function of omega at a fixed BLAS thread count, so every bit and
+    the L-BFGS-B path are unchanged.
     """
     if n_restarts < 1:
         raise ConfigError(f"{what} fit needs n_restarts >= 1, got {n_restarts}")
@@ -716,7 +721,7 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     def evaluate(spec):
         try:
             out = loss(spec)
-            value, grad = out if jac else (out, None)
+            value, grad = out[:2] if jac else (out, None)
             if np.isfinite(value) and (grad is None or np.isfinite(grad).all()):
                 return out
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
@@ -740,8 +745,9 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     for t0 in starts:
         res = minimize(objective, t0, method="L-BFGS-B", jac=jac,
                        bounds=list(zip(lb, ub)))
-        results.append((float(res.fun), unpack(res.x)))
-    if min(v for v, _ in results) >= _BIG:
+        spec = unpack(res.x)     # an iterate L-BFGS-B evaluated
+        results.append((float(res.fun), spec, memo[spec.omega.tobytes()]))
+    if min(v for v, _, _ in results) >= _BIG:
         raise FitError(f"all {n_restarts} {what} restarts failed to produce a "
                        "finite objective; check the data and kernel choice")
     return results
@@ -804,7 +810,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     m = training.m
     R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
     F = trend.build_matrix(training.X)
-    gls = _GLS(R, F, training.y, mu=training.mu_std(trend.mu), solve=True)
+    gls = _GLS(R, F, training.y, mu=training.mu_std(trend.mu))
     Q = R.inverse()
     if gls.G is not None:
         H = _tri_solve(gls.Rq.T, F.T @ Q, True)   # (K^-1 F Rq^-1)'
@@ -848,7 +854,8 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     candidate whose K does not factor fails, as in :func:`fit_mle`. Fold
     assignment is a seeded shuffle followed by round-robin. Ties in the CV
     objective (e.g. data lying exactly on the trend) are broken by the
-    smallest length-scale vector norm.
+    smallest length-scale vector norm. The process variance reads the
+    held-out predictions that the winner's loss evaluation carries.
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
@@ -858,23 +865,19 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     # the training distances, shared by every restart of this fit only
     sites = SiteDistances(training.X)
 
-    heldout = {}  # each evaluated omega's (mu_cv, v_cv), by its bytes
-
     def loss(spec):
         mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
                                         sites)
-        heldout[spec.omega.tobytes()] = mu_cv, v_cv
-        return float(np.sum((training.y - mu_cv) ** 2)), grad
+        return float(np.sum((training.y - mu_cv) ** 2)), grad, mu_cv, v_cv
 
     results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV",
                           jac=True)
     del sites  # freed before the final conditioning, to keep peak memory down
-    best_val = min(v for v, _ in results)
+    best_val = min(v for v, _, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
-    tied = [spec for v, spec in results if v <= best_val + tol]
-    spec = min(tied, key=lambda spec: float(np.linalg.norm(spec.omega)))
-    # the winner is an iterate L-BFGS-B evaluated, with a finite loss
-    mu_cv, v_cv = heldout[spec.omega.tobytes()]
+    tied = [(spec, out) for v, spec, out in results if v <= best_val + tol]
+    spec, out = min(tied, key=lambda t: float(np.linalg.norm(t[0].omega)))
+    _, _, mu_cv, v_cv = out  # a finite loss, so its evaluation carries them
     resid = training.y - mu_cv
     sigma2_cv = float(np.mean(resid ** 2 / v_cv))
     return FittedEmulator(training, trend, spec, nugget=nugget,

@@ -167,12 +167,6 @@ def _product_corr(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return out
 
 
-def _points(X) -> np.ndarray:
-    if isinstance(X, SiteDistances):
-        return X.points
-    return np.atleast_2d(np.asarray(X, float))
-
-
 def cross_corr_matrix(A: np.ndarray, B: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """|A| x |B| correlation matrix between two point sets (scaled coords)."""
     A = np.atleast_2d(np.asarray(A, float))
@@ -220,7 +214,7 @@ class SiteDistances:
     """
 
     def __init__(self, X):
-        self.points = _points(X)
+        self.points = np.atleast_2d(np.asarray(X, float))
         m, d = self.points.shape
         self._layout = None                      # (dx, n_t) of a product layout
         for dx in range(1, d):
@@ -435,17 +429,15 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
     was assembled in, and ``values`` is None. An escalating call keeps the
     matrix, since each retry factors it again.
     """
-    pts = _points(X)
+    distances = isinstance(X, SiteDistances)
+    pts = X.points if distances else np.atleast_2d(np.asarray(X, float))
     m = pts.shape[0]
     if m < 1:
         raise DataError("correlation_matrix requires at least one design site")
     if pts.shape[1] != spec.dim:
         raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
     nug = _nugget_vector(nugget, m)
-    if isinstance(X, SiteDistances):
-        R = X.correlation(spec)
-    else:
-        R = _product_corr(pts, pts, spec)
+    R = X.correlation(spec) if distances else _product_corr(pts, pts, spec)
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
     if np.all(nug == 0):                         # only then can sites clash
         diag[:] = 0.0                            # R.max(): off-diagonal only

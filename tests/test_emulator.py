@@ -15,8 +15,9 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    NumericalWarning, TrainingSet, TrendSpec, fit_cv, fit_mle,
                    lhs_design)
 from gpcal.design import _lhs_points
+from gpcal.diagnostics import cross_validated_predictions
 from gpcal.emulator import (_BIG, _concentrated_nll, _conditioned, _cv_heldout,
-                            _multistart, make_folds)
+                            _gram, _multistart, make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _cross_factors, _tri_solve, correlation_matrix,
                            cross_corr_matrix)
@@ -1188,7 +1189,7 @@ def unmemoised_multistart(loss, d, kernel, n_restarts, seed, what, jac=False):
     def objective(t):
         try:
             out = loss(unpack(t))
-            value, grad = out if jac else (out, None)
+            value, grad = out[:2] if jac else (out, None)
             if np.isfinite(value) and (grad is None or np.isfinite(grad).all()):
                 return out
         except (IllConditionedError, DataError, np.linalg.LinAlgError):
@@ -1253,7 +1254,7 @@ def test_multistart_evaluates_each_omega_once_with_the_oracles_restarts(
         seen["ours"], calls[:] = list(calls), []
         oracle = unmemoised_multistart(spy, *args, **kwargs)
         seen["oracle"] = calls
-        seen["results"] = [[(v, spec.omega.tobytes()) for v, spec in r]
+        seen["results"] = [[(v, spec.omega.tobytes()) for v, spec, *_ in r]
                            for r in (ours, oracle)]
         return ours
 
@@ -1299,6 +1300,67 @@ def test_fit_cv_reuses_the_winners_heldout_predictions(rng, monkeypatch):
     assert em.hyper.sigma2 == float(np.mean((training.y - mu_cv) ** 2 / v_cv))
 
 
+@pytest.mark.parametrize("case", ["cross-mle", "joint-cv"])
+def test_multistart_returns_each_restarts_evaluation(case, rng, monkeypatch):
+    # each restart's out is the fit's loss at the restart's end point, bit for
+    # bit: the value alone for MLE, (value, gradient, mu_cv, v_cv) for CV
+    real = gpcal.emulator._multistart
+    checked = []
+
+    def fresh(loss, *args, **kwargs):
+        results = real(loss, *args, **kwargs)
+        for value, spec, out in results:
+            again = loss(spec)       # the fit's own loss, before it returns
+            if kwargs.get("jac"):
+                assert value == out[0] and len(out) == len(again) == 4
+                for a, b in zip(out, again):
+                    assert np.array_equal(a, b)
+            else:
+                assert value == out == again
+            checked.append(value)
+        return results
+
+    monkeypatch.setattr(gpcal.emulator, "_multistart", fresh)
+    if case == "cross-mle":
+        fit_mle(demo_cross_training(), TrendSpec("constant"), "matern_5_2",
+                n_restarts=4, seed=11)
+    else:
+        fit_cv(joint_training(rng), TrendSpec("constant"), "matern_5_2",
+               k_folds=5, n_restarts=3, seed=2)
+    assert len(checked) == (4 if case == "cross-mle" else 3)
+    assert max(checked) < _BIG
+
+
+@pytest.mark.parametrize("trend", [TrendSpec("constant"), TrendSpec("linear")],
+                         ids=["constant", "linear"])
+def test_mle_objective_never_solves_for_alpha(trend, rng, monkeypatch):
+    # only the final conditioning solves R alpha = y - trend, once; the
+    # likelihood and the emulator's later reads of alpha do not
+    real = CorrelationMatrix.solve
+    solved = []
+
+    def counted(self, b):
+        solved.append(self)
+        return real(self, b)
+
+    monkeypatch.setattr(CorrelationMatrix, "solve", counted)
+    x = rng.uniform(0, 1, (15, 2))
+    em = fit_mle(TrainingSet(x, np.sin(3.0 * x[:, 0]) + x[:, 1]), trend,
+                 "matern_5_2", n_restarts=2, seed=1)
+    assert len(solved) == 1 and solved[0] is em._gls.R
+    em.predict_batch(x[:4], with_covariance=True)
+    cross_validated_predictions(em)
+    assert len(solved) == 1
+
+
+@pytest.mark.parametrize("m, q", [(120, 18), (480, 10), (10, 10), (120, 200)])
+def test_gram_of_one_block_has_the_plain_products_bits(m, q, rng):
+    # predict_batch conditions its points as a stack of one, so its
+    # covariance's Z'Z and W'W are batched products of one block
+    A = rng.normal(size=(m, q))
+    assert np.array_equal(_gram(A, (1, q))[0], A.T @ A)
+
+
 def test_multistart_memo_hands_out_copies_of_the_gradient(monkeypatch):
     # a caller writing into a returned gradient changes no later answer
     real = gpcal.emulator.minimize
@@ -1324,7 +1386,7 @@ def test_multistart_memo_hands_out_copies_of_the_gradient(monkeypatch):
     for x0, grad in answers:
         assert np.array_equal(grad, 2.0 * (np.log(np.exp(x0)) - 1.0))
     assert len(set(calls)) == len(calls)
-    for value, spec in results:
+    for value, spec, _ in results:
         assert value < 1e-10 and np.allclose(spec.omega, math.e)
 
 
