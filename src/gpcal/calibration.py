@@ -27,7 +27,7 @@ from .design import lhs_design, maximin_lhs
 from .diagnostics import Z_95, ValidationReport, interval_covered, q2_loocv
 from .emulator import FittedEmulator, TrainingSet, TrendSpec, fit_cv, fit_mle
 from .errors import ConfigError, DataError, GateError, GpcalError, NumericalError
-from .fileio import read_numeric_csv
+from .fileio import read_numeric_rows
 from .kernels import DEFAULT_NUGGET, _cho_solve, _cholesky
 from .mcmc import PosteriorChain, mcmc_sample
 from .priors import PriorSpec
@@ -73,15 +73,15 @@ class ExperimentData:
     def from_csv(cls, path, x_names) -> "ExperimentData":
         """Load from CSV with columns: design variables (named as in the
         space), ``y`` observation, ``sigma_exp`` noise standard deviation."""
-        values, names = read_numeric_csv(path)
+        values, names, lines = read_numeric_rows(path)
         want = list(x_names) + ["y", "sigma_exp"]
         if names != want:
             raise DataError(f"{path}: expected columns {want}, got {names}")
         nx = len(x_names)
         sd = values[:, nx + 1]
         if np.any(sd < 0):
-            row = int(np.argmax(sd < 0)) + 2
-            raise DataError(f"{path}: negative sigma_exp {sd[row - 2]} at row {row}")
+            i = int(np.argmax(sd < 0))
+            raise DataError(f"{path}: negative sigma_exp {sd[i]} at row {lines[i]}")
         return cls(values[:, :nx], values[:, nx], sd ** 2)
 
 

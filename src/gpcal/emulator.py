@@ -202,21 +202,21 @@ class _GLS:
         return float(z @ z) / self.resid.size
 
     def predict(self, r, Fs, sets):
-        """``(mean, Z, W)`` at the ``sets`` site sets of q sites each whose
-        cross-correlations to the conditioning sites are the columns of
-        ``r`` (m, sets q), set by set, with basis rows ``Fs`` (sets q, n):
-        the BLUP mean, Z = L^-1 r, and W = Rq^-T (G' Z - Fs'), None when
-        there is no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
+        """``(r' alpha, Z, W)`` at the ``sets`` site sets of q sites each
+        whose cross-correlations to the conditioning sites are the columns
+        of ``r`` (m, sets q), set by set, with basis rows ``Fs`` (sets q, n):
+        the BLUP mean less the trend, Z = L^-1 r, and W = Rq^-T (G' Z - Fs'),
+        None with no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
 
         r' alpha is one matrix-vector product per set, a batched product
         over the sets' contiguous (m, q) blocks, since such a product's bits
         depend on its column count; the solves' do not."""
         blocks = np.ascontiguousarray(r.reshape(r.shape[0], sets, -1).transpose(1, 0, 2))
-        mean = self.trend(Fs) + (blocks.transpose(0, 2, 1) @ self.alpha).reshape(-1)
+        r_alpha = (blocks.transpose(0, 2, 1) @ self.alpha).reshape(-1)
         Z = self.R.half_solve(r)
         if self.G is None:
-            return mean, Z, None
-        return mean, Z, _tri_solve(self.Rq.T, self.G.T @ Z - Fs.T, True)
+            return r_alpha, Z, None
+        return r_alpha, Z, _tri_solve(self.Rq.T, self.G.T @ Z - Fs.T, True)
 
 
 def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix) -> _GLS:
@@ -358,27 +358,28 @@ class FittedEmulator:
         # the q points as a stack of one site set: (m, 1, q) and (1, q, n)
         rmat = cross_corr_matrix(self.training.X, Xs, self.kernel)[:, None]
         Fs = self.trend.build_matrix(Xs)[None]
+        mean = self._gls.trend(Fs[0])[None]
         if not with_covariance:
-            means, mses = self._blup(rmat, Fs)
+            means, mses = self._blup(rmat, Fs, mean)
             return means[0], mses[0]
-        means, cov = self._blup(rmat, Fs, cross_corr_matrix(Xs, Xs, self.kernel))
+        means, cov = self._blup(rmat, Fs, mean, cross_corr_matrix(Xs, Xs, self.kernel))
         return means[0], cov[0].diagonal().copy(), cov[0]
 
-    def _blup(self, rmat, Fs, Rss=None):
+    def _blup(self, rmat, Fs, trend_mean, Rss=None):
         """(K, q) physical-unit means and MSEs, or means and (K, q, q)
         covariances when ``Rss`` = R(x*, x*) is given, at a stack of K site
-        sets of q sites each, with cross-correlations ``rmat`` (m, K, q) and
-        trend basis rows ``Fs`` (K, q, n): the dense algebra of
-        :meth:`predict_batch`, which passes a stack of one, and of
-        :meth:`_fixed_rows_predictor`'s fallback. One solve serves all K q
-        columns."""
+        sets of q sites, with cross-correlations ``rmat`` (m, K, q), basis rows
+        ``Fs`` (K, q, n) and their trend means ``trend_mean`` (K, q), or (1, q, n)
+        and (1, q) shared by every set: the algebra of :meth:`predict_batch` (a
+        stack of one) and :meth:`_fixed_rows_predictor`'s dense path. One solve
+        serves all K q columns."""
         lead = rmat.shape[1:]
         cols = math.prod(lead)
-        mean_std, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols),
-                                           Fs.reshape(cols, Fs.shape[-1]), lead[0])
+        Fs = np.broadcast_to(Fs, lead + Fs.shape[-1:]).reshape(cols, Fs.shape[-1])
+        r_alpha, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols), Fs, lead[0])
         var_red = np.einsum("ij,ij->j", Z, Z).reshape(lead)
         trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W).reshape(lead)
-        mean_std = mean_std.reshape(lead)
+        mean_std = trend_mean + r_alpha.reshape(lead)
         if Rss is None:
             return self._physical(mean_std, var_red, trend_term)
         return self._physical(mean_std, var_red, trend_term, Rss - _gram(Z, lead),
@@ -420,7 +421,7 @@ class FittedEmulator:
         What does not depend on theta is computed here once: the scaled x
         columns, their kernel factors, R(x*, x*), whose theta factors all
         have distance exactly 0, and, unless the trend is ``linear``, the
-        trend basis rows, which then hold no theta column. The callable
+        trend basis rows and means, which then hold no theta. The callable
         builds each theta's scaled sites only for a ``linear`` trend, and
         returns no MSE vector, only the covariance that carries it. It
         keeps no scratch between calls, so it is as thread-safe as the
@@ -451,32 +452,34 @@ class FittedEmulator:
         tr, dt = self.training, d - dx
         rows = np.zeros((q, d))                   # theta columns: any constant
         rows[:, :dx] = (x - tr.x_min[:dx]) / tr.x_span[:dx]
-        t_min, t_span = tr.x_min[dx:], tr.x_span[dx:]
-        if self.trend.kind == "linear":
-            def basis(ts):
-                Xs = np.empty((len(ts), q, d))
-                Xs[:, :, :dx] = rows[:, :dx]
-                Xs[:, :, dx:] = ts[:, None, :]
-                Fs = self.trend.build_matrix(Xs.reshape(-1, d))
-                return Fs.reshape(Xs.shape[:2] + Fs.shape[1:])
-        else:
-            fixed = self.trend.build_matrix(rows)[None]       # (1, q, n)
-            fixed.setflags(write=False)
-
-            def basis(ts):
-                return fixed
+        t_min, t_span, gls = tr.x_min[dx:], tr.x_span[dx:], self._gls
         if self.degenerate:
-            def moments(ts, Fs):
+            def moments(ts):
                 K = len(ts)
                 return np.full((K, q), tr.y_phys[0]), np.zeros((K, q, q))
         else:
+            if self.trend.kind == "linear":
+                def basis(ts):
+                    Xs = np.empty((len(ts), q, d))
+                    Xs[:, :, :dx] = rows[:, :dx]
+                    Xs[:, :, dx:] = ts[:, None, :]
+                    Fs = self.trend.build_matrix(Xs.reshape(-1, d))
+                    return Fs.reshape(len(ts), q, d + 1), gls.trend(Fs).reshape(-1, q)
+            else:
+                fixed = self.trend.build_matrix(rows)[None]   # (1, q, n)
+                fixed_mean = gls.trend(fixed[0])[None]        # (1, q)
+                for a in (fixed, fixed_mean):
+                    a.setflags(write=False)
+
+                def basis(ts):
+                    return fixed, fixed_mean
             Rss = cross_corr_matrix(rows, rows, self.kernel)
             Rss.setflags(write=False)
             factors = _cross_factors(tr.X, dx)
             moments = None if factors is None else self._kronecker_moments(
-                *factors, rows[:, :dx], Rss)
+                *factors, rows[:, :dx], Rss, basis)
             if moments is None:
-                moments = self._dense_moments(rows[:, :dx], Rss)
+                moments = self._dense_moments(rows[:, :dx], Rss, basis)
 
         def predict(thetas):
             thetas = np.asarray(thetas, dtype=float)
@@ -484,13 +487,13 @@ class FittedEmulator:
                 raise DataError(f"theta stack has shape {thetas.shape}, "
                                 f"expected (K, {dt})")
             ts = (thetas - t_min) / t_span                           # (K, dt)
-            return moments(ts, basis(ts))
+            return moments(ts)
         return predict
 
-    def _dense_moments(self, xs, Rss):
-        """``(ts, Fs) -> (means, cov)`` through :meth:`_blup` at the scaled
-        fixed rows ``xs`` and a (K, dt) stack of scaled thetas ``ts``, with
-        basis rows ``Fs`` (K, q, n), or (1, q, n) shared by every theta."""
+    def _dense_moments(self, xs, Rss, basis):
+        """``ts -> (means, cov)`` through :meth:`_blup` at the scaled fixed
+        rows ``xs`` and a (K, dt) stack of scaled thetas ``ts``, whose basis
+        rows and their trend means ``basis(ts)`` gives (:meth:`_blup`)."""
         kind, omega, p = self.kernel.kind, self.kernel.omega, self.kernel.p
         dx = xs.shape[1]
         rx = _product_corr(self.training.X[:, :dx], xs, self.kernel)
@@ -498,20 +501,21 @@ class FittedEmulator:
         X_t = [np.ascontiguousarray(self.training.X[:, k:k + 1])
                for k in range(dx, self.dim)]
 
-        def moments(ts, Fs):
+        def moments(ts):
+            Fs, trend_mean = basis(ts)
             r = np.empty((rx.shape[0], ts.shape[0], rx.shape[1]))  # (m, K, q)
             r[:] = rx[:, None, :]
             for k, col in enumerate(X_t):
                 r *= _corr_1d(kind, np.abs(col - ts[:, k]), omega[dx + k],
                               p[dx + k])[:, :, None]
-            return self._blup(r, np.broadcast_to(Fs, r.shape[1:] + Fs.shape[2:]), Rss)
+            return self._blup(r, Fs, trend_mean, Rss)
         return moments
 
-    def _kronecker_moments(self, u_x, u_t, xs, Rss):
-        """``(ts, Fs) -> (means, cov)`` for training rows laid out as
+    def _kronecker_moments(self, u_x, u_t, xs, Rss, basis):
+        """``ts -> (means, cov)`` for training rows laid out as
         ``[u_x[a], u_t[b]]`` at row a * n_t + b, at the scaled fixed rows
-        ``xs`` (q, dx) and a (K, dt) stack of scaled thetas ``ts``, with
-        basis rows ``Fs`` (K, q, n), or (1, q, n) shared by every theta;
+        ``xs`` (q, dx) and a (K, dt) stack of scaled thetas ``ts``, whose
+        basis rows and their trend means ``basis(ts)`` gives (:meth:`_blup`);
         None where the dense path must serve instead.
 
         With K = R_x (x) R_t + tau I = (Q_x (x) Q_t) diag(lam_a mu_b + tau)
@@ -552,7 +556,8 @@ class FittedEmulator:
         for a in (D_inv_T, PP, E_T, Q_t):
             a.setflags(write=False)
 
-        def moments(ts, Fs):
+        def moments(ts):
+            Fs, trend_mean = basis(ts)
             K, n = len(ts), Fs.shape[2]
             # every theta dimension's kernel factor in one expression
             f = _corr_1d(kind, np.abs(ts[:, None, :] - u_t), omega_t, p_t)
@@ -573,7 +578,7 @@ class FittedEmulator:
             ZtZ, v = ZtZ[:K], v[:K]
             var_red = ZtZ[:, ::q + 1]
             ZtZ = ZtZ.reshape(K, q, q)
-            mean_std = gls.trend(Fs.reshape(len(Fs) * q, n)).reshape(-1, q) + v[:, :q]
+            mean_std = trend_mean + v[:, :q]
             if gls.G is None:
                 return self._physical(mean_std, var_red, 0.0, Rss - ZtZ)
             # F' K^-1 r - f per basis function, one column per (theta, site)
@@ -789,8 +794,16 @@ def make_folds(m: int, k: int, seed: int) -> np.ndarray:
     return labels
 
 
+def _fold_layout(fold_labels: np.ndarray):
+    """``(fold, blocks)`` for :func:`_cv_heldout`: each point's fold in [0, K),
+    and the (folds, s) point indices of each fold size s, solved as one stack."""
+    _, fold, size = np.unique(fold_labels, return_inverse=True, return_counts=True)
+    return fold, [np.array([np.flatnonzero(fold == f) for f in np.flatnonzero(size == s)])
+                  for s in np.unique(size)]
+
+
 def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, fold_labels: np.ndarray, sites: SiteDistances):
+                nugget, folds, sites: SiteDistances):
     """Held-out predictions for each fold with fixed (omega, p), the trend
     coefficients re-estimated by GLS on each fold's retained points, from one
     factorization of K = R + diag(nugget) of all m sites.
@@ -799,8 +812,8 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     (Q = K^-1, and y - mu for y, under a known constant), fold I's held-out
     residuals are e_I = (Q_II)^-1 (Q y)_I, and their variances per unit
     process variance, the held-out nuggets included, are diag((Q_II)^-1);
-    :func:`fit_cv` gives the references. ``sites`` is a
-    :class:`SiteDistances` of ``training.X``, reused across calls.
+    :func:`fit_cv` gives the references. ``folds`` (:func:`_fold_layout`)
+    and ``sites``, a :class:`SiteDistances` of ``training.X``, are reused.
 
     Returns standardized held-out means ``mu_cv`` = y - e, ``v_cv``, and the
     gradient of the CV loss sum(e^2) over log(omega): <dK/d log omega_k,
@@ -816,20 +829,16 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
         H = _tri_solve(gls.Rq.T, F.T @ Q, True)   # (K^-1 F Rq^-1)'
         Q -= H.T @ H
     Qy = gls.alpha                                # K^-1 (y - F beta)
-    # folds of equal size are solved together, as one stack of blocks
-    _, fold, size = np.unique(fold_labels, return_inverse=True, return_counts=True)
-    order = np.argsort(fold, kind="stable")
-    first = np.cumsum(size) - size
+    fold, blocks = folds
     e, v, u = np.empty(m), np.empty(m), np.empty(m)
-    for s in np.unique(size):
-        idx = order[first[size == s][:, None] + np.arange(s)]
+    for idx in blocks:
         C = np.linalg.inv(Q[idx[:, :, None], idx[:, None, :]])
         e[idx] = (C @ Qy[idx][:, :, None])[:, :, 0]
         v[idx] = np.diagonal(C, axis1=1, axis2=2)
         u[idx] = (C @ e[idx][:, :, None])[:, :, 0]
     mu_cv, v_cv = training.y - e, np.maximum(v, np.finfo(float).tiny)
-    rows = (np.arange(m), fold)
-    Pu, Pe = np.zeros((m, size.size)), np.zeros((m, size.size))
+    rows, k = (np.arange(m), fold), fold.max() + 1
+    Pu, Pe = np.zeros((m, k)), np.zeros((m, k))
     Pu[rows], Pe[rows] = u, e
     G = (Q @ Pu) @ (Q @ Pe).T - np.outer(Q @ u, Qy)
     return mu_cv, v_cv, sites.log_derivatives(spec, R.values * (G + G.T))
@@ -861,13 +870,12 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     if training.degenerate:
         return FittedEmulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim)))
-    fold_labels = make_folds(training.m, k_folds, seed)
+    folds = _fold_layout(make_folds(training.m, k_folds, seed))
     # the training distances, shared by every restart of this fit only
     sites = SiteDistances(training.X)
 
     def loss(spec):
-        mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, fold_labels,
-                                        sites)
+        mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, folds, sites)
         return float(np.sum((training.y - mu_cv) ** 2)), grad, mu_cv, v_cv
 
     results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV",

@@ -13,11 +13,11 @@ Kohler, Waterland, Seltzer & Adams 2014, UAI). The target maps a (K, d)
 stack of thetas to K log-posterior values. The sampler forms up to
 ``PREFETCH`` proposals from the current state, evaluates them in one call
 of the target, and walks them in order. The first acceptance ends the
-batch; the random draws of the slots after it stay queued and serve the
-next batch, which proposes from the new state. A batch also ends at each
-burn-in adaptation step and at the end of the chain. The draws, proposals
-and decisions are therefore those of the one-at-a-time chain, given the
-same log-posterior values: only the number of target calls changes.
+batch, and the next proposes from the new state. A batch also ends at each
+burn-in adaptation step and at the end of the chain. Slot t always uses its
+own random draws, made up front in slot order, so the draws, proposals and
+decisions are those of the one-at-a-time chain, given the same
+log-posterior values: only the number of target calls changes.
 
 A stacked log posterior need not give a row the bits it gives the same
 theta in a stack of another size (:func:`gpcal.calibration.make_log_posterior`).
@@ -31,7 +31,6 @@ within that margin.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,16 +125,18 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
     if not math.isfinite(lp):
         raise NumericalError("log posterior is not finite at the initial point")
 
-    base_cov = np.diag((prior.stds / 10.0) ** 2)
-    L = np.linalg.cholesky(base_cov)
+    L = np.diag(prior.stds / 10.0)      # the initial covariance's Cholesky factor
     scale = 1.0
     min_history = max(200, 20 * d)
 
     samples = np.empty((total, d))
     log_post = np.empty(total)
     accepted = np.zeros(total, dtype=bool)
-    window_acc = 0
-    draws = deque()                     # (z, u) of slots t, t + 1, ...
+    # slot t's step and accept uniform; random() is uniform()'s draw, bit for bit
+    zs, us = np.empty((total, d)), np.empty(total)
+    for i in range(total):
+        zs[i] = rng.standard_normal(d)
+        us[i] = rng.random()
 
     t = 0
     while t < total:
@@ -143,26 +144,19 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
         adapt_at = (t // ADAPT_EVERY + 1) * ADAPT_EVERY
         if adapt_at < n_burn:
             stop = min(stop, adapt_at)
-        while len(draws) < stop - t:
-            # random() is uniform() on [0, 1) without its affine map: the
-            # same draw, bit for bit
-            draws.append((rng.standard_normal(d), rng.random()))
         # one batched product; each proposal has the bits of L @ z alone
-        Z = np.array([z for z, _ in draws])
-        props = x + scale * (L @ Z[:, :, None])[:, :, 0]
+        props = x + scale * (L @ zs[t:stop, :, None])[:, :, 0]
         try:
             values = log_posterior(props)
         except Exception:
             values = None               # rows are evaluated as they are reached
         for j in range(len(props)):
-            u = draws.popleft()[1]
             lp_prop = float(log_posterior(props[j:j + 1])[0] if values is None
                             else values[j])
-            accept = math.log(u) < lp_prop - lp
+            accept = math.log(us[t]) < lp_prop - lp
             if accept:
                 x, lp = props[j], lp_prop
                 accepted[t] = True
-                window_acc += 1
             samples[t] = x
             log_post[t] = lp
             t += 1
@@ -170,9 +164,7 @@ def mcmc_sample(log_posterior, prior: PriorSpec, n_samples: int,
                 break
 
         if t < n_burn and t % ADAPT_EVERY == 0:
-            rate = window_acc / ADAPT_EVERY
-            window_acc = 0
-            scale *= math.exp(2.0 * (rate - TARGET_ACCEPT))
+            scale *= math.exp(2.0 * (accepted[t - ADAPT_EVERY:t].mean() - TARGET_ACCEPT))
             if t >= min_history:
                 emp = np.cov(samples[:t].T).reshape(d, d)
                 emp = (2.38 ** 2 / d) * emp + 1e-12 * np.eye(d)

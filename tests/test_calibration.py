@@ -827,3 +827,11 @@ def test_experiment_csv_roundtrip(tmp_path):
     assert data.sigma2[0] == pytest.approx(0.0025)
     with pytest.raises(DataError):
         ExperimentData.from_csv(path, ["pressure"])
+
+
+def test_experiment_csv_negative_sigma_is_reported_on_its_line(tmp_path):
+    # rows are lines of the file, blank lines counted, as fileio reports them
+    path = tmp_path / "exp.csv"
+    path.write_text("x,y,sigma_exp\n0.0,1.0,0.05\n\n\n1.0,3.1,-0.05\n")
+    with pytest.raises(DataError, match=r"negative sigma_exp -0\.05 at row 5$"):
+        ExperimentData.from_csv(path, ["x"])

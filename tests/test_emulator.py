@@ -17,7 +17,7 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
 from gpcal.design import _lhs_points
 from gpcal.diagnostics import cross_validated_predictions
 from gpcal.emulator import (_BIG, _concentrated_nll, _conditioned, _cv_heldout,
-                            _gram, _multistart, make_folds)
+                            _fold_layout, _gram, _multistart, make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _cross_factors, _tri_solve, correlation_matrix,
                            cross_corr_matrix)
@@ -838,7 +838,7 @@ def test_fit_cv_heldout_matches_literal_two_refit_oracle(rng):
     tr = TrainingSet(x, y)
     spec = KernelSpec("gaussian", [0.45])
     labels = make_folds(4, 2, seed=3)
-    mu_cv, _ = _cv_heldout(tr, TrendSpec("constant"), spec, 1e-10, labels,
+    mu_cv, _ = _cv_heldout(tr, TrendSpec("constant"), spec, 1e-10, _fold_layout(labels),
                            SiteDistances(tr.X))[:2]
     # literal oracle: two explicit-inverse half fits
     want = np.empty(4)
@@ -927,9 +927,11 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
                         want = per_fold_heldout(tr, trend, spec, nugget, labels)
                     except IllConditionedError:
                         with pytest.raises(IllConditionedError):
-                            _cv_heldout(tr, trend, spec, nugget, labels, sites)
+                            _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels),
+                                        sites)
                         continue
-                    got = _cv_heldout(tr, trend, spec, nugget, labels, sites)[:2]
+                    got = _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels),
+                                      sites)[:2]
                     K = correlation_matrix(tr.X, spec, nugget, auto_escalate=False)
                     cond = np.linalg.cond(K.values)
                     tol = 1e-14 + np.finfo(float).eps * cond / 4
@@ -946,7 +948,8 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
 
 
 def loss_and_gradient(training, trend, spec, nugget, labels, sites):
-    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, labels, sites)
+    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, _fold_layout(labels),
+                                 sites)
     return cv_loss(training, mu_cv), grad
 
 
@@ -1001,7 +1004,7 @@ def test_cv_heldout_on_a_cross_layout_is_unchanged(kind, rng, monkeypatch):
     spec = KernelSpec(kind, [1.3, 1.6, 2.0] if kind == "linear" else [0.3, 0.6, 0.9], p)
     labels = make_folds(tr.m, 6, seed=5)
     for trend in (TrendSpec("constant"), TrendSpec("linear")):
-        got, want = (_cv_heldout(tr, trend, spec, 1e-6, labels, s)
+        got, want = (_cv_heldout(tr, trend, spec, 1e-6, _fold_layout(labels), s)
                      for s in (broadcast, gathers))
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -1021,13 +1024,13 @@ def test_cv_fold_with_duplicate_sites_raises_per_fold():
     # fold 1 retains both copies of the duplicate
     with pytest.raises(IllConditionedError, match="duplicate"):
         _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
-                    np.array([0, 0, 1, 1, 2, 2]), sites)
+                    _fold_layout(np.array([0, 0, 1, 1, 2, 2])), sites)
     # with the copies in different folds of two, no fold retains both, but
     # the folds are computed from one factorization of all the sites, which
     # the duplicate makes singular
     with pytest.raises(IllConditionedError, match="duplicate"):
         _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
-                    np.array([0, 1, 0, 1, 0, 1]), sites)
+                    _fold_layout(np.array([0, 1, 0, 1, 0, 1])), sites)
 
 
 @pytest.mark.parametrize("k_folds", [2, 3, 6])
@@ -1047,7 +1050,7 @@ def test_cv_fold_linear_kernel_warns_without_nugget(rng):
     with pytest.warns(NumericalWarning, match="linear"):
         try:
             _cv_heldout(tr, TrendSpec("constant"), KernelSpec("linear", [0.5, 0.5]),
-                        0.0, make_folds(12, 3, seed=0), SiteDistances(tr.X))
+                        0.0, _fold_layout(make_folds(12, 3, seed=0)), SiteDistances(tr.X))
         except IllConditionedError:
             pass                 # the warning comes before the factorization
 
@@ -1103,9 +1106,9 @@ def test_fit_cv_sigma2_multiplier_near_one(rng):
         L = np.linalg.cholesky(R)
         y = 2.0 * (L @ np.random.default_rng(rep).standard_normal(50))
         tr = TrainingSet(X, y, scale_inputs=False, standardize_outputs=False)
-        labels = make_folds(50, 10, seed=rep)
+        folds = _fold_layout(make_folds(50, 10, seed=rep))
         mu_cv, v_cv = _cv_heldout(tr, TrendSpec("known_constant", mu=0.0),
-                                  spec, 1e-10, labels, SiteDistances(tr.X))[:2]
+                                  spec, 1e-10, folds, SiteDistances(tr.X))[:2]
         sigma2_cv = float(np.mean((tr.y - mu_cv) ** 2 / v_cv))
         ratios.append(sigma2_cv / 4.0)
     assert 0.7 <= np.mean(ratios) <= 1.3
@@ -1296,8 +1299,31 @@ def test_fit_cv_reuses_the_winners_heldout_predictions(rng, monkeypatch):
     assert em.kernel.omega.tobytes() in calls
     mu_cv, v_cv = real(training, TrendSpec("constant"), em.kernel,
                        gpcal.emulator.DEFAULT_NUGGET,
-                       make_folds(training.m, 5, 2), SiteDistances(training.X))[:2]
+                       _fold_layout(make_folds(training.m, 5, 2)),
+                       SiteDistances(training.X))[:2]
     assert em.hyper.sigma2 == float(np.mean((training.y - mu_cv) ** 2 / v_cv))
+
+
+def test_fit_cv_builds_its_fold_layout_once(rng, monkeypatch):
+    # the layout depends on the fold labels only, so every candidate of a
+    # fit reads the one the fit built
+    real_layout, real_heldout = gpcal.emulator._fold_layout, gpcal.emulator._cv_heldout
+    built, read = [], []
+
+    def layout(labels):
+        built.append(real_layout(labels))
+        return built[-1]
+
+    def heldout(training, trend, spec, nugget, folds, sites):
+        read.append(folds)
+        return real_heldout(training, trend, spec, nugget, folds, sites)
+
+    monkeypatch.setattr(gpcal.emulator, "_fold_layout", layout)
+    monkeypatch.setattr(gpcal.emulator, "_cv_heldout", heldout)
+    fit_cv(joint_training(rng), TrendSpec("constant"), "matern_5_2", k_folds=5,
+           n_restarts=3, seed=2)
+    assert len(built) == 1 and len(read) > 1
+    assert all(folds is built[0] for folds in read)
 
 
 @pytest.mark.parametrize("case", ["cross-mle", "joint-cv"])
