@@ -89,21 +89,24 @@ def split_experiments(data: ExperimentData, iuq_indices=None, val_indices=None,
                       fraction=None, seed=None):
     """Partition experiments into inference (IUQ) and validation (VAL) sets.
 
-    Either both explicit index lists or (fraction, seed) must be given; the
-    fraction is the IUQ share. The two sets are disjoint and nonempty; the
-    same row never serves both purposes.
+    Either both explicit index lists or (fraction, seed) must be given, not
+    both forms; the fraction is the IUQ share. The two sets are disjoint and
+    nonempty; the same row never serves both purposes.
     """
     q = data.n
     if iuq_indices is not None or val_indices is not None:
         if iuq_indices is None or val_indices is None:
             raise ConfigError("explicit split needs both iuq and val index lists")
+        if fraction is not None or seed is not None:
+            raise ConfigError("split gives iuq/val lists and fraction/seed; "
+                              "give one form")
         iuq = np.asarray(sorted(set(int(i) for i in iuq_indices)), dtype=int)
         val = np.asarray(sorted(set(int(i) for i in val_indices)), dtype=int)
         if iuq.size == 0 or val.size == 0:
             raise DataError("both split sets must be nonempty")
-        if iuq.size and (iuq.min() < 0 or iuq.max() >= q):
+        if iuq.min() < 0 or iuq.max() >= q:
             raise DataError(f"iuq indices out of range [0, {q})")
-        if val.size and (val.min() < 0 or val.max() >= q):
+        if val.min() < 0 or val.max() >= q:
             raise DataError(f"val indices out of range [0, {q})")
         overlap = np.intersect1d(iuq, val)
         if overlap.size:
@@ -200,11 +203,15 @@ def build_code_emulator(sim: SimulatorBinding, x_iuq, prior: PriorSpec,
     The calibration part of the training design maps a space-filling
     unit-cube design through the prior inverse CDFs. Two layouts:
 
-      cross  every IUQ design setting is crossed with ceil(n_train / n_x)
-             calibration points, so the emulator is trained exactly at the
-             x values where the likelihood evaluates it
-      joint  a single space-filling design over the (x, theta) product space,
-             with x spanning the bounding box of the IUQ settings
+      cross  every IUQ design setting is crossed with
+             max(2, ceil(n_train / n_x)) calibration points, so the emulator
+             is trained exactly at the x values where the likelihood
+             evaluates it; n_train does not cap it: the design runs
+             n_x max(2, ceil(n_train / n_x)) rows (105 for n_train 100 over
+             7 settings)
+      joint  a single space-filling design of n_train rows over the
+             (x, theta) product space, with x spanning the bounding box of
+             the IUQ settings
 
     Returns ``(emulator, q2)`` where q2 is the leave-one-out predictivity
     coefficient of the fit.

@@ -110,10 +110,13 @@ def load_config(path) -> WorkflowConfig:
     prior = PriorSpec(priors, cal["nominal"])
 
     sim_cfg = cfg["simulator"]
-    if sim_cfg["kind"] == "table":
-        sim_cfg["path"] = str((base / sim_cfg["path"]).resolve())
-        if not Path(sim_cfg["path"]).is_file():
-            raise ConfigError(f"simulator table not found: {sim_cfg['path']}")
+    # a table's path and a subprocess's workdir, relative to the config file
+    for key, what, found in (("path", "table", Path.is_file),
+                             ("workdir", "workdir", Path.is_dir)):
+        if key in sim_cfg:
+            sim_cfg[key] = str((base / sim_cfg[key]).resolve())
+            if not found(Path(sim_cfg[key])):
+                raise ConfigError(f"simulator {what} not found: {sim_cfg[key]}")
     simulator = simulator_from_config(sim_cfg, design_space.dim, prior.dim)
 
     exp_path = base / cfg["experiments"]["path"]

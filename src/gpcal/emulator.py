@@ -161,32 +161,31 @@ class TrainingSet:
 
 
 class _GLS:
-    """Generalized least squares of ``y`` on the trend basis ``F`` under one
-    factored correlation ``R``, and the BLUP algebra conditioned on it.
+    """Generalized least squares of the standardized training outputs ``y``
+    on the trend basis ``F`` under one factored correlation ``R``, and the
+    BLUP algebra conditioned on it.
 
     beta = (F' R^-1 F)^-1 F' R^-1 y is estimated from the whitened basis
-    G = L^-1 F by QR, and G and its triangular factor are kept for the
-    trend-uncertainty term of the prediction. A basis with no columns
-    (Simple Kriging) has the constant ``mu`` as its trend. ``alpha`` =
-    R^-1 (y - trend) is solved on first read and then kept; the likelihood
-    never reads it.
+    G = L^-1 F by QR, and F, G and its triangular factor Rq are kept for the
+    trend-uncertainty term of the prediction. Simple Kriging's basis has no
+    columns: the same algebra then runs on empty products (G is (m, 0), Rq
+    and beta are empty, and every trend-uncertainty term is +0.0), and the
+    trend is the known constant ``mu``. ``alpha`` = R^-1 (y - trend) is
+    solved on first read and then kept; the likelihood never reads it.
     """
 
-    def __init__(self, R: CorrelationMatrix, F, y, mu=0.0):
+    def __init__(self, training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix):
         self.R = R
-        self.mu = mu
-        self.G = self.Rq = None
-        self.beta = np.empty(0)
-        if F.shape[1]:
-            G = R.half_solve(F)
-            Q, Rq = np.linalg.qr(G)
-            diag = np.abs(np.diag(Rq))
-            if diag.min() <= 1e-12 * max(diag.max(), 1.0):
-                raise DataError("trend basis is rank-deficient on this design "
-                                "(e.g. constant input column with a linear trend)")
-            self.beta = _tri_solve(Rq, Q.T @ R.half_solve(y), False)
-            self.G, self.Rq = G, Rq
-        self.resid = y - self.trend(F)
+        self.mu = training.mu_std(trend.mu)
+        self.F = F = trend.build_matrix(training.X)
+        self.G = R.half_solve(F)
+        Q, self.Rq = np.linalg.qr(self.G)
+        diag = np.abs(np.diag(self.Rq))
+        if np.any(diag <= 1e-12 * max(diag.max(initial=0.0), 1.0)):
+            raise DataError("trend basis is rank-deficient on this design "
+                            "(e.g. constant input column with a linear trend)")
+        self.beta = _tri_solve(self.Rq, Q.T @ R.half_solve(training.y), False)
+        self.resid = training.y - self.trend(F)
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
@@ -206,7 +205,7 @@ class _GLS:
         whose cross-correlations to the conditioning sites are the columns
         of ``r`` (m, sets q), set by set, with basis rows ``Fs`` (sets q, n):
         the BLUP mean less the trend, Z = L^-1 r, and W = Rq^-T (G' Z - Fs'),
-        None with no basis. Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
+        (n, sets q). Unit-variance MSE: 1 - |Z_j|^2 + |W_j|^2.
 
         r' alpha is one matrix-vector product per set, a batched product
         over the sets' contiguous (m, q) blocks, since such a product's bits
@@ -214,14 +213,7 @@ class _GLS:
         blocks = np.ascontiguousarray(r.reshape(r.shape[0], sets, -1).transpose(1, 0, 2))
         r_alpha = (blocks.transpose(0, 2, 1) @ self.alpha).reshape(-1)
         Z = self.R.half_solve(r)
-        if self.G is None:
-            return r_alpha, Z, None
         return r_alpha, Z, _tri_solve(self.Rq.T, self.G.T @ Z - Fs.T, True)
-
-
-def _conditioned(training: TrainingSet, trend: TrendSpec, R: CorrelationMatrix) -> _GLS:
-    """:class:`_GLS` of the standardized training outputs on the trend."""
-    return _GLS(R, trend.build_matrix(training.X), training.y, training.mu_std(trend.mu))
 
 
 def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
@@ -237,7 +229,7 @@ def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
     in place."""
     R = correlation_matrix(sites, spec, nugget, auto_escalate=False,
                            _keep_values=False)
-    s2 = max(_conditioned(training, trend, R).sigma2(), np.finfo(float).tiny)
+    s2 = max(_GLS(training, trend, R).sigma2(), np.finfo(float).tiny)
     m = training.m
     return (0.5 * m * math.log(2.0 * math.pi * s2) + 0.5 * R.logdet + 0.5 * m
             + m * math.log(training.y_scale))
@@ -284,11 +276,11 @@ class FittedEmulator:
             self._gls = None
             return
         n = trend.n_basis(training.dim)
-        if n >= 1 and training.m < n + 1:
+        if training.m < n + 1:
             raise DataError(f"need at least {n + 1} training points for a "
                             f"{trend.kind} trend, got {training.m}")
         R = correlation_matrix(training.X, kernel, nugget, auto_escalate=auto_escalate)
-        self._gls = _conditioned(training, trend, R)
+        self._gls = _GLS(training, trend, R)
         self._gls.alpha  # solved here, so nothing changes after construction
         s2 = self._gls.sigma2() if sigma2_override is None else float(sigma2_override)
         self.hyper = Hyperparameters(self._gls.beta, s2, kernel.omega.copy(),
@@ -371,28 +363,28 @@ class FittedEmulator:
         sets of q sites, with cross-correlations ``rmat`` (m, K, q), basis rows
         ``Fs`` (K, q, n) and their trend means ``trend_mean`` (K, q), or (1, q, n)
         and (1, q) shared by every set: the algebra of :meth:`predict_batch` (a
-        stack of one) and :meth:`_fixed_rows_predictor`'s dense path. One solve
-        serves all K q columns."""
+        stack of one) and :meth:`_fixed_rows_predictor`'s dense path, for
+        every trend, n = 0 included. One solve serves all K q columns."""
         lead = rmat.shape[1:]
         cols = math.prod(lead)
         Fs = np.broadcast_to(Fs, lead + Fs.shape[-1:]).reshape(cols, Fs.shape[-1])
         r_alpha, Z, W = self._gls.predict(rmat.reshape(rmat.shape[0], cols), Fs, lead[0])
         var_red = np.einsum("ij,ij->j", Z, Z).reshape(lead)
-        trend_term = 0.0 if W is None else np.einsum("ij,ij->j", W, W).reshape(lead)
+        trend_term = np.einsum("ij,ij->j", W, W).reshape(lead)
         mean_std = trend_mean + r_alpha.reshape(lead)
         if Rss is None:
             return self._physical(mean_std, var_red, trend_term)
         return self._physical(mean_std, var_red, trend_term, Rss - _gram(Z, lead),
-                              None if W is None else _gram(W, lead))
+                              _gram(W, lead))
 
     def _physical(self, mean_std, var_red, trend_term, reduced=None, WtW=None):
         """(K, q) means and MSEs in physical units from the unit-variance
         BLUP terms at a stack of K site sets of q sites: the (K, q)
-        standardized means, |Z_j|^2 and |W_j|^2 (or 0 with no estimated
-        trend). With the (K, q, q) ``reduced`` = R(x*, x*) - Z'Z, and
-        ``WtW`` = W'W unless there is no estimated trend, means and the
-        (K, q, q) covariances instead, symmetrized and with the MSEs on
-        their diagonals; ``reduced`` and ``WtW`` are scaled in place."""
+        standardized means, |Z_j|^2 and |W_j|^2 (zeros for a basis of no
+        columns). With the (K, q, q) ``reduced`` = R(x*, x*) - Z'Z and
+        ``WtW`` = W'W, means and the (K, q, q) covariances instead,
+        symmetrized and with the MSEs on their diagonals; ``reduced`` and
+        ``WtW`` are scaled in place."""
         tr = self.training
         s2 = self.hyper.sigma2
         mse_std = self._clamp_mse(s2 * (1.0 - var_red + trend_term))
@@ -401,8 +393,7 @@ class FittedEmulator:
         if reduced is None:
             return means, mse_std * tr.y_scale ** 2
         cov_std = np.multiply(reduced, s2, out=reduced)
-        if WtW is not None:
-            cov_std += np.multiply(WtW, s2, out=WtW)
+        cov_std += np.multiply(WtW, s2, out=WtW)
         q = cov_std.shape[-1]
         cov = cov_std + cov_std.swapaxes(-1, -2)
         cov *= 0.5
@@ -524,10 +515,11 @@ class FittedEmulator:
         and w_a = sum_b (Q_t' r_t)_b^2 / (lam_a mu_b + tau). The mean's
         r' alpha and the trend term's F' K^-1 r contract r_t against
         R_x(u_x, xs)' times alpha and K^-1 F, reshaped to (n_x, n_t), which
-        are formed here once. alpha, beta and the trend's QR come from the
+        are formed here once. alpha, beta, F and the trend's QR come from the
         dense conditioning, which does not depend on theta (Saatci 2011;
-        Stegle et al. 2011). A stack's r_t are the rows of one (K, n_t)
-        matrix, so each step above is one matrix product for all K.
+        Stegle et al. 2011); as in :meth:`_blup`, a basis of no columns runs
+        the same steps on empty products. A stack's r_t are the rows of one
+        (K, n_t) matrix, so each step above is one matrix product for all K.
         """
         nugget = self.hyper.nugget
         if not np.all(nugget == nugget[0]):
@@ -546,10 +538,7 @@ class FittedEmulator:
         q = r_x.shape[1]
         P = Q_x.T @ r_x
         PP = (P[:, :, None] * P[:, None, :]).reshape(n_x, q * q)
-        # columns alpha, then K^-1 F when the trend is estimated
-        coef = gls.alpha[:, None]
-        if gls.G is not None:
-            coef = np.hstack([coef, gls.R.solve(self.trend.build_matrix(self.training.X))])
+        coef = np.hstack([gls.alpha[:, None], gls.R.solve(gls.F)])   # alpha, K^-1 F
         # E_T[b, k * q + i] = sum_a r_x[a, i] coef[a * n_t + b, k]
         E_T = np.einsum("ai,abk->bki", r_x, coef.reshape(n_x, n_t, -1)).reshape(n_t, -1)
         D_inv_T = np.ascontiguousarray(D_inv.T)
@@ -579,8 +568,6 @@ class FittedEmulator:
             var_red = ZtZ[:, ::q + 1]
             ZtZ = ZtZ.reshape(K, q, q)
             mean_std = trend_mean + v[:, :q]
-            if gls.G is None:
-                return self._physical(mean_std, var_red, 0.0, Rss - ZtZ)
             # F' K^-1 r - f per basis function, one column per (theta, site)
             V = v[:, q:].reshape(K, n, q).transpose(1, 0, 2)
             W = _tri_solve(gls.Rq.T, (V - Fs.transpose(2, 0, 1)).reshape(n, K * q), True)
@@ -641,7 +628,7 @@ class FittedEmulator:
     def _beta_agrees(self, beta) -> bool:
         """Whether ``beta`` is this emulator's trend coefficients to within
         BETA_TOL of their GLS standard errors, or BETA_TOL relative."""
-        if len(beta) != self.hyper.beta.size or not beta:
+        if len(beta) != self.hyper.beta.size:
             return False
         Rq_inv = _tri_solve(self._gls.Rq, np.eye(len(beta)), False)
         se = np.sqrt(self.hyper.sigma2 * np.sum(Rq_inv ** 2, axis=1))
@@ -822,12 +809,10 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     """
     m = training.m
     R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
-    F = trend.build_matrix(training.X)
-    gls = _GLS(R, F, training.y, mu=training.mu_std(trend.mu))
+    gls = _GLS(training, trend, R)
     Q = R.inverse()
-    if gls.G is not None:
-        H = _tri_solve(gls.Rq.T, F.T @ Q, True)   # (K^-1 F Rq^-1)'
-        Q -= H.T @ H
+    H = _tri_solve(gls.Rq.T, gls.F.T @ Q, True)   # (K^-1 F Rq^-1)'
+    Q -= H.T @ H
     Qy = gls.alpha                                # K^-1 (y - F beta)
     fold, blocks = folds
     e, v, u = np.empty(m), np.empty(m), np.empty(m)

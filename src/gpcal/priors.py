@@ -135,12 +135,13 @@ class PriorSpec:
             raise ConfigError(
                 f"nominal has {self.nominal.size} entries for "
                 f"{len(self.components)} prior components")
-        if not self.contains(self.nominal):
-            raise ConfigError("nominal point lies outside the prior support")
-        self.nominal.setflags(write=False)
-        # what log_prior needs of each component, bound once
+        # what contains and log_prior need of each component, bound once
         self._lo, self._hi = np.array([c._density_bounds for c in self.components]).T
         self._densities = tuple(c._log_density for c in self.components)
+        if not self.contains(self.nominal):
+            raise ConfigError(f"nominal point {self.nominal.tolist()} lies where "
+                              "the prior density is zero")
+        self.nominal.setflags(write=False)
 
     @property
     def dim(self) -> int:
@@ -159,11 +160,11 @@ class PriorSpec:
         return stack
 
     def contains(self, theta) -> bool:
-        """Whether theta (d,), or every row of a (K, d) stack, lies in the
-        support."""
-        lo, hi = np.array([c.support for c in self.components]).T
+        """Whether theta (d,), or every row of a (K, d) stack, lies where
+        the prior density is positive: inside the bounds :meth:`log_prior`
+        checks."""
         stack = self._stack(theta)
-        return bool(np.all((lo <= stack) & (stack <= hi)))
+        return bool(np.all((self._lo <= stack) & (stack <= self._hi)))
 
     def log_prior(self, theta):
         """The sum of the marginal log densities, -inf outside the support:

@@ -111,6 +111,15 @@ def test_split_rejects_overlap_and_empty():
         split_experiments(data)
 
 
+@pytest.mark.parametrize("extra", [{"fraction": 0.5}, {"seed": 7},
+                                   {"fraction": 0.5, "seed": 7}])
+def test_split_rejects_lists_given_with_fraction_or_seed(extra):
+    # the lists once won silently while the ignored keys moved the config hash
+    data = linear_experiments(4, seed=0)
+    with pytest.raises(ConfigError, match="give one form"):
+        split_experiments(data, iuq_indices=[0, 2], val_indices=[1, 3], **extra)
+
+
 # --------------------------------------------------------------- GPcode
 
 def test_code_emulator_linear_model_high_q2():

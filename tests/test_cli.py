@@ -339,11 +339,32 @@ def _calibrate_negative_sigma(tmp_path):
 def _calibrate_non_utf8_simulator(tmp_path):
     script = tmp_path / "sim.py"
     script.write_text("import sys\nopen(sys.argv[2], 'wb').write(b'y\\n\\xe9\\n')\n")
+    return _calibrate_edited(tmp_path, lambda raw: raw.update(simulator={
+        "kind": "subprocess", "command": [sys.executable, str(script)]}))
+
+
+def _calibrate_edited(tmp_path, edit):
+    """argv calibrating ``write_config``'s config after ``edit(raw)``."""
     config = write_config(tmp_path, samples=300, burn=100)
     raw = yaml.safe_load(config.read_text())
-    raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, str(script)]}
+    edit(raw)
     config.write_text(yaml.safe_dump(raw))
     return ["calibrate", "--config", str(config), "--out", str(tmp_path / "out")]
+
+
+def _nominal_at_a_lognormal_zero(raw):
+    raw["calibration"]["priors"][0] = {"dist": "lognormal", "log_mean": 0.5,
+                                       "log_sd": 0.5}
+    raw["calibration"]["nominal"] = [0.0, 1.0]
+
+
+def _split_lists_with_fraction(raw):
+    raw["experiments"]["split"]["fraction"] = 0.5
+
+
+def _missing_workdir(raw):
+    raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, "-c", ""],
+                        "workdir": "no-such-dir"}
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -432,6 +453,15 @@ FAILURES = {
         lambda tmp, run: _calibrate_negative_sigma(tmp), 2, "negative sigma_exp"),
     "calibrate-simulator-output-not-utf8": (
         lambda tmp, run: _calibrate_non_utf8_simulator(tmp), 2, "output for rows 1..10:"),
+    "calibrate-nominal-where-the-prior-density-is-zero": (
+        lambda tmp, run: _calibrate_edited(tmp, _nominal_at_a_lognormal_zero), 1,
+        "nominal point [0.0, 1.0] lies where the prior density is zero"),
+    "calibrate-split-lists-with-fraction": (
+        lambda tmp, run: _calibrate_edited(tmp, _split_lists_with_fraction), 1,
+        "split gives iuq/val lists and fraction/seed"),
+    "calibrate-simulator-workdir-missing": (
+        lambda tmp, run: _calibrate_edited(tmp, _missing_workdir), 1,
+        "simulator workdir not found: "),
 }
 
 
@@ -520,6 +550,30 @@ def test_config_validation_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nonexistent.yaml")
+
+
+def test_config_resolves_the_simulator_workdir_against_its_directory(tmp_path,
+                                                                    monkeypatch):
+    # it once resolved against the shell's cwd, as the README says it must not
+    project = tmp_path / "project"
+    (project / "simdir").mkdir(parents=True)
+    (project / "simdir" / "offset.txt").write_text("0.25\n")
+    script = project / "sim.py"
+    script.write_text("import sys\n"
+                      "rows = open(sys.argv[1]).read().split()[1:]\n"
+                      "off = float(open('offset.txt').read())\n"
+                      "ys = [float(r.split(',')[1]) + off for r in rows]\n"
+                      "lines = ''.join(f'{y}\\n' for y in ys)\n"
+                      "open(sys.argv[2], 'w').write('y\\n' + lines)\n")
+    config = write_config(project)
+    raw = yaml.safe_load(config.read_text())
+    raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, str(script)],
+                        "workdir": "simdir"}
+    config.write_text(yaml.safe_dump(raw))
+    monkeypatch.chdir(tmp_path)
+    sim = load_config(config).simulator
+    assert sim.workdir == str((project / "simdir").resolve())
+    assert sim.run(np.array([[2.0, 3.0, 1.0]])).tolist() == [3.25]
 
 
 def test_config_not_in_utf8_is_a_config_error(tmp_path):

@@ -16,8 +16,8 @@ from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
                    lhs_design)
 from gpcal.design import _lhs_points
 from gpcal.diagnostics import cross_validated_predictions
-from gpcal.emulator import (_BIG, _concentrated_nll, _conditioned, _cv_heldout,
-                            _fold_layout, _gram, _multistart, make_folds)
+from gpcal.emulator import (_BIG, _GLS, _concentrated_nll, _cv_heldout, _fold_layout,
+                            _gram, _multistart, make_folds)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _cross_factors, _tri_solve, correlation_matrix,
                            cross_corr_matrix)
@@ -91,12 +91,12 @@ def test_sigma2_zero_residual_degenerate(rng):
     x = rng.uniform(0, 1, (5, 1))
     tr = raw_training(x, np.full(5, 3.3))
     trend = TrendSpec("known_constant", mu=3.3)
-    assert _conditioned(tr, trend, identity_R(5)).sigma2() == 0.0
+    assert _GLS(tr, trend, identity_R(5)).sigma2() == 0.0
 
 
 def test_sigma2_single_point_constant_trend():
     tr = raw_training(np.array([[0.5]]), np.array([4.2]))
-    assert _conditioned(tr, TrendSpec("constant"), identity_R(1)).sigma2() == 0.0
+    assert _GLS(tr, TrendSpec("constant"), identity_R(1)).sigma2() == 0.0
 
 
 def test_sigma2_identity_R_is_mean_square_residual():
@@ -271,8 +271,8 @@ def test_fit_mle_result_shares_no_memory_with_its_sites(rng, monkeypatch):
     (sites,) = made
     held = [*sites._inverse, *sites._distinct]
     gls = em._gls
-    kept = [gls.R.values, *gls.R._cho[:1], gls.R._L, gls.R.nugget, gls.G,
-            gls.Rq, gls.beta, gls.resid, gls.alpha, *vars(em.hyper).values()]
+    kept = [gls.R.values, *gls.R._cho[:1], gls.R._L, gls.R.nugget, gls.F,
+            gls.G, gls.Rq, gls.beta, gls.resid, gls.alpha, *vars(em.hyper).values()]
     for a in kept:
         assert a is not None and not any(np.shares_memory(a, b) for b in held)
 

@@ -122,6 +122,12 @@ def test_priorspec_support_and_logprior():
     assert not spec.contains([-0.1, 0.0])
     with pytest.raises(ConfigError):
         PriorSpec([Prior1D.uniform(0, 1)], nominal=[2.0])
+    # a lognormal's density is zero at 0, the closed end of its support:
+    # such a nominal once loaded and failed only at the chain's first step
+    lognormal = PriorSpec([Prior1D.lognormal(0.5, 0.5)], nominal=[1.0])
+    assert lognormal.log_prior([0.0]) == -math.inf and not lognormal.contains([0.0])
+    with pytest.raises(ConfigError, match="prior density is zero"):
+        PriorSpec([Prior1D.lognormal(0.5, 0.5)], nominal=[0.0])
 
 
 def test_priorspec_rejects_a_theta_of_the_wrong_width():
