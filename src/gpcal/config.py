@@ -117,7 +117,11 @@ def load_config(path) -> WorkflowConfig:
             sim_cfg[key] = str((base / sim_cfg[key]).resolve())
             if not found(Path(sim_cfg[key])):
                 raise ConfigError(f"simulator {what} not found: {sim_cfg[key]}")
-    simulator = simulator_from_config(sim_cfg, design_space.dim, prior.dim)
+    # a subprocess runs in the config file's directory unless given a workdir;
+    # the default goes to the binding only, so the hashed section is as loaded
+    binding = ({"workdir": str(base.resolve()), **sim_cfg}
+               if sim_cfg["kind"] == "subprocess" else sim_cfg)
+    simulator = simulator_from_config(binding, design_space.dim, prior.dim)
 
     exp_path = base / cfg["experiments"]["path"]
     if not exp_path.is_file():

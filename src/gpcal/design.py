@@ -67,7 +67,8 @@ def maximin_lhs(n: int, space: ParameterSpace, n_restarts: int,
             best, best_dist = cand, dist
     return DesignMatrix(best.points, space,
                         meta={"method": "maximin_lhs", "seed": seed,
-                              "n_restarts": n_restarts, "min_distance": best_dist})
+                              "midpoint": midpoint, "n_restarts": n_restarts,
+                              "min_distance": best_dist})
 
 
 #: scipy.stats.qmc.Sobol.MAXDIM, the direction-number table limit; a literal,

@@ -243,7 +243,7 @@ _BOOL = _check(lambda v: type(v) is bool, "true or false")
 _STR = _check(lambda v: type(v) is str, "a string")
 #: parameter names: CSV header cells, read back stripped and split at commas
 #: and line breaks, and parts of file names
-_NAMES = _list(_check(lambda v: type(v) is str and v == v.strip() != ""
-                      and not set(v) & set(",/\n\r"),
-                      "a nonempty name without surrounding spaces, ',', '/' "
-                      "or a line break"), distinct=True)
+_NAME = _check(lambda v: type(v) is str and v == v.strip() != ""
+               and not set(v) & set(",/\n\r"),
+               "a nonempty name without surrounding spaces, ',', '/' or a line break")
+_NAMES = _list(_NAME, distinct=True)

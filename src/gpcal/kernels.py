@@ -14,10 +14,10 @@ applied silently.
 
 Every assembly is bit-identical to the literal expressions: each kind's
 factor is its canonical expression (:func:`_corr_1d`), and the factors are
-multiplied in dimension order into ones. A one-shot matrix
-(:func:`cross_corr_matrix`, or :func:`correlation_matrix` given the sites)
-evaluates them entry by entry (:func:`_product_corr`). A hyperparameter fit,
-MLE or CV, instead keeps a :class:`SiteDistances` of its training sites: it
+multiplied in dimension order into ones. A cross-correlation between two
+point sets (:func:`cross_corr_matrix`) evaluates them entry by entry
+(:func:`_product_corr`). Every training matrix, of a fit's objective or of
+a conditioned emulator, is assembled by one :class:`SiteDistances` path: it
 evaluates each kernel factor once per distinct distance. On a ``cross``
 design's layout, rows that are the row-major product of n_x x rows and n_t
 theta rows (:func:`_cross_factors`, the one reader of that layout here and
@@ -30,8 +30,8 @@ factor; its gradient evaluates each factor's closed-form log-derivative
 (:meth:`SiteDistances.log_derivatives`). Every :class:`CorrelationMatrix`
 computes its factor in arrays of its own, except for the MLE objective,
 which never reads its matrix again and so factors it in the array it was
-assembled in. A :class:`SiteDistances` checks the finiteness of what it
-assembles, on a ``cross`` layout from the distinct factor values alone.
+assembled in. Finiteness is checked once, where the assembler makes the
+values, on a ``cross`` layout from the distinct factor values alone.
 Bit-identity is a contract, not a nicety: the MLE multistart L-BFGS-B takes
 finite differences of the objective, so it follows the objective's last bits,
 and any change in rounding moves the fitted optimum.
@@ -208,8 +208,9 @@ class SiteDistances:
     It also records, once, whether the sites are the row-major product of
     the distinct rows of their first dx columns and of the others
     (:func:`_cross_factors`, the first such dx), as a ``cross`` design lays
-    them out. A fit (``fit_mle`` or ``fit_cv``) makes one for its
-    training inputs and drops it when it returns. Nothing in it changes after
+    them out. A fit (``fit_mle`` or ``fit_cv``) makes one for its training
+    inputs and shares it across its objective calls; :func:`correlation_matrix`
+    makes one for sites given as an array. Nothing in it changes after
     construction, so it is safe to share between threads.
     """
 
@@ -239,13 +240,13 @@ class SiteDistances:
         the n_x x n_x or n_t x n_t block of its index and broadcast into one
         (n_x, n_t, n_x, n_t) array; otherwise each is gathered m x m.
 
-        The result is checked finite, so :func:`correlation_matrix` does not
-        scan it again; a non-finite one raises the ``ValueError`` that
-        :class:`CorrelationMatrix` raises. On a product layout the distinct
-        factor values are checked instead of the matrix: every factor lies
-        in [0, 1] up to rounding, so a product of finite ones is finite.
-        Otherwise the distinct values can outnumber the entries (about
-        m^2 / 2 per dimension on a joint design), so the matrix is scanned."""
+        The result is checked finite, the one finiteness check of a training
+        matrix: a non-finite one raises ``cho_factor``'s ``ValueError``. On
+        a product layout the distinct factor values are checked instead of
+        the matrix: every factor lies in [0, 1] up to rounding, so a product
+        of finite ones is finite. Otherwise the distinct values can outnumber
+        the entries (about m^2 / 2 per dimension on a joint design), so the
+        matrix is scanned."""
         m = self.points.shape[0]
         f = [_corr_1d(spec.kind, u, spec.omega[k], spec.p[k])
              for k, u in enumerate(self._distinct)]
@@ -311,24 +312,18 @@ class CorrelationMatrix:
     (np.tril) changes no bit. The copy goes in ``_TILE`` x ``_TILE`` tiles
     that stay in cache: two thirds of one strided pass's time at m = 480.
 
-    Finiteness is checked once, on ``values``, before the factorization: a
-    finite positive-definite matrix has a finite factor, so the solves call
-    LAPACK on it directly and scan nothing. Their right-hand sides must be
-    finite; nothing here checks them.
+    ``values`` must be finite: its one builder, :func:`correlation_matrix`,
+    checked it when it assembled it. A finite positive-definite matrix has a
+    finite factor, so the solves call LAPACK on it directly and scan nothing.
+    Their right-hand sides must be finite; nothing here checks them.
 
-    :func:`correlation_matrix` skips two of these steps where it can. A
-    matrix assembled from a :class:`SiteDistances` was checked finite there
-    (``_checked``), so it is not scanned again. A caller that never reads
-    ``values`` (the MLE objective) has no use for the copy-in
-    (``_in_place``): ``dpotrf`` then factors the buffer of ``values``
-    itself, the same F-ordered input in the same memory layout, so the same
-    bits, and ``values`` is None.
+    A caller that never reads ``values`` (the MLE objective) has no use for
+    the copy-in (``_in_place``): ``dpotrf`` then factors the buffer of
+    ``values`` itself, the same F-ordered input in the same memory layout, so
+    the same bits, and ``values`` is None.
     """
 
-    def __init__(self, values: np.ndarray, nugget, *, _checked: bool = False,
-                 _in_place: bool = False):
-        if not _checked and not np.isfinite(values).all():  # cho_factor's check
-            raise ValueError(_NOT_FINITE)
+    def __init__(self, values: np.ndarray, nugget, *, _in_place: bool = False):
         work = values.T if _in_place else values.T.copy(order="F")
         np.copyto(work, 0.0, where=work < _NEGLIGIBLE)
         c, info = dpotrf(work, lower=1, overwrite_a=1, clean=0)
@@ -409,35 +404,35 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                        _keep_values: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
-    ``X`` holds the design sites, or is a :class:`SiteDistances` of them to
-    assemble from its distinct distances. Either way the result owns its
-    matrix and factor.
+    ``X`` holds the design sites, or is a :class:`SiteDistances` of them;
+    sites given as an array are wrapped in one, so every training matrix is
+    assembled, and checked finite, by :meth:`SiteDistances.correlation`. The
+    result owns its matrix and factor.
     ``nugget`` may be a scalar or a per-point vector (heteroscedastic noise).
     If the Cholesky factorization fails, the nugget is escalated by factors of
     10 from max(nugget, 1e-10) up to 1e-4 before giving up; duplicate design
     sites with a zero nugget are rejected outright because the matrix is then
     singular in exact arithmetic regardless of floating-point luck.
 
-    The matrix is assembled in one freshly allocated array (it becomes
-    ``values``) and equals, bit for bit, ``cross_corr_matrix(X, X, spec)``
-    with its diagonal set to 1 + nugget. |x_i - x_j| and |x_j - x_i| are the
-    same double, so the product kernel is exactly symmetric and needs no
-    symmetrizing copy.
+    The matrix (``values``) equals, bit for bit, ``cross_corr_matrix(X, X,
+    spec)`` with its diagonal set to 1 + nugget. |x_i - x_j| and |x_j - x_i|
+    are the same double, so the product kernel is exactly symmetric and needs
+    no symmetrizing copy.
 
     A caller that never reads ``values`` passes ``_keep_values=False``:
     without ``auto_escalate`` the matrix is then factored in the buffer it
     was assembled in, and ``values`` is None. An escalating call keeps the
     matrix, since each retry factors it again.
     """
-    distances = isinstance(X, SiteDistances)
-    pts = X.points if distances else np.atleast_2d(np.asarray(X, float))
+    sites = isinstance(X, SiteDistances)
+    pts = X.points if sites else np.atleast_2d(np.asarray(X, float))
     m = pts.shape[0]
-    if m < 1:
+    if m < 1:           # checked first: a SiteDistances of no sites cannot be made
         raise DataError("correlation_matrix requires at least one design site")
     if pts.shape[1] != spec.dim:
         raise DataError(f"dimension mismatch: points {pts.shape[1]}, kernel {spec.dim}")
     nug = _nugget_vector(nugget, m)
-    R = X.correlation(spec) if distances else _product_corr(pts, pts, spec)
+    R = (X if sites else SiteDistances(pts)).correlation(spec)
     diag = R.reshape(-1)[::m + 1]                # a view of R's diagonal
     if np.all(nug == 0):                         # only then can sites clash
         diag[:] = 0.0                            # R.max(): off-diagonal only
@@ -450,14 +445,12 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                 "tensor-product linear kernel in d > 1 can be numerically "
                 "indefinite; a positive nugget is recommended", NumericalWarning)
 
-    checked = isinstance(X, SiteDistances)       # its correlation is finite
     in_place = not (_keep_values or auto_escalate)
     extra = 0.0
     while True:
         diag[:] = 1.0 + (nug + extra)
         try:
-            return CorrelationMatrix(R, nug + extra, _checked=checked,
-                                     _in_place=in_place)
+            return CorrelationMatrix(R, nug + extra, _in_place=in_place)
         except np.linalg.LinAlgError:
             pass
         if not auto_escalate:

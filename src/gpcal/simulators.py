@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, SimulatorError
-from .fileio import read_numeric_rows, read_text, write_csv
+from .fileio import _NAME, _list, checked, read_numeric_rows, read_text, write_csv
 
 
 class SimulatorBinding:
@@ -108,9 +108,13 @@ class SubprocessSimulator(SimulatorBinding):
         self.name = f"subprocess:{self.command[0]}"
         self.n_x = int(n_x)
         self.n_theta = int(n_theta)
-        self.columns = list(columns) if columns else (
-            [f"x{i + 1}" for i in range(self.n_x)]
-            + [f"theta{i + 1}" for i in range(self.n_theta)])
+        if columns is None:
+            columns = ([f"x{i + 1}" for i in range(self.n_x)]
+                       + [f"theta{i + 1}" for i in range(self.n_theta)])
+        # the input CSV's header: one distinct name per input column
+        names = _list(_NAME, self.n_x + self.n_theta, distinct=True)
+        self.columns = checked({"columns": list(columns)}, {"columns": names},
+                               ConfigError, self.name)["columns"]
         self.workdir = workdir
 
     def _run_chunk(self, chunk: np.ndarray, offset: int) -> np.ndarray:

@@ -68,8 +68,8 @@ class ParameterSpace:
 class DesignMatrix:
     """Point set in the unit cube, tied to a ParameterSpace for unscaling.
 
-    ``meta`` records how the design was generated (method, seed, skip) so a
-    serialized design can be reproduced.
+    ``meta`` records how the design was generated (method and the arguments
+    that pick its points) so a serialized design can be reproduced.
     """
 
     points: np.ndarray
@@ -113,9 +113,7 @@ class DesignMatrix:
         path = Path(path)
         write_csv(path, self.space.names, self.to_physical())
         write_json(path.with_suffix(path.suffix + ".meta.json"), {
-            "method": self.meta.get("method"),
-            "seed": self.meta.get("seed"),
-            "skip": self.meta.get("skip"),
+            **self.meta,
             "n": self.m,
             "space": self.space.to_dict(),
             "unit_cube": self.points.tolist(),

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import gpcal
-from gpcal import FittedEmulator, sobol_sequence
+from gpcal import FittedEmulator, lhs_design, maximin_lhs, sobol_sequence
 from gpcal.cli import main
 from gpcal.config import load_config
 from gpcal.errors import ConfigError
@@ -39,6 +39,25 @@ def test_cli_design_lhs(tmp_path, space_file, capsys):
     assert names == ["a", "b"]
     assert values.shape == (10, 2)
     assert (tmp_path / "design.csv.meta.json").exists()
+
+
+@pytest.mark.parametrize("method, flags, want", [
+    ("lhs", ["--midpoint"], {"method": "lhs", "seed": 3, "midpoint": True}),
+    ("maximin", ["--restarts", "5"],
+     {"method": "maximin_lhs", "seed": 3, "midpoint": False, "n_restarts": 5})])
+def test_cli_design_sidecar_records_every_generation_argument(
+        tmp_path, space_file, method, flags, want):
+    # the sidecar once kept only method, seed and skip
+    out = tmp_path / "design.csv"
+    assert main(["design", "--method", method, "--n", "6", "--space",
+                 str(space_file), "--seed", "3", "--out", str(out), *flags]) == 0
+    sidecar = json.loads((tmp_path / "design.csv.meta.json").read_text())
+    space = ParameterSpace(["a", "b"], [0.0, -1.0], [2.0, 1.0])
+    design = (lhs_design(6, space, 3, midpoint=True) if method == "lhs"
+              else maximin_lhs(6, space, 5, 3))
+    assert want.items() <= sidecar.items()
+    assert sidecar == {**design.meta, "n": 6, "space": space.to_dict(),
+                       "unit_cube": design.points.tolist()}
 
 
 def test_cli_design_sobol_matches_library(tmp_path, space_file):
@@ -362,6 +381,13 @@ def _split_lists_with_fraction(raw):
     raw["experiments"]["split"]["fraction"] = 0.5
 
 
+def _columns(*names):
+    """A config edit: a subprocess simulator whose input header is ``names``."""
+    return lambda raw: raw.update(simulator={
+        "kind": "subprocess", "command": [sys.executable, "-c", ""],
+        "columns": list(names)})
+
+
 def _missing_workdir(raw):
     raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, "-c", ""],
                         "workdir": "no-such-dir"}
@@ -462,6 +488,26 @@ FAILURES = {
     "calibrate-simulator-workdir-missing": (
         lambda tmp, run: _calibrate_edited(tmp, _missing_workdir), 1,
         "simulator workdir not found: "),
+    # each loaded and ran with the header misaligned to the rows: offset's
+    # posterior came back as wide as its prior
+    "calibrate-simulator-columns-too-few": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "slope")), 1,
+        "columns has 2 entries, not 3"),
+    "calibrate-simulator-columns-too-many": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "slope", "offset", "c")),
+        1, "columns has 4 entries, not 3"),
+    "calibrate-simulator-column-repeated": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "slope", "slope")), 1,
+        "columns[2] 'slope' repeats an earlier entry"),
+    "calibrate-simulator-column-empty": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "", "offset")), 1,
+        "columns[1] '' is not a nonempty name"),
+    "calibrate-simulator-column-with-a-comma": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "slope,offset", "c")),
+        1, "columns[1] 'slope,offset' is not a nonempty name"),
+    "calibrate-simulator-column-with-a-line-break": (
+        lambda tmp, run: _calibrate_edited(tmp, _columns("x", "slope", "off\nset")),
+        1, "columns[2] 'off\\nset' is not a nonempty name"),
 }
 
 
@@ -574,6 +620,30 @@ def test_config_resolves_the_simulator_workdir_against_its_directory(tmp_path,
     sim = load_config(config).simulator
     assert sim.workdir == str((project / "simdir").resolve())
     assert sim.run(np.array([[2.0, 3.0, 1.0]])).tolist() == [3.25]
+
+
+def test_config_runs_a_subprocess_in_its_directory_by_default(tmp_path, monkeypatch):
+    # a relative script once resolved against the shell's cwd: the run failed,
+    # or ran whatever sim.py lay there
+    configs = []
+    for name in ("project", "copy"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "sim.py").write_text(
+            "import sys\n"
+            "rows = open(sys.argv[1]).read().split()[1:]\n"
+            "ys = ''.join(r.split(',')[1] + '\\n' for r in rows)\n"
+            "open(sys.argv[2], 'w').write('y\\n' + ys)\n")
+        config = write_config(tmp_path / name)
+        raw = yaml.safe_load(config.read_text())
+        raw["simulator"] = {"kind": "subprocess", "command": [sys.executable, "sim.py"]}
+        config.write_text(yaml.safe_dump(raw))
+        configs.append(config)
+    (tmp_path / "sim.py").write_text("raise SystemExit(5)\n")
+    monkeypatch.chdir(tmp_path)
+    project, copy = (load_config(c) for c in configs)
+    assert project.simulator.run(np.array([[2.0, 3.0, 1.0]])).tolist() == [3.0]
+    # the default is not hashed: the same config elsewhere hashes the same
+    assert project.config_hash == copy.config_hash
 
 
 def test_config_not_in_utf8_is_a_config_error(tmp_path):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from gpcal import (ConfigError, DataError, IllConditionedError, KernelSpec,
-                   NumericalWarning, correlation_matrix)
+from gpcal import (ConfigError, DataError, FittedEmulator, IllConditionedError,
+                   KernelSpec, NumericalWarning, TrainingSet, TrendSpec,
+                   correlation_matrix)
 from gpcal.kernels import (KERNEL_KINDS, CorrelationMatrix, SiteDistances,
                            _dlog_corr_1d, _product_corr, _tri_solve,
                            cross_corr_matrix)
@@ -510,18 +511,39 @@ def test_sites_escalation_matches_plain():
 def test_sites_factor_rejects_non_finite_like_cho_factor(rng):
     X = rng.uniform(0, 1, (6, 2))
     spec = KernelSpec("matern_5_2", [0.5, 0.5])
-    values = cross_corr_matrix(X, X, spec)
-    values[1, 4] = values[4, 1] = np.nan
+    nan_site = X.copy()
+    nan_site[1, 0] = np.nan                  # row and column 1 of R are NaN
     with pytest.raises(ValueError) as scipy_error:
-        cho_factor(values, lower=True)
+        cho_factor(cross_corr_matrix(nan_site, nan_site, spec), lower=True)
     with pytest.raises(ValueError) as ours:
-        CorrelationMatrix(values, 0.0)
+        correlation_matrix(nan_site, spec, 0.0)
     assert type(ours.value) is type(scipy_error.value)
     assert str(ours.value) == str(scipy_error.value)
     # a non-finite nugget is refused before the factorization on either path
     for X_or_sites in (X, SiteDistances(X)):
         with pytest.raises(DataError, match="nugget"):
             correlation_matrix(X_or_sites, spec, np.inf)
+
+
+def test_every_training_matrix_is_assembled_from_sites(rng, monkeypatch):
+    # _product_corr assembles cross-correlations only: sites given as an
+    # array, an emulator's conditioning and a loaded emulator all assemble R
+    # through SiteDistances, with _product_corr's bits
+    spec = KernelSpec("matern_5_2", [0.4, 0.7, 1.1])
+    joint = rng.uniform(0, 1, (30, 3))
+    cross = cross_rows(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (6, 2)))
+    want = [_product_corr(X, X, spec) for X in (joint, cross)]
+    training = TrainingSet(joint, np.sin(joint.sum(axis=1)))
+    doc = FittedEmulator(training, TrendSpec("constant"), spec).to_dict()
+
+    def refuse(*args):
+        raise AssertionError("_product_corr assembled a training matrix")
+    monkeypatch.setattr("gpcal.kernels._product_corr", refuse)
+    for X, plain in zip((joint, cross), want):
+        plain[np.diag_indices(len(X))] = 1.0 + 1e-8
+        assert np.array_equal(correlation_matrix(X, spec, 1e-8).values, plain)
+    FittedEmulator(training, TrendSpec("constant"), spec)
+    FittedEmulator.from_dict(doc)
 
 
 # ------------------------------------------------ cross-layout assembly
@@ -591,19 +613,14 @@ def test_in_place_factor_keeps_the_copied_factor_bits(rng):
 def test_non_finite_correlations_raise_value_error_on_every_path(rng):
     message = "array must not contain infs or NaNs"
     X = rng.uniform(0, 1, (6, 2))
-    values = cross_corr_matrix(X, X, KernelSpec("matern_5_2", [0.5, 0.5]))
-    for bad in (np.nan, np.inf):
-        poisoned = values.copy()
-        poisoned[2, 3] = poisoned[3, 2] = bad
-        with pytest.raises(ValueError, match=message):
-            CorrelationMatrix(poisoned, 0.0)
-    nan_site = X.copy()
-    nan_site[2, 1] = np.nan
+    matern = KernelSpec("matern_5_2", [0.5, 0.5])
+    nan_site, inf_site = X.copy(), X.copy()
+    nan_site[2, 1], inf_site[2, 1] = np.nan, np.inf   # |inf - inf| is NaN
     # a Matern factor is inf * 0 at t = h / omega = inf: finite sites, NaN
-    # factor, caught on the distinct factor values of the SiteDistances path
+    # factor, caught on the distinct factor values on a cross layout
     tiny = KernelSpec("matern_3_2", [5e-324, 0.5])
     cross = cross_rows(rng.uniform(0, 1, (3, 1)), rng.uniform(0, 1, (4, 1)))
-    cases = [(nan_site, KernelSpec("matern_5_2", [0.5, 0.5])), (X, tiny), (cross, tiny)]
+    cases = [(nan_site, matern), (inf_site, matern), (X, tiny), (cross, tiny)]
     assert SiteDistances(cross)._layout == (1, 4)
     with np.errstate(all="ignore"):
         for Y, spec in cases:
