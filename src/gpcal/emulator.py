@@ -153,6 +153,11 @@ class TrainingSet:
     def dim(self) -> int:
         return self.x_phys.shape[1]
 
+    @functools.cached_property
+    def sites(self) -> SiteDistances:
+        """``X``'s distances, read by every fit and conditioning on this set."""
+        return SiteDistances(self.X)
+
     def scale_x(self, x_phys) -> np.ndarray:
         return (np.atleast_2d(np.asarray(x_phys, dtype=float)) - self.x_min) / self.x_span
 
@@ -217,17 +222,15 @@ class _GLS:
 
 
 def _concentrated_nll(training: TrainingSet, trend: TrendSpec,
-                      spec: KernelSpec, nugget, sites) -> float:
+                      spec: KernelSpec, nugget) -> float:
     """Concentrated negative log-likelihood with beta and sigma2 profiled out:
     (m/2) log(2 pi sigma2) + (1/2) log|R| + m/2, reported in physical output
     units (the standardization offset m*log(y_scale) is added back so scaling
     the outputs by c shifts the value by m*log|c| without moving the argmin).
 
-    The training inputs are given as ``sites``: ``training.X`` or a
-    :class:`SiteDistances` of it, which gives the same value to the last
-    bit. Nothing reads the matrix after its factorization, so it is factored
-    in place."""
-    R = correlation_matrix(sites, spec, nugget, auto_escalate=False,
+    R is assembled from ``training.sites`` and never read after its
+    factorization, so it is factored in place."""
+    R = correlation_matrix(training.sites, spec, nugget, auto_escalate=False,
                            _keep_values=False)
     s2 = max(_GLS(training, trend, R).sigma2(), np.finfo(float).tiny)
     m = training.m
@@ -279,7 +282,7 @@ class FittedEmulator:
         if training.m < n + 1:
             raise DataError(f"need at least {n + 1} training points for a "
                             f"{trend.kind} trend, got {training.m}")
-        R = correlation_matrix(training.X, kernel, nugget, auto_escalate=auto_escalate)
+        R = correlation_matrix(training.sites, kernel, nugget, auto_escalate=auto_escalate)
         self._gls = _GLS(training, trend, R)
         self._gls.alpha  # solved here, so nothing changes after construction
         s2 = self._gls.sigma2() if sigma2_override is None else float(sigma2_override)
@@ -693,7 +696,8 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
     scores ``_BIG``, with a zero gradient and no extra under ``jac``:
     ``(_BIG, 0)``. Returns every restart's ``(value, spec, out)`` in start
     order, ``out`` being the loss's scored evaluation at the restart's end
-    point; raises :class:`FitError` if no value is finite.
+    point and ``value`` its value, not L-BFGS-B's ``res.fun``, which can
+    differ after an ABNORMAL stop; raises :class:`FitError` if none is finite.
 
     Each distinct omega is evaluated once per call: L-BFGS-B asks again for
     the points of an iterate it restores after a failed line search, and a
@@ -738,7 +742,8 @@ def _multistart(loss, d: int, kernel: str, n_restarts: int, seed: int, what: str
         res = minimize(objective, t0, method="L-BFGS-B", jac=jac,
                        bounds=list(zip(lb, ub)))
         spec = unpack(res.x)     # an iterate L-BFGS-B evaluated
-        results.append((float(res.fun), spec, memo[spec.omega.tobytes()]))
+        out = memo[spec.omega.tobytes()]
+        results.append((float(out[0] if jac else out), spec, out))
     if min(v for v, _, _ in results) >= _BIG:
         raise FitError(f"all {n_restarts} {what} restarts failed to produce a "
                        "finite objective; check the data and kernel choice")
@@ -750,22 +755,19 @@ def fit_mle(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     """Maximum-likelihood fit: multistart bounded minimization of the
     concentrated negative log-likelihood over log(omega).
 
-    Restart starting points are drawn by Latin hypercube over the
-    :data:`OMEGA_BOUNDS` box; ties between equally good optima go to the
-    first-found candidate. Same data and seed reproduce the fit bit-for-bit.
-    L-BFGS-B takes finite differences of the objective, and each distinct
-    omega it requests is evaluated once in the fit (:func:`_multistart`).
+    Restarts start from Latin hypercube points in the :data:`OMEGA_BOUNDS`
+    box and are ranked by the objective at their end points, ties going to
+    the first found; same data and seed reproduce the fit bit-for-bit.
+    L-BFGS-B takes finite differences of the objective, each distinct omega
+    evaluated once (:func:`_multistart`), and every objective call and the
+    final conditioning read ``training.sites``.
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
         return FittedEmulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim)))
-    # the training distances, shared by every restart of this fit only
-    sites = SiteDistances(training.X)
-    results = _multistart(
-        lambda spec: _concentrated_nll(training, trend, spec, nugget, sites),
-        training.dim, kernel, n_restarts, seed, "MLE")
-    del sites  # freed before the final conditioning, to keep peak memory down
+    results = _multistart(lambda spec: _concentrated_nll(training, trend, spec, nugget),
+                          training.dim, kernel, n_restarts, seed, "MLE")
     best = min(results, key=lambda r: r[0])[1]
     return FittedEmulator(training, trend, best, nugget=nugget)
 
@@ -790,7 +792,7 @@ def _fold_layout(fold_labels: np.ndarray):
 
 
 def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
-                nugget, folds, sites: SiteDistances):
+                nugget, folds):
     """Held-out predictions for each fold with fixed (omega, p), the trend
     coefficients re-estimated by GLS on each fold's retained points, from one
     factorization of K = R + diag(nugget) of all m sites.
@@ -800,7 +802,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     residuals are e_I = (Q_II)^-1 (Q y)_I, and their variances per unit
     process variance, the held-out nuggets included, are diag((Q_II)^-1);
     :func:`fit_cv` gives the references. ``folds`` (:func:`_fold_layout`)
-    and ``sites``, a :class:`SiteDistances` of ``training.X``, are reused.
+    is reused, and K and the gradient read ``training.sites``.
 
     Returns standardized held-out means ``mu_cv`` = y - e, ``v_cv``, and the
     gradient of the CV loss sum(e^2) over log(omega): <dK/d log omega_k,
@@ -808,7 +810,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     G = sum_I (Q_:I u_I)(Q_:I e_I)' - (Q u)(Q y)'.
     """
     m = training.m
-    R = correlation_matrix(sites, spec, nugget, auto_escalate=False)
+    R = correlation_matrix(training.sites, spec, nugget, auto_escalate=False)
     gls = _GLS(training, trend, R)
     Q = R.inverse()
     H = _tri_solve(gls.Rq.T, gls.F.T @ Q, True)   # (K^-1 F Rq^-1)'
@@ -826,7 +828,7 @@ def _cv_heldout(training: TrainingSet, trend: TrendSpec, spec: KernelSpec,
     Pu, Pe = np.zeros((m, k)), np.zeros((m, k))
     Pu[rows], Pe[rows] = u, e
     G = (Q @ Pu) @ (Q @ Pe).T - np.outer(Q @ u, Qy)
-    return mu_cv, v_cv, sites.log_derivatives(spec, R.values * (G + G.T))
+    return mu_cv, v_cv, training.sites.log_derivatives(spec, R.values * (G + G.T))
 
 
 def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
@@ -844,28 +846,25 @@ def fit_cv(training: TrainingSet, trend: TrendSpec, kernel: str = "gaussian",
     1983, Math. Geology, for LOO; Ginsbourger & Schaerer 2021, "Fast
     calculation of Gaussian process multiple-fold cross-validation residuals
     and their covariances", for K folds under universal kriging). L-BFGS-B
-    gets the loss's gradient in closed form (:func:`_cv_heldout`). A
-    candidate whose K does not factor fails, as in :func:`fit_mle`. Fold
-    assignment is a seeded shuffle followed by round-robin. Ties in the CV
-    objective (e.g. data lying exactly on the trend) are broken by the
-    smallest length-scale vector norm. The process variance reads the
-    held-out predictions that the winner's loss evaluation carries.
+    gets the loss's gradient in closed form (:func:`_cv_heldout`). As in
+    :func:`fit_mle`, a candidate whose K does not factor fails, every one
+    reads ``training.sites`` and restarts are ranked by the loss at their end
+    points; ties (e.g. data exactly on the trend) go to the smallest
+    length-scale norm. Folds are a seeded shuffle dealt round-robin. The
+    process variance reads the held-out predictions of the winner's loss.
     """
     _nugget_vector(nugget, training.m)  # a bad nugget fails here, not per restart
     if training.degenerate:
         return FittedEmulator(training, trend,
                               KernelSpec(kernel, np.ones(training.dim)))
     folds = _fold_layout(make_folds(training.m, k_folds, seed))
-    # the training distances, shared by every restart of this fit only
-    sites = SiteDistances(training.X)
 
     def loss(spec):
-        mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, folds, sites)
+        mu_cv, v_cv, grad = _cv_heldout(training, trend, spec, nugget, folds)
         return float(np.sum((training.y - mu_cv) ** 2)), grad, mu_cv, v_cv
 
     results = _multistart(loss, training.dim, kernel, n_restarts, seed, "CV",
                           jac=True)
-    del sites  # freed before the final conditioning, to keep peak memory down
     best_val = min(v for v, _, _ in results)
     tol = 1e-12 * max(1.0, abs(best_val))
     tied = [(spec, out) for v, spec, out in results if v <= best_val + tol]

@@ -16,25 +16,25 @@ Every assembly is bit-identical to the literal expressions: each kind's
 factor is its canonical expression (:func:`_corr_1d`), and the factors are
 multiplied in dimension order into ones. A cross-correlation between two
 point sets (:func:`cross_corr_matrix`) evaluates them entry by entry
-(:func:`_product_corr`). Every training matrix, of a fit's objective or of
-a conditioned emulator, is assembled by one :class:`SiteDistances` path: it
-evaluates each kernel factor once per distinct distance. On a ``cross``
-design's layout, rows that are the row-major product of n_x x rows and n_t
-theta rows (:func:`_cross_factors`, the one reader of that layout here and
-in the Kronecker predictor), it reads each factor as an n_x x n_x or
-n_t x n_t block and broadcasts the blocks into the matrix; on any other
-layout it gathers each factor's values into the m x m matrix. A CV objective
-factors that full training matrix once and takes every fold from the one
-factor; its gradient evaluates each factor's closed-form log-derivative
-(:func:`_dlog_corr_1d`) on the same distinct distances
+(:func:`_product_corr`). Every training matrix is assembled by one
+:class:`SiteDistances` path, on the distances its training set computes once
+(``TrainingSet.sites``): it evaluates each kernel factor once per distinct
+distance. On a ``cross`` design's layout, rows that are the row-major product
+of n_x x rows and n_t theta rows (:func:`_cross_factors`, the one reader of
+that layout here and in the Kronecker predictor), it reads each factor as an
+n_x x n_x or n_t x n_t block and broadcasts the blocks into the matrix; on
+any other layout it gathers each factor's values into the m x m matrix. A CV
+objective factors that full training matrix once and takes every fold from
+the one factor; its gradient evaluates each factor's closed-form
+log-derivative (:func:`_dlog_corr_1d`) on the same distinct distances
 (:meth:`SiteDistances.log_derivatives`). Every :class:`CorrelationMatrix`
-computes its factor in arrays of its own, except for the MLE objective,
-which never reads its matrix again and so factors it in the array it was
-assembled in. Finiteness is checked once, where the assembler makes the
-values, on a ``cross`` layout from the distinct factor values alone.
-Bit-identity is a contract, not a nicety: the MLE multistart L-BFGS-B takes
-finite differences of the objective, so it follows the objective's last bits,
-and any change in rounding moves the fitted optimum.
+computes its factor in arrays of its own, except for the MLE objective, which
+never reads its matrix again and so factors it in the array it was assembled
+in. Finiteness is checked once, where the assembler makes the values, on a
+``cross`` layout from the distinct factor values alone. Bit-identity is a
+contract, not a nicety: the MLE multistart L-BFGS-B takes finite differences
+of the objective, so it follows the objective's last bits, and any change in
+rounding moves the fitted optimum.
 
 One step departs from the plain matrix, and only inside the factorization:
 every correlation below ``eps**2`` (4.9e-32) is zeroed in the working copy
@@ -208,10 +208,10 @@ class SiteDistances:
     It also records, once, whether the sites are the row-major product of
     the distinct rows of their first dx columns and of the others
     (:func:`_cross_factors`, the first such dx), as a ``cross`` design lays
-    them out. A fit (``fit_mle`` or ``fit_cv``) makes one for its training
-    inputs and shares it across its objective calls; :func:`correlation_matrix`
-    makes one for sites given as an array. Nothing in it changes after
-    construction, so it is safe to share between threads.
+    them out. A training set keeps one (``TrainingSet.sites``) for every fit
+    and conditioning on it; :func:`correlation_matrix` makes one for sites
+    given as an array. Nothing in it changes after construction, so it is
+    safe to share between threads.
     """
 
     def __init__(self, X):
@@ -404,10 +404,10 @@ def correlation_matrix(X, spec: KernelSpec, nugget=DEFAULT_NUGGET,
                        _keep_values: bool = True) -> CorrelationMatrix:
     """Assemble and factorize the m x m training correlation matrix.
 
-    ``X`` holds the design sites, or is a :class:`SiteDistances` of them;
-    sites given as an array are wrapped in one, so every training matrix is
-    assembled, and checked finite, by :meth:`SiteDistances.correlation`. The
-    result owns its matrix and factor.
+    ``X`` holds the design sites, or is a :class:`SiteDistances` of them, as
+    a training set's own (``TrainingSet.sites``); sites given as an array are
+    wrapped in one, so every training matrix is assembled, and checked finite,
+    by :meth:`SiteDistances.correlation`. The result owns its matrix and factor.
     ``nugget`` may be a scalar or a per-point vector (heteroscedastic noise).
     If the Cholesky factorization fails, the nugget is escalated by factors of
     10 from max(nugget, 1e-10) up to 1e-4 before giving up; duplicate design

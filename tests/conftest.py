@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gpcal.errors import DataError
-from gpcal.kernels import cross_corr_matrix
+from gpcal.kernels import SiteDistances, cross_corr_matrix
 
 
 def weighted_distance(x_i, x_j, spec):
@@ -173,3 +173,16 @@ def cross_rows(u_x, u_t):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+@pytest.fixture
+def sites_made(monkeypatch):
+    """The list every SiteDistances built during the test is appended to."""
+    made, real = [], SiteDistances.__init__
+
+    def init(self, X):
+        real(self, X)
+        made.append(self)
+
+    monkeypatch.setattr(SiteDistances, "__init__", init)
+    return made

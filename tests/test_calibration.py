@@ -215,6 +215,24 @@ def test_discrepancy_recovers_sine_bias():
     assert np.max(np.abs(mean - want)) < 0.1
 
 
+def test_discrepancy_fits_share_one_set_of_site_distances(monkeypatch, sites_made):
+    # GPbias fits twice on one training set; both fits' objectives and both
+    # conditionings read that set's distances, built once
+    fitted, real_fit = [], gpcal.calibration.fit_mle
+
+    def fit(training, *args, **kwargs):
+        fitted.append(training)
+        return real_fit(training, *args, **kwargs)
+
+    monkeypatch.setattr(gpcal.calibration, "fit_mle", fit)
+    val = linear_experiments(8, seed=9, sigma=1e-4, bias=True,
+                             x_range=(0.0, 2.0 * math.pi))
+    model = build_discrepancy_emulator(BuiltinSimulator("linear"), val,
+                                       theta0=[2.0, 1.0], seed=3)
+    assert len(fitted) == 2 and fitted[0] is fitted[1]
+    assert len(sites_made) == 1 and sites_made[0] is model.emulator.training.sites
+
+
 def test_discrepancy_heteroscedastic_nuggets_stored():
     rng = np.random.default_rng(0)
     x = np.linspace(0, 10, 6).reshape(-1, 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from scipy.linalg import cho_factor, solve_triangular
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 import gpcal.emulator
 from gpcal import (ConfigError, DataError, ExtrapolationWarning, FitError,
@@ -117,7 +117,7 @@ def test_nll_identity_R_closed_form(rng):
     y = rng.normal(0, 2, 6)
     tr = raw_training(x, y)
     spec = KernelSpec("gaussian", [1e-3])
-    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0, tr.X)
+    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0)
     s2 = np.sum((y - y.mean()) ** 2) / 6.0
     want = 3.0 * math.log(2 * math.pi * s2) + 3.0
     assert got == pytest.approx(want, abs=1e-10)
@@ -128,7 +128,7 @@ def test_nll_matches_unconcentrated_likelihood(rng):
     y = np.array([1.0, 2.5])
     tr = raw_training(x, y)
     spec = KernelSpec("gaussian", [0.4])
-    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0, tr.X)
+    got = _concentrated_nll(tr, TrendSpec("constant"), spec, 0.0)
     R = oracle_corr_matrix("gaussian", [0.4], [2.0], x, x)
     Rinv = np.linalg.inv(R)
     one = np.ones(2)
@@ -151,8 +151,8 @@ def test_nll_output_scaling_shifts_value_not_argmin(rng):
     vals1, vals2 = [], []
     for w in grid:
         spec = KernelSpec("gaussian", [w])
-        vals1.append(_concentrated_nll(tr1, TrendSpec("constant"), spec, 1e-10, tr1.X))
-        vals2.append(_concentrated_nll(tr2, TrendSpec("constant"), spec, 1e-10, tr2.X))
+        vals1.append(_concentrated_nll(tr1, TrendSpec("constant"), spec, 1e-10))
+        vals2.append(_concentrated_nll(tr2, TrendSpec("constant"), spec, 1e-10))
     vals1, vals2 = np.array(vals1), np.array(vals2)
     assert np.argmin(vals1) == np.argmin(vals2)
     shifts = vals2 - vals1
@@ -161,19 +161,18 @@ def test_nll_output_scaling_shifts_value_not_argmin(rng):
 
 def test_nll_with_fit_distances_is_bit_identical(rng):
     # the multistart L-BFGS-B follows the last bit of the objective, so the
-    # fit's cached distances must not change a single one, including at the
-    # omega bound corners the optimizer visits
+    # training set's distances must give scipy's dense value to the last bit,
+    # including at the omega bound corners the optimizer visits
     X = rng.uniform(0, 1, (60, 3))
     tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
-    sites = SiteDistances(tr.X)
     corners = ([1e-3] * 3, [1e3] * 3, [1e3, 1e-3, 1e-3], [1e-3, 1e3, 1e3],
                [0.3, 0.7, 2.0])
     for kind in ("matern_5_2", "gaussian", "power_exponential"):
         for omega in corners:
             spec = KernelSpec(kind, omega)
             for trend in (TrendSpec("constant"), TrendSpec("linear")):
-                assert (_concentrated_nll(tr, trend, spec, 1e-10, sites)
-                        == _concentrated_nll(tr, trend, spec, 1e-10, tr.X))
+                assert (_concentrated_nll(tr, trend, spec, 1e-10)
+                        == dense_scipy_nll(tr, trend, spec, 1e-10))
 
 
 @pytest.mark.parametrize("kind", KERNEL_KINDS)
@@ -182,20 +181,18 @@ def test_cross_layout_nll_is_bit_identical_to_the_plain_path(kind, rng):
     # factors the matrix in place; neither may move a bit of the value
     X = cross_rows(rng.uniform(0, 10, (6, 1)), rng.uniform(0, 1, (9, 2)))
     tr = TrainingSet(X, X[:, 0] * X[:, 1] + X[:, 2])
-    sites = SiteDistances(tr.X)
-    assert sites._layout == (1, 9)
+    assert tr.sites._layout == (1, 9)
     p = [0.5, 1.0, 2.0] if kind == "power_exponential" else None
     for omega in ([0.3, 0.7, 2.0], [1e-3] * 3, [1e3] * 3, [1e3, 1e-3, 0.5]):
         spec = KernelSpec(kind, omega, p)
         for trend in (TrendSpec("constant"), TrendSpec("linear")):
             try:
-                want = _concentrated_nll(tr, trend, spec, 1e-10, tr.X)
-            except IllConditionedError:
+                want = dense_scipy_nll(tr, trend, spec, 1e-10)
+            except np.linalg.LinAlgError:
                 with pytest.raises(IllConditionedError):
-                    _concentrated_nll(tr, trend, spec, 1e-10, sites)
+                    _concentrated_nll(tr, trend, spec, 1e-10)
                 continue
-            assert _concentrated_nll(tr, trend, spec, 1e-10, sites) == want
-            assert want == dense_scipy_nll(tr, trend, spec, 1e-10)
+            assert _concentrated_nll(tr, trend, spec, 1e-10) == want
 
 
 def dense_scipy_nll(training, trend, spec, nugget):
@@ -236,8 +233,8 @@ def test_fit_mle_path_nll_is_bit_identical_to_an_unflushed_dense_factor(monkeypa
     seen = []
     real = gpcal.emulator._concentrated_nll
 
-    def spy(training, trend, spec, nugget, sites):
-        seen.append((spec, real(training, trend, spec, nugget, sites)))
+    def spy(training, trend, spec, nugget):
+        seen.append((spec, real(training, trend, spec, nugget)))
         return seen[-1][1]
 
     monkeypatch.setattr(gpcal.emulator, "_concentrated_nll", spy)
@@ -247,28 +244,21 @@ def test_fit_mle_path_nll_is_bit_identical_to_an_unflushed_dense_factor(monkeypa
         assert value == dense_scipy_nll(tr, trend, spec, 1e-10)
     corners = [spec for spec, _ in seen if np.isclose(spec.omega, 1e-3).any()]
     assert corners
-    sites = SiteDistances(tr.X)
     for spec in corners:
-        R = correlation_matrix(sites, spec, 1e-10)
+        R = correlation_matrix(tr.sites, spec, 1e-10)
         assert subnormal_count(R._cho[0]) == 0
         assert subnormal_count(cho_factor(R.values, lower=True)[0]) > 0
 
 
-def test_fit_mle_result_shares_no_memory_with_its_sites(rng, monkeypatch):
-    # the fit's SiteDistances is dropped when it returns, so nothing the
-    # fitted emulator keeps may point into it
-    made = []
-
-    class Recorded(SiteDistances):
-        def __init__(self, X):
-            super().__init__(X)
-            made.append(self)
-
-    monkeypatch.setattr(gpcal.emulator, "SiteDistances", Recorded)
+def test_fit_mle_result_shares_no_memory_with_its_sites(rng, sites_made):
+    # the training set builds its distances once, for every objective call
+    # and the final conditioning, and keeps them; nothing the fitted emulator
+    # keeps besides may point into them
     X = rng.uniform(0, 1, (30, 3))
-    em = fit_mle(TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1]),
-                 TrendSpec("linear"), "matern_5_2", n_restarts=2, seed=1)
-    (sites,) = made
+    training = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1])
+    em = fit_mle(training, TrendSpec("linear"), "matern_5_2", n_restarts=2, seed=1)
+    (sites,) = sites_made
+    assert sites is training.sites is em.training.sites
     held = [*sites._inverse, *sites._distinct]
     gls = em._gls
     kept = [gls.R.values, *gls.R._cho[:1], gls.R._L, gls.R.nugget, gls.F,
@@ -278,7 +268,8 @@ def test_fit_mle_result_shares_no_memory_with_its_sites(rng, monkeypatch):
 
 
 def test_fits_never_share_distances(rng, monkeypatch):
-    # as gpbias then gpcode in one process: same shape, different sites
+    # as gpbias then gpcode in one process: same shape, different sites; every
+    # objective call and the final conditioning read the training set's own
     seen = []
     real = gpcal.emulator.correlation_matrix
 
@@ -293,11 +284,10 @@ def test_fits_never_share_distances(rng, monkeypatch):
     for tr in trainings:
         del seen[:]
         fit_mle(tr, TrendSpec("constant"), "matern_5_2", n_restarts=2, seed=3)
-        cached = [X for X in seen if isinstance(X, SiteDistances)]
-        assert cached and all(X is cached[0] for X in cached)
-        for u, inv, x in zip(cached[0]._distinct, cached[0]._inverse, tr.X.T):
+        assert len(seen) > 1 and all(X is tr.sites for X in seen)
+        for u, inv, x in zip(tr.sites._distinct, tr.sites._inverse, tr.X.T):
             assert np.array_equal(u[inv], np.abs(x[:, None] - x[None, :]))
-        used.append(cached[0])
+        used.append(tr.sites)
     assert used[0] is not used[1]
 
 
@@ -838,8 +828,8 @@ def test_fit_cv_heldout_matches_literal_two_refit_oracle(rng):
     tr = TrainingSet(x, y)
     spec = KernelSpec("gaussian", [0.45])
     labels = make_folds(4, 2, seed=3)
-    mu_cv, _ = _cv_heldout(tr, TrendSpec("constant"), spec, 1e-10, _fold_layout(labels),
-                           SiteDistances(tr.X))[:2]
+    mu_cv, _ = _cv_heldout(tr, TrendSpec("constant"), spec, 1e-10,
+                           _fold_layout(labels))[:2]
     # literal oracle: two explicit-inverse half fits
     want = np.empty(4)
     for k in (0, 1):
@@ -914,7 +904,6 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
     tr = cv_case(rng, m)
     p = [0.7, 1.3, 2.0] if kind == "power_exponential" else None
     nuggets = (1e-8, rng.uniform(1e-8, 1e-6, m))
-    sites = SiteDistances(tr.X)
     compared, conds = 0, []
     for omega in ([1e-3] * 3, [0.2, 0.5, 1.4], [1e3, 1e-3, 0.3], [2.0, 5.0, 14.0]):
         spec = KernelSpec(kind, omega, p)
@@ -927,11 +916,9 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
                         want = per_fold_heldout(tr, trend, spec, nugget, labels)
                     except IllConditionedError:
                         with pytest.raises(IllConditionedError):
-                            _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels),
-                                        sites)
+                            _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels))
                         continue
-                    got = _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels),
-                                      sites)[:2]
+                    got = _cv_heldout(tr, trend, spec, nugget, _fold_layout(labels))[:2]
                     K = correlation_matrix(tr.X, spec, nugget, auto_escalate=False)
                     cond = np.linalg.cond(K.values)
                     tol = 1e-14 + np.finfo(float).eps * cond / 4
@@ -947,9 +934,8 @@ def test_cv_heldout_matches_per_fold_refits_to_a_conditioning_tolerance(kind, rn
         assert max(conds) > 1e6    # the ill-conditioned regime is covered
 
 
-def loss_and_gradient(training, trend, spec, nugget, labels, sites):
-    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, _fold_layout(labels),
-                                 sites)
+def loss_and_gradient(training, trend, spec, nugget, labels):
+    mu_cv, _, grad = _cv_heldout(training, trend, spec, nugget, _fold_layout(labels))
     return cv_loss(training, mu_cv), grad
 
 
@@ -961,7 +947,6 @@ def test_cv_gradient_matches_central_differences(kind, rng):
     # distance below omega, away from its kink at h = omega
     m, h = 20, 1e-5
     tr = cv_case(rng, m)
-    sites = SiteDistances(tr.X)
     omega = np.array([1.3, 1.6, 2.0]) if kind == "linear" else np.array([0.3, 0.6, 0.9])
     p = [0.7, 1.3, 2.0] if kind == "power_exponential" else None
     for trend in (TrendSpec("constant"), TrendSpec("linear"),
@@ -974,10 +959,10 @@ def test_cv_gradient_matches_central_differences(kind, rng):
 
                 def loss(log_omega):
                     return loss_and_gradient(tr, trend, KernelSpec(kind, np.exp(log_omega), p),
-                                             nugget, labels, sites)[0]
+                                             nugget, labels)[0]
 
                 _, grad = loss_and_gradient(tr, trend, KernelSpec(kind, omega, p),
-                                            nugget, labels, sites)
+                                            nugget, labels)
                 t, step = np.log(omega), h * np.eye(3)
                 fd = np.array([(loss(t + e) - loss(t - e)) / (2 * h) for e in step])
                 assert np.abs(grad - fd).max() <= 1e-5 * np.abs(fd).max()
@@ -989,9 +974,11 @@ def test_cv_heldout_on_a_cross_layout_is_unchanged(kind, rng, monkeypatch):
     # its matrix keeps the copy-in; a broadcast assembly must give the
     # gathers' value and gradient, from a matrix the factorization left whole
     X = cross_rows(rng.uniform(0, 1, (4, 1)), rng.uniform(0, 1, (6, 2)))
-    tr = TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
-    broadcast, gathers = SiteDistances(tr.X), SiteDistances(tr.X)
-    gathers._layout = None
+    tr, gathered = (TrainingSet(X, np.sin(3.0 * X[:, 0]) + X[:, 1] * X[:, 2])
+                    for _ in range(2))
+    assert tr.sites._layout is not None
+    gathered.sites = SiteDistances(gathered.X)
+    gathered.sites._layout = None
     seen = []
     real = gpcal.emulator.correlation_matrix
 
@@ -1004,8 +991,8 @@ def test_cv_heldout_on_a_cross_layout_is_unchanged(kind, rng, monkeypatch):
     spec = KernelSpec(kind, [1.3, 1.6, 2.0] if kind == "linear" else [0.3, 0.6, 0.9], p)
     labels = make_folds(tr.m, 6, seed=5)
     for trend in (TrendSpec("constant"), TrendSpec("linear")):
-        got, want = (_cv_heldout(tr, trend, spec, 1e-6, _fold_layout(labels), s)
-                     for s in (broadcast, gathers))
+        got, want = (_cv_heldout(t, trend, spec, 1e-6, _fold_layout(labels))
+                     for t in (tr, gathered))
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         plain = cross_corr_matrix(tr.X, tr.X, spec)
@@ -1020,17 +1007,16 @@ def test_cv_fold_with_duplicate_sites_raises_per_fold():
                   [0.3, 0.6], [0.9, 0.8]])
     tr = TrainingSet(x, np.array([1.0, 1.0, 0.2, -0.4, 0.7, 0.1]))
     spec = KernelSpec("matern_5_2", [0.4, 0.4])
-    sites = SiteDistances(tr.X)
     # fold 1 retains both copies of the duplicate
     with pytest.raises(IllConditionedError, match="duplicate"):
         _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
-                    _fold_layout(np.array([0, 0, 1, 1, 2, 2])), sites)
+                    _fold_layout(np.array([0, 0, 1, 1, 2, 2])))
     # with the copies in different folds of two, no fold retains both, but
     # the folds are computed from one factorization of all the sites, which
     # the duplicate makes singular
     with pytest.raises(IllConditionedError, match="duplicate"):
         _cv_heldout(tr, TrendSpec("constant"), spec, 0.0,
-                    _fold_layout(np.array([0, 1, 0, 1, 0, 1])), sites)
+                    _fold_layout(np.array([0, 1, 0, 1, 0, 1])))
 
 
 @pytest.mark.parametrize("k_folds", [2, 3, 6])
@@ -1050,34 +1036,34 @@ def test_cv_fold_linear_kernel_warns_without_nugget(rng):
     with pytest.warns(NumericalWarning, match="linear"):
         try:
             _cv_heldout(tr, TrendSpec("constant"), KernelSpec("linear", [0.5, 0.5]),
-                        0.0, _fold_layout(make_folds(12, 3, seed=0)), SiteDistances(tr.X))
+                        0.0, _fold_layout(make_folds(12, 3, seed=0)))
         except IllConditionedError:
             pass                 # the warning comes before the factorization
 
 
-def test_cv_fits_never_share_distances(rng, monkeypatch):
-    # every objective call and the final held-out pass go through
-    # _cv_heldout, whose last positional argument is the fit's SiteDistances
+def test_cv_fits_never_share_distances(rng, monkeypatch, sites_made):
+    # every objective call and the final conditioning read the training
+    # set's own distances, built once for the fit; two sets never share them
     seen = []
-    real = gpcal.emulator._cv_heldout
+    real = gpcal.emulator.correlation_matrix
 
-    def spy(*args, **kwargs):
-        seen.append(args[-1])
-        return real(*args, **kwargs)
+    def spy(X, *args, **kwargs):
+        seen.append(X)
+        return real(X, *args, **kwargs)
 
-    monkeypatch.setattr(gpcal.emulator, "_cv_heldout", spy)
+    monkeypatch.setattr(gpcal.emulator, "correlation_matrix", spy)
     used = []
     for _ in range(2):
         x = rng.uniform(0, 1, (20, 2))
         tr = TrainingSet(x, np.sin(4.0 * x[:, 0]) + x[:, 1])
-        del seen[:]
+        del seen[:], sites_made[:]
         fit_cv(tr, TrendSpec("constant"), "matern_5_2", k_folds=5,
                n_restarts=2, seed=3)
-        assert len(seen) > 1 and all(s is seen[0] for s in seen)
-        assert isinstance(seen[0], SiteDistances)
-        for u, inv, col in zip(seen[0]._distinct, seen[0]._inverse, tr.X.T):
+        assert sites_made == [tr.sites]
+        assert len(seen) > 1 and all(X is tr.sites for X in seen)
+        for u, inv, col in zip(tr.sites._distinct, tr.sites._inverse, tr.X.T):
             assert np.array_equal(u[inv], np.abs(col[:, None] - col[None, :]))
-        used.append(seen[0])
+        used.append(tr.sites)
     assert used[0] is not used[1]
 
 
@@ -1108,7 +1094,7 @@ def test_fit_cv_sigma2_multiplier_near_one(rng):
         tr = TrainingSet(X, y, scale_inputs=False, standardize_outputs=False)
         folds = _fold_layout(make_folds(50, 10, seed=rep))
         mu_cv, v_cv = _cv_heldout(tr, TrendSpec("known_constant", mu=0.0),
-                                  spec, 1e-10, folds, SiteDistances(tr.X))[:2]
+                                  spec, 1e-10, folds)[:2]
         sigma2_cv = float(np.mean((tr.y - mu_cv) ** 2 / v_cv))
         ratios.append(sigma2_cv / 4.0)
     assert 0.7 <= np.mean(ratios) <= 1.3
@@ -1299,8 +1285,7 @@ def test_fit_cv_reuses_the_winners_heldout_predictions(rng, monkeypatch):
     assert em.kernel.omega.tobytes() in calls
     mu_cv, v_cv = real(training, TrendSpec("constant"), em.kernel,
                        gpcal.emulator.DEFAULT_NUGGET,
-                       _fold_layout(make_folds(training.m, 5, 2)),
-                       SiteDistances(training.X))[:2]
+                       _fold_layout(make_folds(training.m, 5, 2)))[:2]
     assert em.hyper.sigma2 == float(np.mean((training.y - mu_cv) ** 2 / v_cv))
 
 
@@ -1314,9 +1299,9 @@ def test_fit_cv_builds_its_fold_layout_once(rng, monkeypatch):
         built.append(real_layout(labels))
         return built[-1]
 
-    def heldout(training, trend, spec, nugget, folds, sites):
+    def heldout(training, trend, spec, nugget, folds):
         read.append(folds)
-        return real_heldout(training, trend, spec, nugget, folds, sites)
+        return real_heldout(training, trend, spec, nugget, folds)
 
     monkeypatch.setattr(gpcal.emulator, "_fold_layout", layout)
     monkeypatch.setattr(gpcal.emulator, "_cv_heldout", heldout)
@@ -1355,6 +1340,27 @@ def test_multistart_returns_each_restarts_evaluation(case, rng, monkeypatch):
                k_folds=5, n_restarts=3, seed=2)
     assert len(checked) == (4 if case == "cross-mle" else 3)
     assert max(checked) < _BIG
+
+
+@pytest.mark.parametrize("fit", [fit_mle, fit_cv])
+def test_fits_rank_restarts_by_the_loss_at_their_end_points(fit, rng, monkeypatch):
+    # after an ABNORMAL line-search stop, L-BFGS-B's res.fun need not be the
+    # loss at res.x. A stub ends each restart at its start, an evaluated
+    # point, and reports res.fun as minus the loss there, so ranking by
+    # res.fun would pick the worst restart
+    ends = []
+
+    def stub(fun, x0, **kwargs):
+        out = fun(x0)
+        ends.append((out[0] if kwargs["jac"] else out, x0))
+        return OptimizeResult(x=x0, fun=-ends[-1][0])
+
+    monkeypatch.setattr(gpcal.emulator, "minimize", stub)
+    em = fit(joint_training(rng), TrendSpec("constant"), "matern_5_2", n_restarts=4,
+             seed=2)
+    losses = [v for v, _ in ends]
+    assert len(set(losses)) == 4 and max(losses) < _BIG
+    assert np.array_equal(em.kernel.omega, np.exp(ends[int(np.argmin(losses))][1]))
 
 
 @pytest.mark.parametrize("trend", [TrendSpec("constant"), TrendSpec("linear")],

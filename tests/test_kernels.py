@@ -292,14 +292,19 @@ def test_site_distances_reuse_is_bit_identical(layout, rng):
     assert (sites._layout is None) == (layout == "joint")
     for u, inv, x in zip(sites._distinct, sites._inverse, X.T):
         assert np.array_equal(u[inv], np.abs(x[:, None] - x[None, :]))
+    # every spec twice: each use of the sites gives the oracle's bits, in
+    # arrays of its own
+    before = None
     for spec in [*all_kind_specs(d=2, omega=0.6), *all_kind_specs(d=2, omega=0.6)]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NumericalWarning)
-            cached = correlation_matrix(sites, spec, 1e-8)
-            fresh = correlation_matrix(X, spec, 1e-8)
-        assert np.array_equal(cached.values, fresh.values)
-        assert cached.logdet == fresh.logdet
-        assert cached.values is not fresh.values
+            R = correlation_matrix(sites, spec, 1e-8)
+        want = cross_corr_matrix(X, X, spec) + np.diag(R.nugget)
+        assert np.array_equal(R.values, want)
+        c, _ = cho_factor(want, lower=True)
+        assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
+        assert before is None or not np.shares_memory(R.values, before)
+        before = R.values
 
 
 def test_correlation_matrix_dim_mismatch():
@@ -446,30 +451,30 @@ def test_log_derivative_is_zero_at_the_origin_and_beyond_linear_support():
         == [1.0, 0.0, 0.0]
 
 
-def sites_and_plain(X, spec, nugget, **kwargs):
-    return (correlation_matrix(SiteDistances(X), spec, nugget, **kwargs),
-            correlation_matrix(X, spec, nugget, **kwargs))
+def flushed(values):
+    """``values`` with the entries below eps**2 zeroed, as factored."""
+    return np.where(values < np.finfo(float).eps ** 2, 0.0, values)
 
 
 @pytest.mark.parametrize("kind", ["matern_5_2", "gaussian", "power_exponential"])
 def test_sites_factor_bit_identical_to_cho_factor(kind, rng):
     X = rng.uniform(0, 1, (60, 3))
+    sites = SiteDistances(X)
     p = [0.5, 1.0, 2.0] if kind == "power_exponential" else None
     for omega in ([0.3, 0.6, 1.1], [1e-3, 1e-3, 1e-3], [2.0, 0.05, 0.7]):
-        for R in sites_and_plain(X, KernelSpec(kind, omega, p), 1e-8):
-            # scipy's factor of the values with entries below eps**2 zeroed is
-            # the factor's oracle; scipy's factor of the plain values is the
-            # oracle of logdet and the solves
-            flushed = np.where(R.values < np.finfo(float).eps ** 2, 0.0, R.values)
-            assert np.array_equal(R._cho[0], cho_factor(flushed, lower=True)[0])
-            c, _ = cho_factor(R.values, lower=True)
-            assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
-            assert R._L.flags.c_contiguous and R._cho[0].flags.f_contiguous
-            for b in (rng.normal(size=60), rng.normal(size=(60, 3))):
-                assert np.array_equal(
-                    R.half_solve(b),
-                    solve_triangular(np.ascontiguousarray(c), b, lower=True))
-                assert np.array_equal(R.solve(b), cho_solve((c, True), b))
+        R = correlation_matrix(sites, KernelSpec(kind, omega, p), 1e-8)
+        # scipy's factor of the values with entries below eps**2 zeroed is
+        # the factor's oracle; scipy's factor of the plain values is the
+        # oracle of logdet and the solves
+        assert np.array_equal(R._cho[0], cho_factor(flushed(R.values), lower=True)[0])
+        c, _ = cho_factor(R.values, lower=True)
+        assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
+        assert R._L.flags.c_contiguous and R._cho[0].flags.f_contiguous
+        for b in (rng.normal(size=60), rng.normal(size=(60, 3))):
+            assert np.array_equal(
+                R.half_solve(b),
+                solve_triangular(np.ascontiguousarray(c), b, lower=True))
+            assert np.array_equal(R.solve(b), cho_solve((c, True), b))
 
 
 def test_sites_factor_survives_the_next_factorization_from_the_same_sites(rng):
@@ -484,28 +489,33 @@ def test_sites_factor_survives_the_next_factorization_from_the_same_sites(rng):
     assert np.array_equal(first._cho[0], kept[0])
     assert np.array_equal(first._L, kept[1])
     assert first.logdet == kept[2]
-    plain = correlation_matrix(X, KernelSpec("matern_3_2", [0.4, 0.8]), 1e-8)
-    assert np.array_equal(first._cho[0], plain._cho[0])
+    assert np.array_equal(first._cho[0], cho_factor(flushed(first.values), lower=True)[0])
     assert not any(np.shares_memory(a, b) for a in (first._cho[0], first._L)
                    for b in (second._cho[0], second._L))
 
 
 def test_sites_escalation_matches_plain():
+    # scipy cannot factor the plain matrix at nugget 0 but can at the first
+    # escalation step, 1e-10; the escalated factor is scipy's there
     X = np.linspace(0.0, 0.01, 20).reshape(-1, 1)
     spec = KernelSpec("gaussian", [1.0])
-    with pytest.warns(NumericalWarning) as rec_sites:
-        sites = correlation_matrix(SiteDistances(X), spec, nugget=0.0)
-    with pytest.warns(NumericalWarning) as rec_plain:
-        plain = correlation_matrix(X, spec, nugget=0.0)
-    assert [str(w.message) for w in rec_sites] == [str(w.message) for w in rec_plain]
-    assert 0.0 < sites.nugget.max() <= 1e-4
-    assert np.array_equal(sites.nugget, plain.nugget)
-    assert np.array_equal(sites.values, plain.values)
-    assert np.array_equal(sites._cho[0], plain._cho[0])
-    assert np.array_equal(sites._L, plain._L)
-    assert sites.logdet == plain.logdet
+    sites = SiteDistances(X)
+    with pytest.warns(NumericalWarning) as rec:
+        R = correlation_matrix(sites, spec, nugget=0.0)
+    plain = cross_corr_matrix(X, X, spec)
+    with pytest.raises(np.linalg.LinAlgError):
+        cho_factor(plain, lower=True)
+    want = plain + 1e-10 * np.eye(20)
+    c, _ = cho_factor(want, lower=True)
+    assert [str(w.message) for w in rec] == [
+        "nugget escalated to 1e-10 to factorize the correlation matrix"]
+    assert np.array_equal(R.nugget, np.full(20, 1e-10))
+    assert np.array_equal(R.values, want)
+    assert np.array_equal(R._cho[0], c)
+    assert np.array_equal(R._L, np.ascontiguousarray(c))
+    assert R.logdet == 2.0 * float(np.sum(np.log(np.diag(c))))
     with pytest.raises(IllConditionedError):
-        correlation_matrix(SiteDistances(X), spec, nugget=0.0, auto_escalate=False)
+        correlation_matrix(sites, spec, nugget=0.0, auto_escalate=False)
 
 
 def test_sites_factor_rejects_non_finite_like_cho_factor(rng):
@@ -519,10 +529,9 @@ def test_sites_factor_rejects_non_finite_like_cho_factor(rng):
         correlation_matrix(nan_site, spec, 0.0)
     assert type(ours.value) is type(scipy_error.value)
     assert str(ours.value) == str(scipy_error.value)
-    # a non-finite nugget is refused before the factorization on either path
-    for X_or_sites in (X, SiteDistances(X)):
-        with pytest.raises(DataError, match="nugget"):
-            correlation_matrix(X_or_sites, spec, np.inf)
+    # a non-finite nugget is refused before the factorization
+    with pytest.raises(DataError, match="nugget"):
+        correlation_matrix(X, spec, np.inf)
 
 
 def test_every_training_matrix_is_assembled_from_sites(rng, monkeypatch):
@@ -580,34 +589,32 @@ def test_cross_layout_assembly_is_bit_identical_to_product_corr(dx, dt, rng):
 def test_in_place_factor_keeps_the_copied_factor_bits(rng):
     # the MLE objective never reads values, so its matrix is factored in the
     # buffer it was assembled in; the factor must be the copy-in path's, on
-    # a cross layout and on a joint design, from the sites or the points
+    # a cross layout and on a joint design
     for X in (cross_rows(rng.uniform(0, 1, (5, 1)), rng.uniform(0, 1, (8, 2))),
               rng.uniform(0, 1, (40, 3))):
         b = rng.normal(size=(40, 2))
-        for X_or_sites in (X, SiteDistances(X)):
-            for spec in cross_layout_specs(3, rng):
-                try:
-                    kept = correlation_matrix(X_or_sites, spec, 1e-8, False)
-                except IllConditionedError:
-                    with pytest.raises(IllConditionedError):
-                        correlation_matrix(X_or_sites, spec, 1e-8, False,
-                                           _keep_values=False)
-                    continue
-                own = correlation_matrix(X_or_sites, spec, 1e-8, False,
-                                         _keep_values=False)
-                assert own.values is None
-                assert own.m == kept.m == 40
-                assert np.array_equal(own._cho[0], kept._cho[0])
-                assert np.array_equal(own._L, kept._L)
-                assert own.logdet == kept.logdet
-                assert np.array_equal(own.half_solve(b), kept.half_solve(b))
-                assert np.array_equal(own.solve(b), kept.solve(b))
-                # a retry factors the matrix again, so escalation keeps it
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", NumericalWarning)
-                    escalating = correlation_matrix(X_or_sites, spec, 1e-8, True,
-                                                    _keep_values=False)
-                assert np.array_equal(escalating.values, kept.values)
+        sites = SiteDistances(X)
+        for spec in cross_layout_specs(3, rng):
+            try:
+                kept = correlation_matrix(sites, spec, 1e-8, False)
+            except IllConditionedError:
+                with pytest.raises(IllConditionedError):
+                    correlation_matrix(sites, spec, 1e-8, False, _keep_values=False)
+                continue
+            own = correlation_matrix(sites, spec, 1e-8, False, _keep_values=False)
+            assert own.values is None
+            assert own.m == kept.m == 40
+            assert np.array_equal(own._cho[0], kept._cho[0])
+            assert np.array_equal(own._L, kept._L)
+            assert own.logdet == kept.logdet
+            assert np.array_equal(own.half_solve(b), kept.half_solve(b))
+            assert np.array_equal(own.solve(b), kept.solve(b))
+            # a retry factors the matrix again, so escalation keeps it
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericalWarning)
+                escalating = correlation_matrix(sites, spec, 1e-8, True,
+                                                _keep_values=False)
+            assert np.array_equal(escalating.values, kept.values)
 
 
 def test_non_finite_correlations_raise_value_error_on_every_path(rng):
@@ -624,11 +631,9 @@ def test_non_finite_correlations_raise_value_error_on_every_path(rng):
     assert SiteDistances(cross)._layout == (1, 4)
     with np.errstate(all="ignore"):
         for Y, spec in cases:
-            for X_or_sites in (Y, SiteDistances(Y)):
-                for nugget in (0.0, 1e-8):
-                    for auto_escalate in (True, False):
-                        with pytest.raises(ValueError, match=message):
-                            correlation_matrix(X_or_sites, spec, nugget, auto_escalate)
+            for nugget in (0.0, 1e-8):
+                for auto_escalate in (True, False):
                     with pytest.raises(ValueError, match=message):
-                        correlation_matrix(X_or_sites, spec, nugget, False,
-                                           _keep_values=False)
+                        correlation_matrix(Y, spec, nugget, auto_escalate)
+                with pytest.raises(ValueError, match=message):
+                    correlation_matrix(Y, spec, nugget, False, _keep_values=False)
